@@ -11,21 +11,22 @@ arrays of packed relations:
   relation is full when it has two or more bits, full-minus-that-column
   when it has exactly one, and empty when it is empty.
 
-Every letter is also a union-preserving (Boolean-linear) map on
-relations, so a word acts as a Boolean n^2 x n^2 transfer matrix and
-two words agree on *every* relation of size n exactly when their
-matrices are equal.  ``words_equal_all_relations`` decides exhaustive
-equality that way; the brute-force chunked scan over all 2^(n^2)
-relations is available as ``exhaustive_counterexample`` /
-``scan_rule_pairs`` and the two are cross-checked in the test suite.
+Every letter preserves unions and sends the empty relation to itself,
+so a word's value on any relation of size n is the union of its values
+on the pairs of that relation.  The n^2 images of the one-pair
+relations ``1 << j`` (``singleton_images``) therefore fix the word's
+map at size n exactly, and every "are these words equal at size n"
+question is answered from them: two words differ at size n iff some
+image differs, and if j is the lowest such index then ``1 << j`` is the
+numerically first separating relation (a smaller relation has only
+bits below j, whose images agree).  The literal scan over all 2^(n^2)
+relations lives in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,17 +34,6 @@ from .semantics import diag_mask, full_mask
 from .words import CAP_D, CAP_I, CONV, DOT_D, Letter, Word
 
 MAX_SIZE = 8
-_CHUNK = 1 << 19
-
-
-def default_threads() -> int:
-    env = os.environ.get("RELFRAG_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 def _dtype(n: int):
@@ -133,8 +123,46 @@ def apply_word_packed(arr: np.ndarray, w: Word, n: int) -> np.ndarray:
     return arr
 
 
-def apply_word_single(bits: int, w: Word, n: int) -> int:
-    return int(apply_word_packed(np.array([bits], dtype=_dtype(n)), w, n)[0])
+# ---------------------------------------------------------------------------
+# Exact equality at one size
+
+
+def singleton_images(w: Word, n: int) -> np.ndarray:
+    """Packed images under w of the n^2 one-pair relations: entry j is
+    w[1 << j].  These fix w's value on every relation of size n."""
+    _check_size(n)
+    dt = _dtype(n)
+    return apply_word_packed(dt(1) << np.arange(n * n, dtype=dt), w, n)
+
+
+def first_counterexample(w1: Word, w2: Word, n: int) -> Optional[int]:
+    """Numerically first packed relation R of size n with w1[R] != w2[R]
+    (always a one-pair relation), or None when the words agree on all
+    2^(n^2) relations."""
+    bad = np.nonzero(singleton_images(w1, n) != singleton_images(w2, n))[0]
+    return 1 << int(bad[0]) if bad.size else None
+
+
+def scan_rule_pairs(pairs: Sequence[tuple[Word, Word]], n: int,
+                    threads: Optional[int] = None) -> list[Optional[int]]:
+    """Per pair, ``first_counterexample`` at size n.  ``threads`` is
+    accepted for compatibility and ignored."""
+    _check_size(n)
+    return [first_counterexample(w1, w2, n) for w1, w2 in pairs]
+
+
+def words_equal_all_relations(w1: Word, w2: Word, n: int) -> bool:
+    """Whether the words agree on every relation of size n."""
+    return bool(np.array_equal(singleton_images(w1, n), singleton_images(w2, n)))
+
+
+def word_matrix(w: Word, n: int) -> np.ndarray:
+    """Boolean transfer matrix of the word: bit j of the input feeds
+    bit i of the output iff entry (i, j) is set, so column j is the
+    image of ``1 << j``."""
+    images = singleton_images(w, n).astype(np.uint64)
+    shifts = np.arange(n * n, dtype=np.uint64)[:, None]
+    return ((images[None, :] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -161,144 +189,15 @@ def sample_panel(n: int, count: int, seed: int) -> np.ndarray:
     return arr
 
 
-def fnv64(chunks: Iterable[bytes]) -> int:
-    h = 0xCBF29CE484222325
-    for chunk in chunks:
-        for b in chunk:
-            h ^= b
-            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def digest_array(arr: np.ndarray) -> int:
-    return fnv64([np.ascontiguousarray(arr, dtype=np.uint64).tobytes()])
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive scans over all relations of a given size
-
-
-def _chunks(n: int, chunk: int = _CHUNK):
-    count = 1 << (n * n)
-    dt = _dtype(n)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        yield start, np.arange(start, stop, dtype=dt)
-
-
-def exhaustive_counterexample(w1: Word, w2: Word, n: int,
-                              threads: Optional[int] = None) -> Optional[int]:
-    """First packed relation R (in increasing numeric order) with
-    w1[R] != w2[R], scanning all 2^(n^2) relations; None if equal
-    everywhere.  The verdict does not depend on the thread count."""
-    _check_size(n)
-    threads = threads or default_threads()
-
-    def scan(item):
-        start, arr = item
-        a = apply_word_packed(arr, w1, n)
-        b = apply_word_packed(arr, w2, n)
-        bad = np.nonzero(a != b)[0]
-        return start + int(bad[0]) if bad.size else None
-
-    if threads <= 1:
-        for item in _chunks(n):
-            hit = scan(item)
-            if hit is not None:
-                return hit
-        return None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for hit in pool.map(scan, _chunks(n)):
-            if hit is not None:
-                return hit
-    return None
-
-
-def scan_rule_pairs(pairs: Sequence[tuple[Word, Word]], n: int,
-                    threads: Optional[int] = None) -> list[Optional[int]]:
-    """One pass over all relations of size n evaluating every pair on
-    each chunk; per pair, the first differing packed relation or None.
-    Distinct sides are evaluated once per chunk and shared.
-    """
-    _check_size(n)
-    threads = threads or default_threads()
-    sides = sorted({w for pair in pairs for w in pair}, key=lambda w: (len(w), w))
-
-    def scan(item):
-        start, arr = item
-        values = {w: apply_word_packed(arr, w, n) for w in sides}
-        hits: list[Optional[int]] = []
-        for w1, w2 in pairs:
-            bad = np.nonzero(values[w1] != values[w2])[0]
-            hits.append(start + int(bad[0]) if bad.size else None)
-        return hits
-
-    results: list[Optional[int]] = [None] * len(pairs)
-
-    def fold(hits):
-        for i, h in enumerate(hits):
-            if h is not None and (results[i] is None or h < results[i]):
-                results[i] = h
-
-    if threads <= 1:
-        for item in _chunks(n):
-            fold(scan(item))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for hits in pool.map(scan, _chunks(n)):
-                fold(hits)
-    return results
-
-
 def sampled_counterexample(w1: Word, w2: Word, n: int, count: int,
                            seed: int) -> Optional[int]:
-    """First panel relation separating the two words, or None."""
+    """First panel relation separating the two words, or None.  When
+    the words agree on every relation of size n no panel entry can
+    separate them, and the panel is neither built nor evaluated."""
+    if words_equal_all_relations(w1, w2, n):
+        return None
     panel = sample_panel(n, count, seed)
     a = apply_word_packed(panel, w1, n)
     b = apply_word_packed(panel, w2, n)
     bad = np.nonzero(a != b)[0]
     return int(panel[int(bad[0])]) if bad.size else None
-
-
-# ---------------------------------------------------------------------------
-# Transfer matrices
-
-
-@lru_cache(maxsize=None)
-def _letter_matrix(letter: Letter, n: int) -> np.ndarray:
-    nn = n * n
-    m = np.zeros((nn, nn), dtype=np.uint8)
-    for x in range(n):
-        for y in range(n):
-            out = x * n + y
-            if letter is CAP_I:
-                if x == y:
-                    m[out, out] = 1
-            elif letter is CAP_D:
-                if x != y:
-                    m[out, out] = 1
-            elif letter is CONV:
-                m[out, y * n + x] = 1
-            else:  # DOT_D: output (x,y) is the union of inputs (x,z), z != y
-                for z in range(n):
-                    if z != y:
-                        m[out, x * n + z] = 1
-    m.setflags(write=False)
-    return m
-
-
-def word_matrix(w: Word, n: int) -> np.ndarray:
-    """Boolean transfer matrix of the word: bit j of the input feeds
-    bit i of the output iff entry (i, j) is set."""
-    _check_size(n)
-    m = np.eye(n * n, dtype=np.uint8)
-    for letter in w:
-        m = (m @ _letter_matrix(letter, n) > 0).astype(np.uint8)
-    return m
-
-
-def words_equal_all_relations(w1: Word, w2: Word, n: int) -> bool:
-    """Whether the words agree on every relation of size n.  Words act
-    Boolean-linearly, so this is transfer-matrix equality; equivalent to
-    (and cross-checked against) the full 2^(n^2) scan."""
-    return bool(np.array_equal(word_matrix(w1, n), word_matrix(w2, n)))

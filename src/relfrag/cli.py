@@ -7,8 +7,7 @@ export-tptp, verify-rules.
 Exit codes: 0 success (for equiv: Equivalent), 1 Inequivalent,
 2 Unknown, 64 usage error, 65 input format error.  ``--json`` switches
 every subcommand to a stable machine-readable schema.  ``--threads``
-caps scan workers (the env var RELFRAG_THREADS is the default);
-results never depend on the worker count.
+is still accepted and ignored: every check runs on one thread.
 """
 
 from __future__ import annotations
@@ -100,7 +99,8 @@ def _add_oracle_flags(p, samples_default: int, sizes_default: tuple[int, ...]) -
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample-sizes", dest="sample_sizes", default=sizes_default,
                    type=lambda s: tuple(int(x) for x in s.split(",")))
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility and ignored")
 
 
 def _cmd_eval(args) -> int:
@@ -262,8 +262,7 @@ def _cmd_verify_rules(args) -> int:
     rs = load_rules(_rules_arg(args))
     checks = verify_rules(rs, exhaustive_size=args.exhaustive_size,
                           sample_sizes=args.sample_sizes,
-                          samples_per_size=args.samples, seed=args.seed,
-                          threads=args.threads)
+                          samples_per_size=args.samples, seed=args.seed)
     passed = 0
     rows = []
     for c in checks:
@@ -363,7 +362,8 @@ def build_parser() -> _ArgumentParser:
         p.add_argument("--run-solver", dest="run_solver")
         p.set_defaults(fn=lambda args, fmt=fmt: _cmd_export_obligation(args, fmt))
 
-    p = sub.add_parser("verify-rules", help="certify every rule by brute force")
+    p = sub.add_parser("verify-rules", help="certify every rule: exactly at the exhaustive "
+                                            "size, on seeded samples at larger sizes")
     p.add_argument("rules_positional", nargs="?")
     p.add_argument("--rules")
     _add_oracle_flags(p, samples_default=100_000, sizes_default=(6, 7))

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union as TUnion
 
-import numpy as np
-
 from . import bitrel
 from .constants import ConstClass, classify_const, decide_0vo
 from .normalforms import (complement_nf, expand_projections, projection_nf,
@@ -97,8 +95,10 @@ def decide_word_equiv(w1: Word, w2: Word, cfg: OracleConfig = OracleConfig(),
                       rules: Optional[RewriteSystem] = None) -> Verdict:
     """Equivalent when both words rewrite to the same normal form
     (valid on universes of size >= 5, the class the rules are certified
-    for); Inequivalent with a concrete witness when the bounded scan
-    separates them; Unknown otherwise."""
+    for); Inequivalent with a concrete witness when they differ at a
+    size up to the exhaustive one (the first separating relation, read
+    off the singleton images) or on a sampled panel; Unknown
+    otherwise."""
     rs = rules if rules is not None else figure1_rules()
     nf1, tr1 = normalize(w1, rs)
     nf2, tr2 = normalize(w2, rs)
@@ -112,13 +112,9 @@ def decide_word_equiv(w1: Word, w2: Word, cfg: OracleConfig = OracleConfig(),
         })
     t1, t2 = apply_word(w1, Var("a")), apply_word(w2, Var("a"))
     for n in range(1, cfg.exhaustive_size + 1):
-        m1 = bitrel.word_matrix(w1, n)
-        m2 = bitrel.word_matrix(w2, n)
-        if not np.array_equal(m1, m2):
-            # maps are union-preserving, so a differing column gives a
-            # one-pair separating relation
-            j = int(np.nonzero((m1 != m2).any(axis=0))[0][0])
-            witness = Structure(n, {"a": Rel(n, 1 << j)})
+        hit = bitrel.first_counterexample(w1, w2, n)
+        if hit is not None:
+            witness = Structure(n, {"a": Rel(n, hit)})
             return _checked_inequivalent(t1, t2, witness)
     samples = 0
     for n in cfg.sample_sizes:

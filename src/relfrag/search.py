@@ -3,11 +3,13 @@ equivalence oracle.
 
 The oracle for two context words compares their values on every
 relation at one exhaustive size (default five) and on seeded random
-panels at the sample sizes.  Exhaustive equality is decided through the
-Boolean transfer matrices of the words, which agree exactly when the
-words agree on all 2^(n^2) relations (cross-checked against the brute
-scan in the tests); a 64-bit panel fingerprint serves as a cheap
-rejection fast path that never changes the verdict.
+panels at the sample sizes.  Both clauses go through the words'
+singleton images (``bitrel.singleton_images``): letters preserve
+unions, so the images of the n^2 one-pair relations fix a word's map
+at size n, and equal images mean equal values on all 2^(n^2)
+relations, hence on every panel of that size too (the panel is only
+evaluated when the images differ).  The images at the exhaustive size
+are also the exact bucket key of the search (``word_fingerprint``).
 
 ``run_search`` is the possibly non-terminating completion loop: it
 draws candidate pairs (u, v), with v ascending in shortlex order over
@@ -21,16 +23,14 @@ irreducible language finite, or when the budget or length bound runs
 out.  Each stopping cause is reported.
 
 Verdicts are bounded-certified only: agreement on the checked models.
-``verify_rules`` re-certifies any rule set the expensive way, with the
-full exhaustive scan plus large sampled panels.
+``verify_rules`` re-certifies any rule set exactly at the exhaustive
+size and on large sampled panels at the remaining sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import bitrel
 from .rewriting import RewriteSystem, Rule, make_system
@@ -54,38 +54,26 @@ class OracleConfig:
         object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
 
 
-def _panel(cfg: OracleConfig, n: int) -> np.ndarray:
-    return bitrel.sample_panel(n, cfg.samples_per_size, cfg.seed)
-
-
-def word_fingerprint(w: Word, cfg: OracleConfig) -> int:
-    """64-bit digest of the word's values over the seeded panels at the
-    sample sizes; words that agree on those panels collide by
-    construction."""
-    chunks = []
-    for n in cfg.sample_sizes:
-        out = bitrel.apply_word_packed(_panel(cfg, n), w, n)
-        chunks.append(np.ascontiguousarray(out, dtype=np.uint64).tobytes())
-    return bitrel.fnv64(chunks)
+def word_fingerprint(w: Word, cfg: OracleConfig) -> bytes:
+    """Exact key of the word's map at the exhaustive size: its packed
+    singleton images.  Two words share a key iff they agree on every
+    relation of that size."""
+    return bitrel.singleton_images(w, cfg.exhaustive_size).tobytes()
 
 
 def word_equiv_oracle(w1: Word, w2: Word, cfg: OracleConfig,
                       use_fingerprint: bool = True) -> bool:
     """True iff the words agree on every relation at the exhaustive
-    size and on every panel relation at the sample sizes."""
+    size and on every panel relation at the sample sizes.
+    ``use_fingerprint`` is accepted for compatibility and ignored: the
+    exhaustive clause is the exact key comparison either way."""
     if w1 == w2:
         return True
-    if use_fingerprint and word_fingerprint(w1, cfg) != word_fingerprint(w2, cfg):
-        return False
     if not bitrel.words_equal_all_relations(w1, w2, cfg.exhaustive_size):
         return False
-    for n in cfg.sample_sizes:
-        panel = _panel(cfg, n)
-        a = bitrel.apply_word_packed(panel, w1, n)
-        b = bitrel.apply_word_packed(panel, w2, n)
-        if not np.array_equal(a, b):
-            return False
-    return True
+    return all(bitrel.sampled_counterexample(w1, w2, n, cfg.samples_per_size,
+                                             cfg.seed) is None
+               for n in cfg.sample_sizes)
 
 
 @dataclass(frozen=True)
@@ -106,9 +94,9 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
 
     A word is fresh when all its proper factors survived earlier rounds
     and it is not itself an admitted large side; fresh words are drawn
-    in shortlex order.  Each fresh word is compared (fingerprint first)
-    against the surviving words below it, in shortlex order, and the
-    first oracle hit admits the pair as a rule.
+    in shortlex order.  Each fresh word is compared against the
+    surviving words below it with the same exact key, in shortlex order,
+    and the first oracle hit admits the pair as a rule.
 
     Admission targets the word monoid on universes of size >= the
     exhaustive size, so sample sizes below it are dropped here: several
@@ -135,7 +123,7 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
 
     survivors: list[Word] = []
     survivor_set: set[Word] = set()
-    by_fp: dict[int, list[Word]] = {}
+    by_fp: dict[bytes, list[Word]] = {}
     by_len: dict[int, list[Word]] = {}
     examined = 0
     oracle_calls = 0
@@ -146,7 +134,7 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
         examined_here = len(survivors)
         for u in by_fp.get(fp, ()):  # ascending shortlex by construction
             oracle_calls += 1
-            if word_equiv_oracle(u, v, cfg, use_fingerprint=False):
+            if word_equiv_oracle(u, v, cfg):
                 examined += examined_here
                 return Rule(u, v, len(rules) + 1)
         examined += examined_here
@@ -205,11 +193,12 @@ def verify_rules(rs: RewriteSystem, exhaustive_size: int = 5,
                  sample_sizes: Sequence[int] = (6, 7),
                  samples_per_size: int = 100_000, seed: int = 0,
                  threads: Optional[int] = None) -> list[RuleCheck]:
-    """Certify every rule by brute force: equality of both sides on all
-    2^(n^2) relations at the exhaustive size (chunked scan, optionally
-    threaded) and on seeded sampled panels at the remaining sizes."""
+    """Certify every rule: equality of both sides on all 2^(n^2)
+    relations at the exhaustive size (exact, from the singleton images)
+    and on seeded sampled panels at the remaining sizes.  ``threads``
+    is accepted for compatibility and ignored."""
     pairs = [(r.small, r.large) for r in rs.rules]
-    exhaustive = bitrel.scan_rule_pairs(pairs, exhaustive_size, threads=threads)
+    exhaustive = bitrel.scan_rule_pairs(pairs, exhaustive_size)
     out = []
     for rule, bad in zip(rs.rules, exhaustive):
         failures = []

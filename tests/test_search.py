@@ -1,13 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import brute
 from relfrag import bitrel
-from relfrag.rewriting import figure1_rules, make_system
+from relfrag.rewriting import figure1_rules, format_rules, load_rules, make_system
 from relfrag.search import (OracleConfig, run_search, verify_rules,
                             word_equiv_oracle, word_fingerprint)
 from relfrag.words import CONV, DOT_D, LETTERS, parse_word
 
 CFG = OracleConfig()
+PLANTED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "planted_false_rules.txt"
+
+
+def _random_word(rng, max_len):
+    return tuple(LETTERS[i] for i in rng.integers(0, 4, size=int(rng.integers(0, max_len + 1))))
 
 
 def test_oracle_config_validation():
@@ -42,14 +50,14 @@ def test_oracle_fast_path_never_changes_verdict():
 
 
 def test_matrix_equality_matches_brute_scan():
-    # the transfer-matrix decision agrees with the full scan
+    # exact equality from the singleton images agrees with the full scan
     rng = np.random.default_rng(5)
     for n in (2, 3, 4):
         for _ in range(60):
             w1 = tuple(LETTERS[i] for i in rng.integers(0, 4, size=int(rng.integers(0, 6))))
             w2 = tuple(LETTERS[i] for i in rng.integers(0, 4, size=int(rng.integers(0, 6))))
             fast = bitrel.words_equal_all_relations(w1, w2, n)
-            slow = bitrel.exhaustive_counterexample(w1, w2, n, threads=1) is None
+            slow = brute.first_counterexample(w1, w2, n) is None
             assert fast == slow, (w1, w2, n)
 
 
@@ -60,8 +68,77 @@ def test_matrix_equality_matches_brute_scan_size5_spot():
              (parse_word("cv cD iI cD"), parse_word("iD cv cD cD iD"))]
     for w1, w2 in pairs:
         fast = bitrel.words_equal_all_relations(w1, w2, 5)
-        slow = bitrel.exhaustive_counterexample(w1, w2, 5, threads=1) is None
+        slow = brute.first_counterexample(w1, w2, 5) is None
         assert fast == slow
+
+
+def test_scan_rule_pairs_matches_brute_first_counterexample():
+    # the lowest differing singleton image is the numerically first
+    # separating relation of the literal scan
+    rng = np.random.default_rng(300)
+    for n in (1, 2, 3, 4):
+        pairs = [(_random_word(rng, 6), _random_word(rng, 6)) for _ in range(75)]
+        expected = brute.first_counterexamples(pairs, n)
+        assert bitrel.scan_rule_pairs(pairs, n) == expected, n
+        assert any(e is not None for e in expected) and any(e is None for e in expected)
+    planted = [(r.small, r.large) for r in load_rules(str(PLANTED)).rules]
+    assert brute.first_counterexamples(planted, 5) == [1, 2, 1]
+    assert bitrel.scan_rule_pairs(planted, 5) == [1, 2, 1]
+
+
+def test_word_matrix_columns_and_products():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 5):
+        for _ in range(20):
+            w1, w2 = _random_word(rng, 5), _random_word(rng, 5)
+            m1, m2 = bitrel.word_matrix(w1, n), bitrel.word_matrix(w2, n)
+            # the matrix of a concatenation is the Boolean product
+            assert np.array_equal((m1.astype(int) @ m2 > 0).astype(np.uint8),
+                                  bitrel.word_matrix(w1 + w2, n))
+            for j in range(n * n):
+                column = bitrel.apply_word_packed(np.array([1 << j], dtype=np.uint64), w1, n)[0]
+                assert int(sum(int(b) << i for i, b in enumerate(m1[:, j]))) == int(column)
+
+
+def test_sampled_counterexample_matches_direct_panel():
+    # the shortcut through the singleton images never changes the answer
+    rng = np.random.default_rng(37)
+    separated = 0
+    for n in (3, 4, 5, 6, 7):
+        panel = bitrel.sample_panel(n, 500, 11)
+        for _ in range(40):
+            w1, w2 = _random_word(rng, 6), _random_word(rng, 6)
+            a = bitrel.apply_word_packed(panel, w1, n)
+            b = bitrel.apply_word_packed(panel, w2, n)
+            bad = np.nonzero(a != b)[0]
+            direct = int(panel[int(bad[0])]) if bad.size else None
+            assert bitrel.sampled_counterexample(w1, w2, n, 500, 11) == direct, (w1, w2, n)
+            separated += direct is not None
+    assert separated >= 100
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_verify_rules_exact_beyond_scan_sizes(n):
+    # 2^36 .. 2^64 relations: every built-in rule holds exactly
+    checks = verify_rules(figure1_rules(), exhaustive_size=n)
+    assert sum(c.exhaustive_ok and c.sampled_ok for c in checks) == 21
+
+
+def test_verify_rules_rejects_planted_rules():
+    checks = verify_rules(load_rules(str(PLANTED)), exhaustive_size=5)
+    assert [c.exhaustive_counterexample for c in checks] == [1, 2, 1]
+    assert not any(c.exhaustive_ok or c.sampled_ok for c in checks)
+
+
+def test_search_same_rules_for_every_oracle_seed():
+    texts = set()
+    for seed in (0, 1, 2):
+        report = run_search(OracleConfig(seed=seed), 15, 10**6)
+        assert report.cofinite
+        # exact buckets: every oracle call admits a rule
+        assert report.oracle_calls == len(report.rules.rules) == 43
+        texts.add(format_rules(report.rules))
+    assert len(texts) == 1
 
 
 def test_search_budget_zero():
@@ -102,15 +179,6 @@ def test_search_completes_to_cofinite():
         for earlier in larges[:i]:
             assert not any(later[j:j + len(earlier)] == earlier
                            for j in range(len(later) - len(earlier) + 1))
-
-
-def test_default_threads_env(monkeypatch):
-    monkeypatch.setenv("RELFRAG_THREADS", "3")
-    assert bitrel.default_threads() == 3
-    monkeypatch.setenv("RELFRAG_THREADS", "junk")
-    assert bitrel.default_threads() >= 1
-    monkeypatch.delenv("RELFRAG_THREADS")
-    assert bitrel.default_threads() >= 1
 
 
 def test_search_with_seed_rules():
