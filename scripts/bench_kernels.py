@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Per-operator timings of the packed-relation kernels.
+
+Times ``semantics.eval_term_batch`` for each operator and
+``bitrel.apply_word_packed`` for each context letter, at every size in
+``--sizes``, on ``--relations`` seeded random relations.  Every figure
+is the median of ``--repeat`` runs in milliseconds (one untimed warm-up
+run first builds any lookup tables).  Prints JSON with the machine
+(nproc, Python and numpy versions); ``--out DIR`` also writes it to
+``DIR/BENCH_kernels_<label>.json``.
+
+Example:
+    PYTHONPATH=src python3 scripts/bench_kernels.py --label current --out .
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from relfrag import bitrel  # noqa: E402
+from relfrag.semantics import eval_term_batch, full_mask  # noqa: E402
+from relfrag.terms import parse_term  # noqa: E402
+from relfrag.words import parse_word  # noqa: E402
+
+OPERATORS = ("a ; b", "a $ b", "a^", "a[1,1]", "a[2,2]", "a~", "a | b", "a & b")
+LETTERS = ("iI", "iD", "cD", "cv")
+
+
+def _median_ms(fn, repeat: int) -> float:
+    fn()
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return round(statistics.median(times) * 1e3, 4)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--relations", type=int, default=100_000)
+    ap.add_argument("--sizes", default="3,4,5,6,7,8",
+                    type=lambda s: tuple(int(x) for x in s.split(",")))
+    ap.add_argument("--repeat", type=int, default=7)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--label", default="current")
+    ap.add_argument("--out", help="directory for BENCH_kernels_<label>.json")
+    args = ap.parse_args()
+
+    batch: dict[str, dict[str, float]] = {op: {} for op in OPERATORS}
+    letters: dict[str, dict[str, float]] = {name: {} for name in LETTERS}
+    for n in args.sizes:
+        rng = np.random.default_rng([args.seed, n])
+        fm = np.uint64(full_mask(n))
+        a, b = (rng.integers(0, 1 << 64, size=args.relations, dtype=np.uint64) & fm for _ in range(2))
+        for op in OPERATORS:
+            t = parse_term(op)
+            batch[op][str(n)] = _median_ms(lambda: eval_term_batch(t, {"a": a, "b": b}, n), args.repeat)
+        packed = a.astype(bitrel._dtype(n))
+        for name in LETTERS:
+            w = parse_word(name)
+            letters[name][str(n)] = _median_ms(lambda: bitrel.apply_word_packed(packed, w, n), args.repeat)
+
+    result = {
+        "label": args.label,
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "platform": platform.platform()},
+        "params": {"relations": args.relations, "sizes": list(args.sizes),
+                   "repeat": args.repeat, "seed": args.seed, "unit": "ms (median)"},
+        "eval_term_batch": batch,
+        "apply_word_packed": letters,
+    }
+    text = json.dumps(result, indent=1)
+    print(text)
+    if args.out:
+        path = Path(args.out) / f"BENCH_kernels_{args.label}.json"
+        path.write_text(text + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

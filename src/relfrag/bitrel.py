@@ -5,11 +5,13 @@ for the pair (x, y).  The four context letters act on whole numpy
 arrays of packed relations:
 
 * ``iI`` / ``iD`` are single mask operations;
-* ``cv`` (converse) is a bit permutation, done through per-chunk
-  lookup tables;
-* ``cD`` uses a per-row table: a row composed with the difference
-  relation is full when it has two or more bits, full-minus-that-column
-  when it has exactly one, and empty when it is empty.
+* ``cv`` (converse) and ``cD`` go through per-chunk lookup tables
+  (``semantics.linear_tables``): each maps a group of input bits to
+  the union of their images.  Converse moves pair (x, y) to (y, x)
+  (the tables the batch evaluator in ``semantics`` uses too), and
+  ``{(x, y)} ; D`` is row x minus column y, so a row composed with the
+  difference relation is full with two or more bits, full minus that
+  column with exactly one, and empty when it is empty.
 
 Every letter preserves unions and sends the empty relation to itself,
 so a word's value on any relation of size n is the union of its values
@@ -30,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .semantics import diag_mask, full_mask
+from .semantics import _transpose_tables, diag_mask, full_mask, linear_tables, map_bits
 from .words import CAP_D, CAP_I, CONV, DOT_D, Letter, Word
 
 MAX_SIZE = 8
@@ -46,49 +48,11 @@ def _check_size(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _transpose_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    # chunk the n^2 bit positions into <= 13-bit groups; each table maps
-    # a group value to its transposed bit pattern
-    nn = n * n
-    dt = _dtype(n)
-    tables = []
-    lo = 0
-    while lo < nn:
-        width = min(13, nn - lo)
-        vals = np.arange(1 << width, dtype=dt)
-        out = np.zeros_like(vals)
-        for p in range(width):
-            x, y = divmod(lo + p, n)
-            bit = (vals >> dt(p)) & dt(1)
-            out |= bit << dt(y * n + x)
-        tables.append((lo, width, out))
-        lo += width
-    return tuple(tables)
-
-
-@lru_cache(maxsize=None)
 def _rowd_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    # rows composed with D, grouped so each lookup covers <= 13 bits
+    # {(x, y)} ; D is row x minus column y
     full_row = (1 << n) - 1
-    single = np.zeros(1 << n, dtype=_dtype(n))
-    for r in range(1 << n):
-        pop = bin(r).count("1")
-        single[r] = 0 if pop == 0 else (full_row ^ r if pop == 1 else full_row)
-    rows_per = max(1, 13 // n)
-    tables = []
-    row = 0
-    while row < n:
-        rows = min(rows_per, n - row)
-        width = rows * n
-        vals = np.arange(1 << width, dtype=_dtype(n))
-        out = np.zeros_like(vals)
-        for k in range(rows):
-            rr = ((vals >> _dtype(n)(k * n)) & _dtype(n)(full_row)).astype(np.intp)
-            out |= single[rr] << _dtype(n)(k * n)
-        out.setflags(write=False)
-        tables.append((row * n, width, out))
-        row += rows
-    return tuple(tables)
+    return linear_tables(((full_row ^ (1 << y)) << (x * n) for x in range(n) for y in range(n)),
+                         _dtype(n))
 
 
 def apply_letter(arr: np.ndarray, letter: Letter, n: int) -> np.ndarray:
@@ -98,19 +62,9 @@ def apply_letter(arr: np.ndarray, letter: Letter, n: int) -> np.ndarray:
     if letter is CAP_D:
         return arr & dt(full_mask(n) ^ diag_mask(n))
     if letter is CONV:
-        out = None
-        for lo, width, table in _transpose_tables(n):
-            idx = ((arr >> dt(lo)) & dt((1 << width) - 1)).astype(np.intp)
-            part = table[idx]
-            out = part if out is None else out | part
-        return out
+        return map_bits(arr, _transpose_tables(n, dt))
     if letter is DOT_D:
-        out = None
-        for lo, width, table in _rowd_tables(n):
-            idx = ((arr >> dt(lo)) & dt((1 << width) - 1)).astype(np.intp)
-            part = table[idx] << dt(lo)
-            out = part if out is None else out | part
-        return out
+        return map_bits(arr, _rowd_tables(n))
     raise ValueError(f"unknown letter {letter!r}")
 
 

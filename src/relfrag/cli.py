@@ -5,7 +5,8 @@ count-irreducible, cofinite, search, export-dfa, export-smt,
 export-tptp, verify-rules.
 
 Exit codes: 0 success (for equiv: Equivalent), 1 Inequivalent,
-2 Unknown, 64 usage error, 65 input format error.  ``--json`` switches
+2 Unknown, 64 usage error, 65 input format error (input nested too
+deeply included), 70 internal error.  ``--json`` switches
 every subcommand to a stable machine-readable schema.  ``--threads``
 is still accepted and ignored: every check runs on one thread.
 """
@@ -30,7 +31,7 @@ from .semantics import (SemanticsError, eval_term, structure_from_json,
 from .terms import ParseError, TermError, Var, dotdagger_level, parse_term, vo
 from .words import WordError, apply_word, format_word, parse_word
 
-EX_OK, EX_INEQUIV, EX_UNKNOWN, EX_USAGE, EX_DATA = 0, 1, 2, 64, 65
+EX_OK, EX_INEQUIV, EX_UNKNOWN, EX_USAGE, EX_DATA, EX_SOFTWARE = 0, 1, 2, 64, 65, 70
 
 
 class UsageError(Exception):
@@ -391,6 +392,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EX_DATA
+    except RecursionError:
+        print("input error: input nested too deeply", file=sys.stderr)
+        return EX_DATA
+    except Exception as e:  # never let a crash read as a verdict (exit 1)
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

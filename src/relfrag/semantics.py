@@ -8,17 +8,32 @@ product, dagger is relative sum ((x,y) in R dagger S iff for every z,
 (x,z) in R or (z,y) in S), projections re-read coordinates, boolean
 operators and complement act inside the full square.
 
+The batch evaluator (``eval_term_batch``) runs each operator on whole
+numpy arrays of packed relations (n <= 8).  Composition takes n
+vector steps, one per middle point z: column z of the left side,
+shifted to bit 0 of each row, times row z of the right side copies
+that row into exactly the rows x with (x, z) on the left.  No product
+carries, since the set bits of one factor are n apart and the other is
+below 2^n (at n = 8 the products fill all 64 bits).  Dagger is the De
+Morgan dual ~(~R ; ~S) within the full square.  Converse and the
+projections [1,1] and [2,2] send each pair to a fixed set of pairs and
+preserve unions, so they, like the bit reversal that turns an
+enumeration index into relations, go through chunked lookup tables
+(``linear_tables``; ``bitrel`` shares them).
+
 Equivalence oracles come in two flavours: ``exhaustive_check`` scans
-every labeled structure at the given sizes (vectorized, chunked, with a
-structure-count budget) and ``random_check`` samples seeded random
-structures.  Both return the first counterexample in a documented
-deterministic order.
+every labeled structure at the given sizes (with a structure-count
+budget) and ``random_check`` samples seeded random structures.  Both
+evaluate in chunks of ``_CHUNK`` structures, stop at the first chunk
+that separates the terms, and return the first counterexample in a
+documented deterministic order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -288,16 +303,6 @@ def structure_count(num_vars: int, size: int) -> int:
     return 1 << (size * size * num_vars)
 
 
-def _bitrev_table(nbits: int) -> np.ndarray:
-    # maps a big-endian bit block to the packed little-endian relation
-    vals = np.arange(1 << nbits, dtype=np.uint64)
-    out = np.zeros_like(vals)
-    for p in range(nbits):
-        bit = (vals >> np.uint64(nbits - 1 - p)) & np.uint64(1)
-        out |= bit << np.uint64(p)
-    return out
-
-
 def _structure_from_index(index: int, names: list[str], size: int) -> Structure:
     nn = size * size
     assignment = {}
@@ -328,49 +333,83 @@ def enumerate_structures(var_names: Iterable[str], size: int,
 # Vectorized term evaluation on batches of packed relations
 
 
+def _first_col(n: int) -> int:
+    # bit 0 of every row
+    return sum(1 << (x * n) for x in range(n))
+
+
+def linear_tables(images: Iterable[int], dtype) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """A map of packed words that sends 0 to 0 and preserves OR, given
+    by the images of the single bits (bit p goes to ``images[p]``), as
+    read-only lookup tables, one per group of <= 13 input bits."""
+    images = list(images)
+    tables = []
+    for lo in range(0, len(images), 13):
+        width = min(13, len(images) - lo)
+        vals = np.arange(1 << width, dtype=dtype)
+        out = np.zeros_like(vals)
+        for p in range(width):
+            if images[lo + p]:
+                out |= ((vals >> dtype(p)) & dtype(1)) * dtype(images[lo + p])
+        out.setflags(write=False)
+        tables.append((lo, width, out))
+    return tuple(tables)
+
+
+def map_bits(arr: np.ndarray, tables) -> np.ndarray:
+    """Apply a ``linear_tables`` map to every entry; the result is a new
+    array of the tables' dtype."""
+    dt = arr.dtype.type
+    idx = np.empty(arr.shape, dtype=np.uint64)
+    out = part = None
+    for lo, width, table in tables:
+        np.right_shift(arr, dt(lo), out=idx)
+        idx &= np.uint64((1 << width) - 1)
+        # indices are below 2^width by construction; "clip" skips the
+        # bounds check and lets take write into ``part`` unbuffered
+        if out is None:
+            out = table.take(idx.view(np.int64), mode="clip")
+        else:
+            part = table.take(idx.view(np.int64), out=part, mode="clip")
+            out |= part
+    return out
+
+
+@lru_cache(maxsize=None)
+def _transpose_tables(n: int, dtype) -> tuple[tuple[int, int, np.ndarray], ...]:
+    return linear_tables((1 << (y * n + x) for x in range(n) for y in range(n)), dtype)
+
+
+@lru_cache(maxsize=None)
+def _bitrev_tables(nbits: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    # maps a big-endian bit block to the packed little-endian relation
+    return linear_tables((1 << (nbits - 1 - p) for p in range(nbits)), np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _diag_proj_tables(n: int, img: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    # [1,1] sends a loop (x,x) to all of row x, [2,2] to all of column x
+    spread = [((1 << n) - 1) << (x * n) if img == 1 else _first_col(n) << x for x in range(n)]
+    return linear_tables((spread[x] if x == y else 0 for x in range(n) for y in range(n)), np.uint64)
+
+
 def _batch_comp(r: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
-    one = np.uint64(1)
-    row_mask = np.uint64((1 << n) - 1)
-    out = np.zeros_like(r)
-    srows = [(s >> np.uint64(n * z)) & row_mask for z in range(n)]
-    for x in range(n):
-        rx = (r >> np.uint64(n * x)) & row_mask
-        acc = np.zeros_like(r)
-        for z in range(n):
-            take = (rx >> np.uint64(z)) & one
-            acc |= srows[z] * take
-        out |= acc << np.uint64(n * x)
-    return out
-
-
-def _batch_dagger(r: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
-    one = np.uint64(1)
-    row_mask = np.uint64((1 << n) - 1)
-    # column y of s, packed over z
-    scols = []
-    for y in range(n):
-        col = np.zeros_like(s)
-        for z in range(n):
-            col |= ((s >> np.uint64(n * z + y)) & one) << np.uint64(z)
-        scols.append(col)
-    out = np.zeros_like(r)
-    for x in range(n):
-        rx = (r >> np.uint64(n * x)) & row_mask
-        acc = np.zeros_like(r)
-        for y in range(n):
-            missing = row_mask & ~rx
-            ok = (missing & ~scols[y]) == 0
-            acc |= ok.astype(np.uint64) << np.uint64(y)
-        out |= acc << np.uint64(n * x)
-    return out
-
-
-def _batch_converse(r: np.ndarray, n: int) -> np.ndarray:
-    one = np.uint64(1)
-    out = np.zeros_like(r)
-    for x in range(n):
-        for y in range(n):
-            out |= ((r >> np.uint64(x * n + y)) & one) << np.uint64(y * n + x)
+    # one step per middle point z: column z of r, moved to bit 0 of each
+    # row, times row z of s copies that row into exactly the rows x with
+    # (x, z) in r.  No product carries: the set bits of one factor are
+    # n apart and the other factor is below 2^n.
+    rm = np.uint64((1 << n) - 1)
+    c = np.uint64(_first_col(n))
+    out = (r & c) * (s & rm)
+    col = np.empty_like(r)
+    row = np.empty_like(r)
+    for z in range(1, n):
+        np.right_shift(r, np.uint64(z), out=col)
+        col &= c
+        np.right_shift(s, np.uint64(n * z), out=row)
+        row &= rm
+        col *= row
+        out |= col
     return out
 
 
@@ -378,21 +417,8 @@ def _batch_project(r: np.ndarray, img1: int, img2: int, n: int) -> np.ndarray:
     if (img1, img2) == (1, 2):
         return r
     if (img1, img2) == (2, 1):
-        return _batch_converse(r, n)
-    one = np.uint64(1)
-    row_mask = np.uint64((1 << n) - 1)
-    out = np.zeros_like(r)
-    if (img1, img2) == (1, 1):
-        for x in range(n):
-            loop = (r >> np.uint64(x * n + x)) & one
-            out |= (loop * row_mask) << np.uint64(x * n)
-    else:
-        col = np.zeros_like(r)
-        for y in range(n):
-            col |= ((r >> np.uint64(y * n + y)) & one) << np.uint64(y)
-        for x in range(n):
-            out |= col << np.uint64(x * n)
-    return out
+        return map_bits(r, _transpose_tables(n, np.uint64))
+    return map_bits(r, _diag_proj_tables(n, img1))
 
 
 def eval_term_batch(t: Term, assignment: Mapping[str, np.ndarray], n: int) -> np.ndarray:
@@ -427,8 +453,11 @@ def eval_term_batch(t: Term, assignment: Mapping[str, np.ndarray], n: int) -> np
         return _batch_comp(eval_term_batch(t.left, assignment, n),
                            eval_term_batch(t.right, assignment, n), n)
     if isinstance(t, Dagger):
-        return _batch_dagger(eval_term_batch(t.left, assignment, n),
-                             eval_term_batch(t.right, assignment, n), n)
+        # De Morgan dual of composition: R $ S = ~(~R ; ~S)
+        out = _batch_comp(eval_term_batch(t.left, assignment, n) ^ fm,
+                          eval_term_batch(t.right, assignment, n) ^ fm, n)
+        out ^= fm
+        return out
     if isinstance(t, Proj):
         return _batch_project(eval_term_batch(t.arg, assignment, n), t.proj.img1, t.proj.img2, n)
     raise TermError(f"unexpected term {t!r}")  # pragma: no cover
@@ -437,7 +466,9 @@ def eval_term_batch(t: Term, assignment: Mapping[str, np.ndarray], n: int) -> np
 # ---------------------------------------------------------------------------
 # Equivalence oracles
 
-_CHUNK = 1 << 20
+# small enough that a chunk's temporaries stay in cache and the first
+# separating chunk ends the scan early
+_CHUNK = 1 << 14
 
 
 def exhaustive_check(t1: Term, t2: Term, sizes: Iterable[int],
@@ -457,30 +488,23 @@ def exhaustive_check(t1: Term, t2: Term, sizes: Iterable[int],
 
 def _scan_size(t1: Term, t2: Term, names: list[str], size: int, count: int) -> Optional[int]:
     nn = size * size
-    rev = _bitrev_table(nn) if nn <= 20 else None
+    rev = _bitrev_tables(nn)
     block_mask = np.uint64((1 << nn) - 1)
     k = len(names)
     for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
-        idx = np.arange(start, stop, dtype=np.uint64)
-        assignment = {}
-        for slot, name in enumerate(names):
-            block = (idx >> np.uint64(nn * (k - 1 - slot))) & block_mask
-            assignment[name] = rev[block] if rev is not None else _bitrev_big(block, nn)
-        v1 = eval_term_batch(t1, assignment, size)
-        v2 = eval_term_batch(t2, assignment, size)
-        diff = np.nonzero(v1 != v2)[0]
-        if diff.size:
-            return start + int(diff[0])
+        idx = np.arange(start, min(start + _CHUNK, count), dtype=np.uint64)
+        assignment = {name: map_bits((idx >> np.uint64(nn * (k - 1 - slot))) & block_mask, rev)
+                      for slot, name in enumerate(names)}
+        i = _first_difference(t1, t2, assignment, size)
+        if i is not None:
+            return start + i
     return None
 
 
-def _bitrev_big(block: np.ndarray, nbits: int) -> np.ndarray:
-    out = np.zeros_like(block)
-    for p in range(nbits):
-        bit = (block >> np.uint64(nbits - 1 - p)) & np.uint64(1)
-        out |= bit << np.uint64(p)
-    return out
+def _first_difference(t1: Term, t2: Term, assignment: Mapping[str, np.ndarray],
+                      size: int) -> Optional[int]:
+    diff = np.nonzero(eval_term_batch(t1, assignment, size) != eval_term_batch(t2, assignment, size))[0]
+    return int(diff[0]) if diff.size else None
 
 
 def random_check(t1: Term, t2: Term, size: int, samples: int,
@@ -500,14 +524,16 @@ def random_check(t1: Term, t2: Term, size: int, samples: int,
     assignment = {}
     for name in names:
         lo = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
-        hi = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
-        vals = (lo | (hi << np.uint64(32))) & fm
+        vals = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
+        vals <<= np.uint64(32)
+        vals |= lo
+        vals &= fm
         vals[: len(forced)] = forced
         assignment[name] = vals
-    v1 = eval_term_batch(t1, assignment, size)
-    v2 = eval_term_batch(t2, assignment, size)
-    diff = np.nonzero(v1 != v2)[0]
-    if not diff.size:
-        return None
-    i = int(diff[0])
-    return Structure(size, {name: Rel(size, int(vals[i])) for name, vals in assignment.items()})
+    for start in range(0, total, _CHUNK):
+        i = _first_difference(t1, t2, {name: vals[start:start + _CHUNK]
+                                       for name, vals in assignment.items()}, size)
+        if i is not None:
+            return Structure(size, {name: Rel(size, int(vals[start + i]))
+                                    for name, vals in assignment.items()})
+    return None

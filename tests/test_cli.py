@@ -187,6 +187,44 @@ def test_input_errors(run):
     assert code == 65
 
 
+@pytest.mark.parametrize("command", ["equiv", "vo"])
+def test_deep_nesting_is_an_input_error(run, command):
+    deep = "(" * 2000 + "a" + ")" * 2000
+    args = ("equiv", "--lhs", deep, "--rhs", "a") if command == "equiv" else ("vo", "--term", deep)
+    code, out, err = run(*args)
+    assert code == 65
+    assert out == ""
+    assert err == "input error: input nested too deeply\n"
+
+
+def test_deep_nesting_exit_code_in_a_fresh_process():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    deep = "(" * 2000 + "a" + ")" * 2000
+    proc = subprocess.run([sys.executable, "-m", "relfrag.cli", "equiv", "--lhs", deep, "--rhs", "a"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 65
+    assert "Traceback" not in proc.stderr
+
+
+def test_unexpected_exception_exits_70(run, monkeypatch):
+    import relfrag.cli as cli
+
+    def boom(_term):
+        raise ZeroDivisionError("simulated fault")
+
+    monkeypatch.setattr(cli, "vo", boom)
+    code, out, err = run("vo", "--term", "a")
+    assert code == 70
+    assert out == ""
+    assert err == "internal error: ZeroDivisionError: simulated fault\n"
+
+
 def test_determinism_byte_identical(run):
     args = ("equiv", "--lhs", "a ; a^", "--rhs", "a^ ; a", "--json", "--seed", "5")
     first = run(*args)

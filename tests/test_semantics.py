@@ -90,6 +90,79 @@ def test_dagger_de_morgan_identity_exhaustive_small():
     assert random_check(lhs, rhs, 4, 20_000, 11) is None
 
 
+# One term per batch operator; the naive evaluator is the independent
+# oracle (dagger from its defining clause, not from De Morgan).
+_KERNEL_TERMS = ["a ; b", "a $ b", "a^", "a[1,1]", "a[2,2]", "a[2,1]", "a[1,2]", "a~"]
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_batch_kernels_match_naive_every_packed_size(size):
+    rng = np.random.default_rng(100 + size)
+    special = [Rel.empty(size), Rel.full(size), Rel.identity(size), Rel.difference(size)]
+    rels = special + [Rel.from_pairs(size, [(x, y) for x in range(size) for y in range(size)
+                                            if rng.random() < p])
+                      for p in (0.2, 0.5, 0.8) for _ in range(4)]
+    # every special relation meets every other one on the other side
+    pairs = [(r, s) for r in special for s in special] + list(zip(rels, rels[5:] + rels[:5]))
+    a = np.array([r.bits for r, _ in pairs], dtype=np.uint64)
+    b = np.array([s.bits for _, s in pairs], dtype=np.uint64)
+    a0, b0 = a.copy(), b.copy()
+    for text in _KERNEL_TERMS:
+        out = eval_term_batch(parse_term(text), {"a": a, "b": b}, size)
+        assert out.dtype == np.uint64
+        for i, (r, s) in enumerate(pairs):
+            expected = naive_eval(parse_term(text), size, {"a": set(r.pairs()), "b": set(s.pairs())})
+            assert set(Rel(size, int(out[i])).pairs()) == expected, (text, size, i)
+    # Var returns the caller's array, so no kernel may write into it
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+# First witnesses as the per-bit batch kernels (n^2 steps per
+# composition) returned them; a faster kernel must not move the
+# oracles' documented order.  Sizes 5-7 cover the bit reversal of
+# enumeration indices wider than one lookup table.
+_PINNED_RANDOM = [
+    ('a ; b', 'b ; a', 3, 11,
+     '{"size": 3, "relations": {"a": [[0, 2], [1, 0], [1, 1], [1, 2], [2, 0]], "b": [[0, 2], [1, 0], [1, 1], [2, 0], [2, 2]]}}'),
+    ('a $ b', 'b $ a', 4, 12,
+     '{"size": 4, "relations": {"a": [[0, 1], [1, 0], [1, 1], [1, 2], [3, 2], [3, 3]], "b": [[0, 0], [0, 1], [0, 3], [1, 1], [1, 3], [2, 0]]}}'),
+    ('(a ; a^) & D', '(a^ ; a) & D', 5, 13,
+     '{"size": 5, "relations": {"a": [[0, 0], [0, 3], [0, 4], [1, 0], [1, 2], [2, 0], [2, 1], [2, 4], [3, 0], [3, 1], [3, 2], [3, 4], [4, 2], [4, 3], [4, 4]]}}'),
+    ('(a $ b) ; a^', 'a^ ; (b $ a)', 6, 14,
+     '{"size": 6, "relations": {"a": [[0, 3], [0, 5], [1, 0], [1, 1], [1, 2], [1, 5], [2, 0], [2, 1], [2, 2], [2, 4], [2, 5], [3, 2], [3, 3], [3, 5], [4, 1], [4, 2], [4, 4], [5, 4]], "b": [[0, 0], [0, 4], [1, 1], [1, 3], [1, 4], [2, 0], [2, 2], [2, 4], [2, 5], [3, 2], [3, 3], [3, 4], [4, 0], [4, 1], [4, 5], [5, 1], [5, 2]]}}'),
+    ('a ; (b $ a)', '(a $ b) ; a', 7, 15,
+     '{"size": 7, "relations": {"a": [[0, 0], [0, 4], [0, 5], [1, 0], [1, 1], [1, 6], [2, 0], [2, 1], [3, 0], [3, 1], [3, 2], [3, 3], [3, 5], [3, 6], [4, 0], [4, 1], [4, 5], [4, 6], [5, 0], [5, 2], [5, 4], [6, 0]], "b": [[0, 0], [0, 5], [0, 6], [1, 3], [1, 4], [2, 0], [2, 2], [2, 4], [3, 0], [3, 1], [3, 5], [3, 6], [4, 3], [4, 4], [4, 5], [4, 6], [5, 0], [5, 3], [5, 6], [6, 0], [6, 1], [6, 2], [6, 5]]}}'),
+    ('(a $ b)^ & a[2,2]', '(b^ $ a^) & b[2,2]', 8, 16,
+     '{"size": 8, "relations": {"a": [[0, 0], [0, 3], [0, 5], [0, 6], [1, 4], [1, 5], [1, 6], [1, 7], [2, 4], [2, 6], [3, 2], [3, 6], [3, 7], [4, 4], [4, 5], [4, 6], [5, 0], [5, 2], [5, 3], [5, 5], [6, 0], [6, 4], [7, 1], [7, 5], [7, 7]], "b": [[0, 2], [0, 4], [0, 5], [0, 6], [0, 7], [1, 1], [1, 7], [2, 2], [2, 3], [2, 4], [2, 5], [2, 6], [3, 0], [3, 1], [3, 2], [3, 4], [3, 6], [3, 7], [4, 0], [4, 2], [4, 5], [4, 6], [4, 7], [5, 0], [5, 1], [5, 2], [5, 3], [5, 4], [5, 5], [5, 7], [6, 4], [6, 5], [6, 6], [6, 7], [7, 4], [7, 6]]}}'),
+]
+_PINNED_EXHAUSTIVE = [
+    ('a ; b', 'b ; a', 3,
+     '{"size": 3, "relations": {"a": [[2, 2]], "b": [[2, 1]]}}'),
+    ('a $ b^', 'b^ $ a', 3,
+     '{"size": 3, "relations": {"a": [], "b": [[2, 0], [2, 1], [2, 2]]}}'),
+    ('(a ; a^) & D', '(a^ ; a) & D', 4,
+     '{"size": 4, "relations": {"a": [[3, 2], [3, 3]]}}'),
+    ('a[1,2] $ a', 'a ; a[2,2]', 5,
+     '{"size": 5, "relations": {"a": [[4, 4]]}}'),
+    ('(a $ D) ; a', 'a ; a^', 6,
+     '{"size": 6, "relations": {"a": [[5, 4]]}}'),
+    ('(a $ a^) ; a[1,2]', 'a ; (a^ $ a)', 7,
+     '{"size": 7, "relations": {"a": [[6, 0], [6, 1], [6, 2], [6, 3], [6, 4], [6, 5], [6, 6]]}}'),
+]
+
+
+@pytest.mark.parametrize("lhs,rhs,size,seed,expected", _PINNED_RANDOM)
+def test_random_check_first_witness_pinned(lhs, rhs, size, seed, expected):
+    m = random_check(parse_term(lhs), parse_term(rhs), size, 4000, seed)
+    assert m is not None and structure_to_json(m) == expected
+
+
+@pytest.mark.parametrize("lhs,rhs,size,expected", _PINNED_EXHAUSTIVE)
+def test_exhaustive_check_first_witness_pinned(lhs, rhs, size, expected):
+    m = exhaustive_check(parse_term(lhs), parse_term(rhs), [size], budget=1 << 64)
+    assert m is not None and structure_to_json(m) == expected
+
+
 def test_projection_algebra_exhaustive():
     # (R^p)^q = R^(p then q) for all 16 pairs, all relations up to size 3
     from relfrag.terms import ALL_PROJECTIONS, compose_projections, Proj
