@@ -23,8 +23,6 @@ def main() -> None:
                     type=lambda s: tuple(int(x) for x in s.split(",")))
     ap.add_argument("--samples", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=None,
-                    help="accepted for compatibility and ignored")
     args = ap.parse_args()
 
     rs = load_rules(args.rules)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .words import LETTER_TOKENS, LETTERS, Letter, Word
 
@@ -65,6 +65,46 @@ class CofinitenessReport:
     complement_count: Optional[int] = None
 
 
+def aho_corasick(patterns: Sequence[Word]) -> tuple[list[list[int]], list[list[int]]]:
+    """Aho-Corasick machine over the patterns: the total goto table
+    (trie edges completed through the failure links) and, per state,
+    the indices into ``patterns`` of every pattern that ends there,
+    including those inherited along the failure chain."""
+    goto: list[list[int]] = [[-1] * ALPHABET_SIZE]
+    matches: list[list[int]] = [[]]
+    for i, p in enumerate(patterns):
+        node = 0
+        for letter in p:
+            c = int(letter)
+            if goto[node][c] < 0:
+                goto.append([-1] * ALPHABET_SIZE)
+                matches.append([])
+                goto[node][c] = len(goto) - 1
+            node = goto[node][c]
+        matches[node].append(i)
+
+    # failure links by BFS
+    fail = [0] * len(goto)
+    order = deque()
+    for c in range(ALPHABET_SIZE):
+        child = goto[0][c]
+        if child >= 0:
+            order.append(child)
+        else:
+            goto[0][c] = 0
+    while order:
+        node = order.popleft()
+        matches[node] += matches[fail[node]]
+        for c in range(ALPHABET_SIZE):
+            child = goto[node][c]
+            if child >= 0:
+                fail[child] = goto[fail[node]][c]
+                order.append(child)
+            else:
+                goto[node][c] = goto[fail[node]][c]
+    return goto, matches
+
+
 def build_pattern_dfa(patterns: Iterable[Word]) -> Dfa:
     """DFA for the words containing some pattern as a contiguous
     factor.  Patterns must be nonempty words; the empty pattern would
@@ -74,48 +114,23 @@ def build_pattern_dfa(patterns: Iterable[Word]) -> Dfa:
         raise AutomataError("pattern set must be nonempty")
     if any(len(p) == 0 for p in pats):
         raise AutomataError("the empty word is not a valid pattern")
-
-    # goto trie
-    children: list[list[int]] = [[-1] * ALPHABET_SIZE]
-    terminal: list[bool] = [False]
-    for p in pats:
-        node = 0
-        for letter in p:
-            c = int(letter)
-            if children[node][c] < 0:
-                children.append([-1] * ALPHABET_SIZE)
-                terminal.append(False)
-                children[node][c] = len(children) - 1
-            node = children[node][c]
-        terminal[node] = True
-
-    # failure links by BFS; accepting = own terminal or on the fail chain
-    fail = [0] * len(children)
-    accepting = list(terminal)
-    order = deque()
-    for c in range(ALPHABET_SIZE):
-        child = children[0][c]
-        if child >= 0:
-            fail[child] = 0
-            order.append(child)
-        else:
-            children[0][c] = 0
-    while order:
-        node = order.popleft()
-        accepting[node] = accepting[node] or accepting[fail[node]]
-        for c in range(ALPHABET_SIZE):
-            child = children[node][c]
-            if child >= 0:
-                fail[child] = children[fail[node]][c]
-                order.append(child)
-            else:
-                children[node][c] = children[fail[node]][c]
+    goto, matches = aho_corasick(pats)
     # accepting states absorb
-    delta = tuple(
-        tuple(s for _ in range(ALPHABET_SIZE)) if accepting[s]
-        else tuple(children[s]) for s in range(len(children))
-    )
-    return Dfa(len(children), 0, frozenset(i for i, a in enumerate(accepting) if a), delta)
+    delta = tuple((s,) * ALPHABET_SIZE if matches[s] else tuple(row)
+                  for s, row in enumerate(goto))
+    return Dfa(len(goto), 0, frozenset(s for s, m in enumerate(matches) if m), delta)
+
+
+def _reachable(sources: Iterable[int], succ: Sequence[Iterable[int]]) -> set[int]:
+    seen = set(sources)
+    frontier = list(seen)
+    while frontier:
+        s = frontier.pop()
+        for t in succ[s]:
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen
 
 
 def complement_and_trim(d: Dfa) -> Dfa:
@@ -123,33 +138,11 @@ def complement_and_trim(d: Dfa) -> Dfa:
     the start and co-reachable to acceptance; an explicit dead state
     re-totalizes the table."""
     accepting = frozenset(range(d.num_states)) - d.accepting
-
-    reach = {d.start}
-    frontier = [d.start]
-    while frontier:
-        s = frontier.pop()
-        for t in d.delta[s]:
-            if t not in reach:
-                reach.add(t)
-                frontier.append(t)
-
     back: list[set[int]] = [set() for _ in range(d.num_states)]
     for s in range(d.num_states):
         for t in d.delta[s]:
             back[t].add(s)
-    coreach = set(accepting)
-    frontier = list(accepting)
-    while frontier:
-        s = frontier.pop()
-        for t in back[s]:
-            if t not in coreach:
-                coreach.add(t)
-                frontier.append(t)
-
-    useful = reach & coreach
-    if not useful:
-        loops = (tuple(0 for _ in range(ALPHABET_SIZE)),)
-        return Dfa(1, 0, frozenset(), loops, dead=0)
+    useful = _reachable([d.start], d.delta) & _reachable(accepting, back)
     if d.start not in useful:
         # the start cannot reach acceptance at all: empty language
         loops = (tuple(0 for _ in range(ALPHABET_SIZE)),)
@@ -252,16 +245,7 @@ def minimize(d: Dfa) -> Dfa:
     """Language-minimal total DFA via partition refinement, with states
     renumbered in breadth-first order from the start for deterministic
     output."""
-    # restrict to reachable states first
-    reach = {d.start}
-    frontier = [d.start]
-    while frontier:
-        s = frontier.pop()
-        for t in d.delta[s]:
-            if t not in reach:
-                reach.add(t)
-                frontier.append(t)
-    states = sorted(reach)
+    states = sorted(_reachable([d.start], d.delta))
 
     block = {s: (s in d.accepting) for s in states}
     while True:

@@ -97,10 +97,8 @@ def first_counterexample(w1: Word, w2: Word, n: int) -> Optional[int]:
     return 1 << int(bad[0]) if bad.size else None
 
 
-def scan_rule_pairs(pairs: Sequence[tuple[Word, Word]], n: int,
-                    threads: Optional[int] = None) -> list[Optional[int]]:
-    """Per pair, ``first_counterexample`` at size n.  ``threads`` is
-    accepted for compatibility and ignored."""
+def scan_rule_pairs(pairs: Sequence[tuple[Word, Word]], n: int) -> list[Optional[int]]:
+    """Per pair, ``first_counterexample`` at size n."""
     _check_size(n)
     return [first_counterexample(w1, w2, n) for w1, w2 in pairs]
 

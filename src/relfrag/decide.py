@@ -13,8 +13,9 @@ constant classes (exact); two terms with at most one variable
 occurrence each and existential level at most one go through the
 normal-form pipeline down to the word monoid, with small sizes (1..4)
 exhausted separately when the mode asks for plain equivalence rather
-than equivalence on large universes; anything else gets a bounded
-counterexample search and never an ``Equivalent``.
+than equivalence on large universes; anything else, including a
+pipeline input whose union normal form exceeds the disjunct ceiling,
+gets a bounded counterexample search and never an ``Equivalent``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Optional, Union as TUnion
 
 from . import bitrel
 from .constants import ConstClass, classify_const, decide_0vo
-from .normalforms import (complement_nf, expand_projections, projection_nf,
-                          union_nf)
+from .normalforms import (UnionBlowup, complement_nf, expand_projections,
+                          projection_nf, union_nf)
 from .rewriting import RewriteSystem, figure1_rules, normalize
 from .semantics import (Rel, SizeWindow, Structure, eval_term, exhaustive_check,
                         random_check, structure_count)
@@ -222,8 +223,11 @@ def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
            and info1.sigma_level is not None and info1.sigma_level <= 1
            and info2.sigma_level is not None and info2.sigma_level <= 1)
     if low:
-        pieces1, notes1 = _pipeline_pieces(t1, rs)
-        pieces2, notes2 = _pipeline_pieces(t2, rs)
+        try:
+            pieces1, notes1 = _pipeline_pieces(t1, rs)
+            pieces2, notes2 = _pipeline_pieces(t2, rs)
+        except UnionBlowup:
+            return _bounded_separation(t1, t2, mode, cfg)
         if pieces1 == pieces2:
             checked: list[int] = []
             if mode.min_size < 5:

@@ -17,17 +17,13 @@ on every structure with at least ``min_size`` elements: the script
 asserts a pairwise-distinctness axiom for min_size points and the
 negated universally closed equivalence.  Emission is deterministic and
 byte-stable.
-
-A direct evaluator over finite structures is included so the
-translation itself can be checked against relation semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union as TUnion
+from typing import Union as TUnion
 
-from .semantics import Structure
 from .terms import (Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term,
                     TermError, Top, Union, Var, variables)
 from .words import Word, apply_word
@@ -150,38 +146,6 @@ def _translate(t: Term, x: str, y: str, pool: _Pool) -> FoFormula:
 
 def word_translation(w: Word, var: str = "a") -> FoFormula:
     return standard_translation(apply_word(w, Var(var)))
-
-
-# ---------------------------------------------------------------------------
-# Direct evaluation (used to validate the translation against the
-# relation semantics)
-
-
-def evaluate_formula(f: FoFormula, m: Structure, env: Mapping[str, int]) -> bool:
-    if isinstance(f, FoTrue):
-        return True
-    if isinstance(f, FoFalse):
-        return False
-    if isinstance(f, FoAtom):
-        rel = m.assignment.get(f.rel)
-        if rel is None:
-            raise FoError(f"predicate {f.rel!r} not assigned in the structure")
-        return rel.contains(env[f.left], env[f.right])
-    if isinstance(f, FoEq):
-        return env[f.left] == env[f.right]
-    if isinstance(f, FoNot):
-        return not evaluate_formula(f.arg, m, env)
-    if isinstance(f, FoAnd):
-        return evaluate_formula(f.left, m, env) and evaluate_formula(f.right, m, env)
-    if isinstance(f, FoOr):
-        return evaluate_formula(f.left, m, env) or evaluate_formula(f.right, m, env)
-    if isinstance(f, FoIff):
-        return evaluate_formula(f.left, m, env) == evaluate_formula(f.right, m, env)
-    if isinstance(f, FoExists):
-        return any(evaluate_formula(f.body, m, {**env, f.var: v}) for v in range(m.size))
-    if isinstance(f, FoForall):
-        return all(evaluate_formula(f.body, m, {**env, f.var: v}) for v in range(m.size))
-    raise FoError(f"unexpected formula {f!r}")  # pragma: no cover
 
 
 def alpha_equivalent(f: FoFormula, g: FoFormula) -> bool:

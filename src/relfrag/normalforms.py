@@ -11,13 +11,10 @@ termination is plain structural recursion:
   through composition and dagger with the four-case tables;
 * ``expand_projections`` removes non-converse projections anywhere via
   p[1,1] = (p & I) ; top and p[2,2] = top ; (p & I);
-* ``elim_bot_top`` replaces bot with I & D and top with I | D;
 * ``union_nf`` distributes unions out of intersections and
   compositions, returning the list of union-free disjuncts;
-* ``decompose_sigma_n`` splits a one-occurrence term of alternation
-  level n into an outer level-1 part and an inner level-(n-1) part,
-  collapsing variable-free subterms to their constant class first
-  (sound on universes of size at least three);
+* ``collapse_constants`` replaces every maximal variable-free subterm
+  by its constant class (exact on universes of size at least three);
 * ``complement_dual`` produces, for a universal-level term, the
   existential-level term whose complement it is equivalent to.
 """
@@ -27,8 +24,7 @@ from __future__ import annotations
 from .constants import REPRESENTATIVES, classify_const
 from .terms import (BOT, DI, ID, TOP, Bot, Comp, Compl, Dagger, Di, Id, Inter,
                     PROJ_IDENTITY, PROJ_SWAP, Proj, Projection, Term, TermError,
-                    Top, Union, Var, compose_projections, dotdagger_level,
-                    variables, vo)
+                    Top, Union, Var, compose_projections, dotdagger_level, vo)
 
 
 class NormalFormError(TermError):
@@ -143,21 +139,6 @@ def expand_projections(t: Term) -> Term:
     return t
 
 
-def elim_bot_top(t: Term) -> Term:
-    """bot becomes I & D and top becomes I | D, everywhere."""
-    if isinstance(t, Bot):
-        return Inter(ID, DI)
-    if isinstance(t, Top):
-        return Union(ID, DI)
-    if isinstance(t, (Union, Inter, Comp, Dagger)):
-        return type(t)(elim_bot_top(t.left), elim_bot_top(t.right))
-    if isinstance(t, Compl):
-        return Compl(elim_bot_top(t.arg))
-    if isinstance(t, Proj):
-        return Proj(elim_bot_top(t.arg), t.proj)
-    return t
-
-
 def _is_literal(t: Term) -> bool:
     # a variable under any stack of complements and converses
     while isinstance(t, (Compl, Proj)):
@@ -210,46 +191,6 @@ def collapse_constants(t: Term) -> Term:
     if isinstance(t, Proj):
         return Proj(collapse_constants(t.arg), t.proj)
     return t
-
-
-def decompose_sigma_n(t: Term, n: int, fresh: str) -> tuple[Term, Term]:
-    """Split a term of existential level at most n (n >= 2) with at
-    most one variable occurrence into (outer, inner) with the outer
-    part of level one, the inner of universal level n-1, and
-    outer[inner/fresh] equivalent to t on universes of size >= 3."""
-    if n < 2:
-        raise NormalFormError("decompose_sigma_n needs n >= 2")
-    if vo(t) > 1:
-        raise NormalFormError("decompose_sigma_n needs at most one variable occurrence")
-    if fresh in variables(t):
-        raise NormalFormError(f"fresh variable {fresh!r} occurs in the term")
-    t = collapse_constants(t)
-    # collapsing can only lower the level, so check it afterwards
-    info = dotdagger_level(t)
-    if info.sigma_level is None or info.sigma_level > n:
-        raise NormalFormError(f"term is not at existential level {n}")
-    outer, inner = _split_sigma(t, n, fresh)
-    return outer, inner
-
-
-def _split_sigma(t: Term, n: int, fresh: str) -> tuple[Term, Term]:
-    info = dotdagger_level(t)
-    if info.pi_level is not None and info.pi_level <= n - 1:
-        return Var(fresh), t
-    if info.sigma_level is not None and info.sigma_level <= 1:
-        return t, Var(fresh)
-    if isinstance(t, (Union, Inter, Comp)):
-        if vo(t.left) == 1:
-            outer, inner = _split_sigma(t.left, n, fresh)
-            return type(t)(outer, t.right), inner
-        outer, inner = _split_sigma(t.right, n, fresh)
-        return type(t)(t.left, outer), inner
-    if isinstance(t, Proj):
-        outer, inner = _split_sigma(t.arg, n, fresh)
-        return Proj(outer, t.proj), inner
-    # a dagger at the top would have universal level <= n-1 and is
-    # caught by the first branch
-    raise NormalFormError(f"cannot split {t!r} at level {n}")  # pragma: no cover
 
 
 def complement_dual(t: Term) -> Term:

@@ -106,41 +106,10 @@ def figure1_rules() -> RewriteSystem:
 
 @lru_cache(maxsize=64)
 def _matcher(rs: RewriteSystem):
-    """Aho-Corasick machine over the large sides, with, per accepting
-    trie state, the matched (pattern length, rule index) pairs."""
-    pats = [(r.large, r.index) for r in rs.rules]
-    children: list[list[int]] = [[-1] * automata.ALPHABET_SIZE]
-    outputs: list[list[tuple[int, int]]] = [[]]
-    for word, index in pats:
-        node = 0
-        for letter in word:
-            c = int(letter)
-            if children[node][c] < 0:
-                children.append([-1] * automata.ALPHABET_SIZE)
-                outputs.append([])
-                children[node][c] = len(children) - 1
-            node = children[node][c]
-        outputs[node].append((len(word), index))
-    from collections import deque
-    fail = [0] * len(children)
-    order = deque()
-    for c in range(automata.ALPHABET_SIZE):
-        child = children[0][c]
-        if child >= 0:
-            order.append(child)
-        else:
-            children[0][c] = 0
-    while order:
-        node = order.popleft()
-        outputs[node] = sorted(outputs[node] + outputs[fail[node]])
-        for c in range(automata.ALPHABET_SIZE):
-            child = children[node][c]
-            if child >= 0:
-                fail[child] = children[fail[node]][c]
-                order.append(child)
-            else:
-                children[node][c] = children[fail[node]][c]
-    return [tuple(row) for row in children], [tuple(o) for o in outputs]
+    """Aho-Corasick machine over the large sides, with, per state, the
+    matched (pattern length, rule index) pairs."""
+    goto, matches = automata.aho_corasick(rs.large_sides())
+    return goto, [[(len(rs.rules[i].large), rs.rules[i].index) for i in m] for m in matches]
 
 
 def _first_match(w: Word, rs: RewriteSystem) -> Optional[tuple[int, int]]:

@@ -61,12 +61,9 @@ def word_fingerprint(w: Word, cfg: OracleConfig) -> bytes:
     return bitrel.singleton_images(w, cfg.exhaustive_size).tobytes()
 
 
-def word_equiv_oracle(w1: Word, w2: Word, cfg: OracleConfig,
-                      use_fingerprint: bool = True) -> bool:
+def word_equiv_oracle(w1: Word, w2: Word, cfg: OracleConfig) -> bool:
     """True iff the words agree on every relation at the exhaustive
-    size and on every panel relation at the sample sizes.
-    ``use_fingerprint`` is accepted for compatibility and ignored: the
-    exhaustive clause is the exact key comparison either way."""
+    size and on every panel relation at the sample sizes."""
     if w1 == w2:
         return True
     if not bitrel.words_equal_all_relations(w1, w2, cfg.exhaustive_size):

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -293,8 +293,8 @@ def eval_term(t: Term, m: Structure) -> Rel:
 #
 # Order: variables sorted by name; the concatenation of their row-major
 # bit matrices (first variable first, bit (0,0) first) is read as a
-# big-endian binary string, and structures are yielded in increasing
-# order of that string, i.e. lexicographically.
+# big-endian binary string, and ``exhaustive_check`` scans structures
+# in increasing order of that string, i.e. lexicographically.
 
 DEFAULT_BUDGET = 1 << 28
 
@@ -314,19 +314,6 @@ def _structure_from_index(index: int, names: list[str], size: int) -> Structure:
                 bits |= 1 << p
         assignment[name] = Rel(size, bits)
     return Structure(size, assignment)
-
-
-def enumerate_structures(var_names: Iterable[str], size: int,
-                         budget: int = DEFAULT_BUDGET) -> Iterator[Structure]:
-    """All labeled structures of the given size over the given
-    variables, each exactly once, in the documented lexicographic
-    order."""
-    names = sorted(set(var_names))
-    count = structure_count(len(names), size)
-    if count > budget:
-        raise BudgetExceeded(count, budget)
-    for index in range(count):
-        yield _structure_from_index(index, names, size)
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,6 @@ DI = Di()
 _BINARY = (Union, Inter, Comp, Dagger)
 
 
-def converse(t: Term) -> Term:
-    return Proj(t, PROJ_SWAP)
-
-
 def children(t: Term) -> tuple[Term, ...]:
     if isinstance(t, _BINARY):
         return (t.left, t.right)
@@ -170,19 +166,6 @@ def vo(t: Term) -> int:
     """Number of variable occurrences: 1 for a variable, the sum over
     children otherwise (constants contribute 0)."""
     return sum(1 for s in subterms(t) if isinstance(s, Var))
-
-
-def substitute(t: Term, name: str, replacement: Term) -> Term:
-    """Replace every occurrence of the variable ``name``."""
-    if isinstance(t, Var):
-        return replacement if t.name == name else t
-    if isinstance(t, _BINARY):
-        return type(t)(substitute(t.left, name, replacement), substitute(t.right, name, replacement))
-    if isinstance(t, Compl):
-        return Compl(substitute(t.arg, name, replacement))
-    if isinstance(t, Proj):
-        return Proj(substitute(t.arg, name, replacement), t.proj)
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -241,90 +224,6 @@ def _levels(t: Term) -> tuple[Optional[int], Optional[int]]:
 def dotdagger_level(t: Term) -> FragmentInfo:
     sigma, pi = _levels(t)
     return FragmentInfo(vo(t), sigma, pi)
-
-
-def in_fragment(t: Term, n: int, k: int, side: str = "sigma") -> bool:
-    """Whether t has at most k variable occurrences and lies in the n-th
-    sigma (side="sigma") or pi (side="pi") alternation class."""
-    if side not in ("sigma", "pi"):
-        raise TermError(f"side must be 'sigma' or 'pi', got {side!r}")
-    info = dotdagger_level(t)
-    if info.vo > k:
-        return False
-    level = info.sigma_level if side == "sigma" else info.pi_level
-    return level is not None and level <= n
-
-
-# ---------------------------------------------------------------------------
-# k-occurrence decomposition
-
-
-@dataclass(frozen=True)
-class Head:
-    """Constructor tag for a decomposition: which node builds the
-    children back together."""
-
-    kind: str  # union | inter | comp | dagger | compl | proj
-    proj: Optional[Projection] = None
-
-    def build(self, parts: tuple[Term, ...]) -> Term:
-        if self.kind == "union":
-            return Union(*parts)
-        if self.kind == "inter":
-            return Inter(*parts)
-        if self.kind == "comp":
-            return Comp(*parts)
-        if self.kind == "dagger":
-            return Dagger(*parts)
-        if self.kind == "compl":
-            return Compl(*parts)
-        if self.kind == "proj":
-            assert self.proj is not None
-            return Proj(parts[0], self.proj)
-        raise TermError(f"unknown head kind {self.kind!r}")
-
-
-def _head_of(t: Term) -> Head:
-    if isinstance(t, Union):
-        return Head("union")
-    if isinstance(t, Inter):
-        return Head("inter")
-    if isinstance(t, Comp):
-        return Head("comp")
-    if isinstance(t, Dagger):
-        return Head("dagger")
-    if isinstance(t, Compl):
-        return Head("compl")
-    if isinstance(t, Proj):
-        return Head("proj", t.proj)
-    raise TermError(f"leaf term has no head: {t!r}")
-
-
-def decompose_kvo(t: Term, fresh: str) -> tuple[Term, Head, list[Term]]:
-    """Split a term with k >= 2 variable occurrences as
-    ``t0[head(children)/fresh]`` where t0 has at most one occurrence
-    (of ``fresh``) and every child has at most k-1.
-
-    Recurses into the unique child carrying all k occurrences while one
-    exists; the caller supplies the fresh variable and it must not
-    occur in t.
-    """
-    k = vo(t)
-    if k < 2:
-        raise TermError(f"decompose_kvo needs at least 2 variable occurrences, got {k}")
-    if fresh in variables(t):
-        raise TermError(f"fresh variable {fresh!r} occurs in the term")
-    kids = children(t)
-    counts = [vo(c) for c in kids]
-    full = [i for i, c in enumerate(counts) if c == k]
-    if not full:
-        return Var(fresh), _head_of(t), list(kids)
-    i = full[0]
-    t0, head, parts = decompose_kvo(kids[i], fresh)
-    rebuilt = list(kids)
-    rebuilt[i] = t0
-    outer = _head_of(t).build(tuple(rebuilt))
-    return outer, head, parts
 
 
 # ---------------------------------------------------------------------------

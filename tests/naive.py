@@ -1,10 +1,18 @@
-"""Reference evaluator used as an independent oracle in tests.
+"""Reference evaluators used as independent oracles in tests.
 
-Relations are plain sets of pairs and every operator is spelled out
-with explicit loops over the universe, straight from its defining
-clause; nothing is shared with the packed-bitset implementation.
+``naive_eval``: relations are plain sets of pairs and every operator is
+spelled out with explicit loops over the universe, straight from its
+defining clause; nothing is shared with the packed-bitset
+implementation.
+
+``evaluate_formula``: a first-order formula read directly over a finite
+structure, so the standard translation can be checked against the
+relation semantics.
 """
 
+from relfrag.fo import (FoAnd, FoAtom, FoEq, FoExists, FoFalse, FoForall,
+                        FoFormula, FoIff, FoNot, FoOr, FoTrue)
+from relfrag.semantics import Structure
 from relfrag.terms import (Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term,
                            Top, Union, Var)
 
@@ -58,3 +66,27 @@ def naive_eval(t: Term, size: int, assignment: dict[str, set]) -> set:
                     out.add((x1, x2))
         return out
     raise AssertionError(f"unexpected term {t!r}")
+
+
+def evaluate_formula(f: FoFormula, m: Structure, env: dict[str, int]) -> bool:
+    if isinstance(f, FoTrue):
+        return True
+    if isinstance(f, FoFalse):
+        return False
+    if isinstance(f, FoAtom):
+        return m.assignment[f.rel].contains(env[f.left], env[f.right])
+    if isinstance(f, FoEq):
+        return env[f.left] == env[f.right]
+    if isinstance(f, FoNot):
+        return not evaluate_formula(f.arg, m, env)
+    if isinstance(f, FoAnd):
+        return evaluate_formula(f.left, m, env) and evaluate_formula(f.right, m, env)
+    if isinstance(f, FoOr):
+        return evaluate_formula(f.left, m, env) or evaluate_formula(f.right, m, env)
+    if isinstance(f, FoIff):
+        return evaluate_formula(f.left, m, env) == evaluate_formula(f.right, m, env)
+    if isinstance(f, FoExists):
+        return any(evaluate_formula(f.body, m, {**env, f.var: v}) for v in range(m.size))
+    if isinstance(f, FoForall):
+        return all(evaluate_formula(f.body, m, {**env, f.var: v}) for v in range(m.size))
+    raise AssertionError(f"unexpected formula {f!r}")

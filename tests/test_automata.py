@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -12,6 +13,13 @@ from relfrag.words import CAP_D, CAP_I, CONV, DOT_D, LETTERS, parse_word
 RS = figure1_rules()
 W28 = parse_word("iI iD cD cD cv cD iI cD cv cD cD iD cv cD iD cv cD iD "
                  "cv cD iD cv cD iD cv cD cD iI")
+
+
+# sha256 of export_dot for the Figure 1 pattern DFA and its complement:
+# the state numbering is part of the export-dfa output, and the other
+# tests only count states
+FIGURE1_PATTERN_DOT_SHA256 = "152338666441a74fa4461f621c5a2351eb64010e1e7a8908128ca30a941fac4a"
+FIGURE1_COMPLEMENT_DOT_SHA256 = "511da25fa3422d6700aaa7163d8e5850e50a70fc636e976f7d32962027d7648c"
 
 
 def _naive_contains_factor(w, patterns):
@@ -221,3 +229,10 @@ def test_export_dot():
     single = build_pattern_dfa([(CAP_I, CONV)])
     text = export_dot(single)
     assert text.count("->") == 4 * single.num_states + 1  # +1 for the start marker
+
+
+def test_pattern_and_complement_numbering_pinned():
+    d = build_pattern_dfa(RS.large_sides())
+    assert hashlib.sha256(export_dot(d).encode()).hexdigest() == FIGURE1_PATTERN_DOT_SHA256
+    trimmed = complement_and_trim(d)
+    assert hashlib.sha256(export_dot(trimmed).encode()).hexdigest() == FIGURE1_COMPLEMENT_DOT_SHA256

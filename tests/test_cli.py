@@ -187,6 +187,15 @@ def test_input_errors(run):
     assert code == 65
 
 
+def test_union_blowup_is_unknown_not_an_input_error(run):
+    # valid input whose union normal form passes the disjunct ceiling
+    lhs = "a" + " & (I|D)" * 21
+    code, out, err = run("equiv", "--lhs", lhs, "--rhs", "a", "--json")
+    assert code == 2
+    assert json.loads(out)["verdict"] == "unknown"
+    assert err == ""
+
+
 @pytest.mark.parametrize("command", ["equiv", "vo"])
 def test_deep_nesting_is_an_input_error(run, command):
     deep = "(" * 2000 + "a" + ")" * 2000

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from relfrag.fo import (FoAnd, FoAtom, FoEq, FoError, FoExists, FoNot,
-                        FoTrue, alpha_equivalent, evaluate_formula,
-                        export_equation_smt2, export_equation_tptp,
-                        standard_translation, word_translation)
+                        FoTrue, alpha_equivalent, export_equation_smt2,
+                        export_equation_tptp, standard_translation,
+                        word_translation)
 from relfrag.rewriting import figure1_rules
 from relfrag.semantics import Rel, Structure, eval_term
 from relfrag.terms import TOP, Var, parse_term, variables
 from relfrag.words import apply_word, parse_word
 
 from checkers import check_smt2, check_tptp
+from naive import evaluate_formula
 
 
 def test_translation_basics():

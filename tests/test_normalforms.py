@@ -1,13 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from relfrag.normalforms import (NormalFormError, UnionBlowup, collapse_constants,
                                  complement_dual, complement_nf,
-                                 decompose_sigma_n, elim_bot_top,
                                  expand_projections, projection_nf, union_nf)
 from relfrag.semantics import exhaustive_check
 from relfrag.terms import (Compl, Proj, PROJ_SWAP, Union, Var, dotdagger_level,
-                           parse_term, print_term, substitute, subterms, vo)
+                           parse_term, print_term, subterms)
 
 
 def _equiv_small(t1, t2, sizes=(1, 2, 3)):
@@ -76,6 +77,12 @@ def elim_compl(t):
     return type(t)(elim_compl(t.left), elim_compl(t.right))
 
 
+def _elim_bot_top(t):
+    # bot as I & D and top as I | D, so that union_nf distributes more
+    text = re.sub(r"\bbot\b", "(I & D)", print_term(t))
+    return parse_term(re.sub(r"\btop\b", "(I | D)", text))
+
+
 def test_complement_nf_preserves_semantics():
     rng = np.random.default_rng(31)
     checked = 0
@@ -134,16 +141,6 @@ def test_expand_projections():
     assert expand_projections(parse_term("a^")) == Proj(Var("a"), PROJ_SWAP)
 
 
-def test_elim_bot_top_examples():
-    assert elim_bot_top(parse_term("bot")) == parse_term("I & D")
-    assert elim_bot_top(parse_term("top ; a")) == parse_term("(I | D) ; a")
-    assert elim_bot_top(parse_term("I")) == parse_term("I")
-    rng = np.random.default_rng(41)
-    for _ in range(200):
-        t = _random_term(rng, 4)
-        assert _equiv_small(t, elim_bot_top(t))
-
-
 def test_union_nf_examples():
     assert union_nf(parse_term("(I | D) ; a")) == [parse_term("I ; a"), parse_term("D ; a")]
     assert union_nf(parse_term("a & I")) == [parse_term("a & I")]
@@ -160,11 +157,11 @@ def test_union_nf_disjuncts_are_union_free():
     from relfrag.terms import Union as U
     checked = 0
     for _ in range(400):
-        t = elim_bot_top(_random_level1_term(rng, 3, allow_compl=False))
+        t = _elim_bot_top(_random_level1_term(rng, 3, allow_compl=False))
         t = projection_nf(t)
         t = complement_nf(t)
         t = expand_projections(t)
-        t = elim_bot_top(t)
+        t = _elim_bot_top(t)
         disjuncts = union_nf(t)
         if len(disjuncts) > 64:  # keep the recombined term evaluable
             continue
@@ -194,75 +191,6 @@ def test_collapse_constants():
     t = parse_term("(D $ D) ; (a & (D ; D))")
     out = collapse_constants(t)
     assert out == parse_term("D ; (a & top)")
-
-
-def test_decompose_sigma_n_running_example():
-    t = parse_term("(D $ D) ; (((D;D) $ (((D$D);a) $ (D;D))) ; (D;D))")
-    outer, inner = decompose_sigma_n(t, 3, "h")
-    assert outer == parse_term("D ; (h ; top)")
-    assert inner == parse_term("top $ (D ; a $ top)")
-    assert dotdagger_level(outer).sigma_level == 1
-    assert dotdagger_level(inner).pi_level == 2
-    assert vo(outer) == 1 and vo(inner) == 1
-    rec = substitute(outer, "h", inner)
-    assert exhaustive_check(t, rec, [3, 4]) is None
-
-
-def test_decompose_sigma_n_pi_case():
-    outer, inner = decompose_sigma_n(parse_term("a $ D"), 2, "h")
-    assert outer == Var("h")
-    assert inner == parse_term("a $ D")
-
-
-def test_decompose_sigma_n_recursive_cases():
-    rng = np.random.default_rng(101)
-    checked = 0
-    for _ in range(1200):
-        t = _random_sigma_term(rng, 4)
-        info = dotdagger_level(collapse_constants(t))
-        if info.sigma_level is None or not (2 <= info.sigma_level <= 3) or vo(t) > 1:
-            continue
-        n = info.sigma_level
-        outer, inner = decompose_sigma_n(t, n, "h")
-        assert dotdagger_level(outer).sigma_level <= 1
-        assert dotdagger_level(inner).pi_level <= n - 1
-        assert vo(outer) <= 1 and vo(inner) <= 1
-        assert exhaustive_check(t, substitute(outer, "h", inner), [3]) is None
-        checked += 1
-    assert checked >= 60
-
-
-def _random_sigma_term(rng, depth):
-    from relfrag.terms import (BOT, DI, ID, TOP, Comp, Dagger, Inter, Union)
-    if depth == 0:
-        return [Var("a"), BOT, TOP, ID, DI, DI][int(rng.integers(0, 6))]
-    pick = int(rng.integers(0, 5))
-    if pick == 0:
-        other = _random_const(rng, depth - 1)
-        mine = _random_sigma_term(rng, depth - 1)
-        return Dagger(other, mine) if rng.random() < 0.5 else Dagger(mine, other)
-    build = [Union, Inter, Comp, Comp][pick - 1]
-    other = _random_const(rng, depth - 1)
-    mine = _random_sigma_term(rng, depth - 1)
-    return build(other, mine) if rng.random() < 0.5 else build(mine, other)
-
-
-def _random_const(rng, depth):
-    from relfrag.terms import BOT, DI, ID, TOP, Comp, Dagger, Inter, Union
-    if depth == 0:
-        return [BOT, TOP, ID, DI][int(rng.integers(0, 4))]
-    pick = int(rng.integers(0, 4))
-    build = [Union, Inter, Comp, Dagger][pick]
-    return build(_random_const(rng, depth - 1), _random_const(rng, depth - 1))
-
-
-def test_decompose_sigma_n_errors():
-    with pytest.raises(NormalFormError):
-        decompose_sigma_n(parse_term("a ; b"), 1, "h")
-    with pytest.raises(NormalFormError):
-        decompose_sigma_n(parse_term("a ; a"), 2, "h")
-    with pytest.raises(NormalFormError):
-        decompose_sigma_n(parse_term("a ; D"), 2, "a")
 
 
 def test_complement_dual_examples():

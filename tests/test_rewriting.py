@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from relfrag.words import (CAP_D, CAP_I, CONV, DOT_D, parse_word, shortlex_key)
 from strategies import words
 
 RS = figure1_rules()
+SEARCH_RULES_43 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "search_rules_43.txt"
 
 # the longest leftover word, transcribed
 W28 = parse_word("iI iD cD cD cv cD iI cD cv cD cD iD cv cD iD cv cD iD "
@@ -74,17 +77,20 @@ def test_normalize_examples():
 
 
 def test_normalize_semantic_soundness_sampled():
-    # the normal form denotes the same map on a size-5 panel
+    # the normal form denotes the same map on a size-5 panel, under the
+    # built-in rules and under the 43 rules the search discovers
     panel = bitrel.sample_panel(5, 3000, 123)
-    rng = np.random.default_rng(9)
     from relfrag.words import LETTERS
-    for _ in range(150):
-        w = tuple(LETTERS[i] for i in rng.integers(0, 4, size=int(rng.integers(0, 13))))
-        nf, trace = normalize(w, RS)
-        assert shortlex_key(nf) <= shortlex_key(w)
-        assert is_irreducible(nf, RS)
-        assert np.array_equal(bitrel.apply_word_packed(panel, w, 5),
-                              bitrel.apply_word_packed(panel, nf, 5))
+    for rs in (RS, load_rules(str(SEARCH_RULES_43))):
+        rng = np.random.default_rng(9)
+        for _ in range(150):
+            w = tuple(LETTERS[i] for i in rng.integers(0, 4, size=int(rng.integers(0, 13))))
+            nf, trace = normalize(w, rs)
+            assert shortlex_key(nf) <= shortlex_key(w)
+            assert is_irreducible(nf, rs)
+            assert replay_trace(w, rs, trace) == nf
+            assert np.array_equal(bitrel.apply_word_packed(panel, w, 5),
+                                  bitrel.apply_word_packed(panel, nf, 5))
 
 
 @given(words)

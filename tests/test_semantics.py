@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from relfrag.semantics import (BudgetExceeded, Rel, SemanticsError, SizeWindow,
-                               Structure, enumerate_structures, eval_term,
+                               Structure, _structure_from_index, eval_term,
                                eval_term_batch, exhaustive_check, random_check,
                                structure_count, structure_from_json,
                                structure_to_json)
@@ -174,14 +174,16 @@ def test_projection_algebra_exhaustive():
 
 
 def test_enumerate_structures_counts():
-    assert len(list(enumerate_structures([], 1))) == 1
-    assert len(list(enumerate_structures(["a"], 2))) == 16
+    assert structure_count(0, 1) == 1
+    assert structure_count(1, 2) == 16
     assert structure_count(1, 5) == 33_554_432
 
 
 def test_enumerate_structures_unique_and_ordered():
+    # the order in which exhaustive_check scans structures
     seen = []
-    for m in enumerate_structures(["a", "b"], 2):
+    for index in range(structure_count(2, 2)):
+        m = _structure_from_index(index, ["a", "b"], 2)
         seen.append((m.assignment["a"].bits, m.assignment["b"].bits))
     assert len(seen) == 256
     assert len(set(seen)) == 256
@@ -195,7 +197,7 @@ def test_enumerate_structures_unique_and_ordered():
 
 def test_enumerate_budget():
     with pytest.raises(BudgetExceeded) as err:
-        list(enumerate_structures(["a"], 5, budget=1000))
+        exhaustive_check(Var("a"), parse_term("a^"), [5], budget=1000)
     assert err.value.required == 33_554_432
 
 

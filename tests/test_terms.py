@@ -3,9 +3,8 @@ from hypothesis import given, settings
 
 from relfrag.terms import (BOT, DI, ID, TOP, Comp, Compl, Dagger, Inter,
                            ParseError, PROJ_BOTH_1, PROJ_IDENTITY, PROJ_SWAP,
-                           Proj, TermError, Union, Var, compose_projections,
-                           decompose_kvo, dotdagger_level, in_fragment,
-                           parse_term, print_term, substitute, variables, vo)
+                           Proj, Union, Var, compose_projections,
+                           dotdagger_level, parse_term, print_term, vo)
 
 from strategies import terms
 
@@ -72,24 +71,6 @@ def test_vo_examples():
     assert vo(parse_term("a & a^")) == 2
 
 
-@given(terms, terms)
-@settings(max_examples=100)
-def test_vo_substitution_arithmetic(t, u):
-    occurrences = sum(1 for name in _occurrence_list(t) if name == "a")
-    assert vo(substitute(t, "a", u)) == vo(t) - occurrences + occurrences * vo(u)
-
-
-def _occurrence_list(t):
-    from relfrag.terms import subterms
-    return [s.name for s in subterms(t) if isinstance(s, Var)]
-
-
-def test_substitute_examples():
-    assert substitute(parse_term("a & I"), "a", parse_term("b ; D")) == parse_term("(b ; D) & I")
-    assert substitute(ID, "a", Var("b")) == ID
-    assert substitute(parse_term("a | a"), "a", DI) == Union(DI, DI)
-
-
 def test_levels_examples():
     assert dotdagger_level(parse_term("a ; b")).sigma_level == 1
     assert dotdagger_level(parse_term("a ; (b $ c)")).sigma_level == 2
@@ -111,25 +92,6 @@ def test_levels_differ_by_at_most_one(t):
         assert abs(info.sigma_level - info.pi_level) <= 1
 
 
-@given(terms)
-@settings(max_examples=200)
-def test_level_membership_monotone(t):
-    info = dotdagger_level(t)
-    if info.sigma_level is None:
-        assert not in_fragment(t, 10, 100, "sigma")
-        return
-    for n in range(info.sigma_level, info.sigma_level + 3):
-        assert in_fragment(t, n, info.vo, "sigma")
-    if info.sigma_level > 0:
-        assert not in_fragment(t, info.sigma_level - 1, info.vo, "sigma")
-
-
-def test_in_fragment_examples():
-    assert in_fragment(parse_term("a ; b"), 1, 2, "sigma")
-    assert not in_fragment(parse_term("a ; (b $ c)"), 1, 3, "sigma")
-    assert in_fragment(ID, 0, 0, "sigma")
-
-
 def test_projection_composition_table():
     # apply-then-apply equals the composed map, on a concrete relation
     from relfrag.semantics import Rel
@@ -142,47 +104,3 @@ def test_projection_composition_table():
                     stepwise = r.project(inner.img1, inner.img2).project(outer.img1, outer.img2)
                     combined = compose_projections(inner, outer)
                     assert stepwise == r.project(combined.img1, combined.img2)
-
-
-def test_decompose_kvo_running_example():
-    t = parse_term("I ; ((a ; (b ; c)) ; I)")
-    t0, head, parts = decompose_kvo(t, "h")
-    assert t0 == parse_term("I ; (h ; I)")
-    assert head.kind == "comp"
-    assert parts == [Var("a"), parse_term("b ; c")]
-    assert substitute(t0, "h", head.build(tuple(parts))) == t
-
-
-def test_decompose_kvo_base_case():
-    t0, head, parts = decompose_kvo(parse_term("a & b"), "h")
-    assert t0 == Var("h")
-    assert head.kind == "inter"
-    assert parts == [Var("a"), Var("b")]
-
-
-def test_decompose_kvo_shared_top():
-    t = parse_term("(a & b) & I")
-    t0, head, parts = decompose_kvo(t, "h")
-    assert t0 == parse_term("h & I")
-    assert head.kind == "inter"
-    assert parts == [Var("a"), Var("b")]
-    assert substitute(t0, "h", head.build(tuple(parts))) == t
-
-
-def test_decompose_kvo_rejects_low_occurrence():
-    with pytest.raises(TermError):
-        decompose_kvo(parse_term("a & I"), "h")
-    with pytest.raises(TermError):
-        decompose_kvo(parse_term("a & a"), "a")
-
-
-@given(terms)
-@settings(max_examples=200)
-def test_decompose_kvo_recomposes(t):
-    k = vo(t)
-    if k < 2 or "zz" in variables(t):
-        return
-    t0, head, parts = decompose_kvo(t, "zz")
-    assert vo(t0) <= 1
-    assert all(vo(p) <= k - 1 for p in parts)
-    assert substitute(t0, "zz", head.build(tuple(parts))) == t

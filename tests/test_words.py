@@ -147,17 +147,16 @@ def test_reduce_letter_sound_exhaustive_size_5():
     # full scan over all 2^25 single-relation structures; right-slot
     # letters use an inline packed reference, left-slot letters the
     # generic batch evaluator, neither shared with the word kernels
-    n = 5
+    # (small chunks keep numpy's temporaries in reused pages: a fresh
+    # 16 MB array costs more in page faults than the arithmetic)
+    n, chunk = 5, 1 << 14
     for x in _all_test_letters():
         word = reduce_letter(x)
         term = apply_word([x], Var("a"))
-        for start in range(0, 1 << 25, 1 << 21):
-            arr = np.arange(start, start + (1 << 21), dtype=np.uint64)
-            if x.kind == "proj" or x.hole == 1:
-                if x.kind == "proj":
-                    expected = eval_term_batch(term, {"a": arr}, n)
-                else:
-                    expected = _packed_right_slot(x, arr, n)
+        for start in range(0, 1 << 25, chunk):
+            arr = np.arange(start, start + chunk, dtype=np.uint64)
+            if x.kind != "proj" and x.hole == 1:
+                expected = _packed_right_slot(x, arr, n)
             else:
                 expected = eval_term_batch(term, {"a": arr}, n)
             got = bitrel.apply_word_packed(arr.astype(np.uint32), word, n).astype(np.uint64)
