@@ -22,7 +22,6 @@ from typing import Optional
 from .automata import build_pattern_dfa, complement_and_trim, export_dot, is_cofinite, minimize
 from .decide import Equivalent, Inequivalent, decide_terms, parse_mode
 from .fo import export_equation_smt2, export_equation_tptp
-from .normalforms import NormalFormError
 from .rewriting import (RewriteError, count_irreducibles, enumerate_irreducibles,
                         format_rules, load_rules, normalize)
 from .search import OracleConfig, run_search, verify_rules
@@ -386,7 +385,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EX_USAGE
     except (ParseError, WordError, TermError, RewriteError, SemanticsError,
-            NormalFormError, ValueError) as e:
+            ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EX_DATA
     except OSError as e:

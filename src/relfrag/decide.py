@@ -1,38 +1,65 @@
 """Top-level equivalence decisions, three-valued.
 
-``Equivalent`` always carries a replayable justification (rewrite
-traces, constant-class derivations, exhausted small sizes);
+``Equivalent`` always carries a replayable justification (constant-class
+derivations, or the sizes a one-occurrence check decided one by one);
 ``Inequivalent`` carries a separating structure that is re-checked on
 construction; everything else is ``Unknown`` with the window actually
-covered.  The bounded oracles here are sound but incomplete: only the
-variable-free route and the one-occurrence low-alternation pipeline can
-answer ``Equivalent``.
+covered.  Only the variable-free route and the one-occurrence route
+can answer ``Equivalent``; the bounded oracles are sound but
+incomplete.
 
 Routing in ``decide_terms``: two variable-free terms go through the
-constant classes (exact); two terms with at most one variable
-occurrence each and existential level at most one go through the
-normal-form pipeline down to the word monoid, with small sizes (1..4)
-exhausted separately when the mode asks for plain equivalence rather
-than equivalence on large universes; anything else, including a
-pipeline input whose union normal form exceeds the disjunct ceiling,
-gets a bounded counterexample search and never an ``Equivalent``.
+constant classes (exact).  Two terms with at most one variable
+occurrence each and existential level at most one take the
+one-occurrence route (exact).  Anything else gets a bounded
+counterexample search and never an ``Equivalent``.  Words
+(``decide_word_equiv``) take the one-occurrence route on the terms
+they make from one variable, on universes of size at least five.
+
+The one-occurrence route evaluates both sides on every assignment of
+*basis* relations to the variables: the empty relation, the full
+relation, every one-pair relation and every all-but-one-pair relation.
+It does so at each size from the mode's minimum to 4, and once at one
+size of at least 5, which stands for every size from 5 on.  This is
+exact:
+
+* Level at most one means there is no dagger and every complement sits
+  below every composition.  Complements pass through union,
+  intersection, converse and the projections, so each side is f(a) or
+  f(~a) for a variable a (or a constant), where f is built from union
+  and intersection with constants, composition with constants, converse
+  and projections.  Such an f is monotone and preserves non-empty
+  unions, so it is fixed by its value on the empty relation and on the
+  one-pair relations; as a map of a, f(~a) is fixed by its values on
+  the full and the all-but-one-pair relations.  The basis of size n
+  therefore decides the equation at size n.
+* The image of the one-pair relation {(u, v)} is a first-order formula
+  over equality in the point variables x, y and the parameters u, v.
+  At every quantifier it has at most 4 free variables, so each
+  quantifier is eliminated in the same way on every universe with at
+  least 5 points, and the images agree at one size from 5 on iff they
+  agree at all of them.
+* Sides in different variables, or in one variable with opposite
+  polarities, are equal only when both are constant: one is monotone
+  and the other antitone or independent of it.  The basis holds the
+  empty and the full relation, on which a non-constant monotone side
+  differs, so the check finds that too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union as TUnion
 
-from . import bitrel
-from .constants import ConstClass, classify_const, decide_0vo
-from .normalforms import (UnionBlowup, complement_nf, expand_projections,
-                          projection_nf, union_nf)
-from .rewriting import RewriteSystem, figure1_rules, normalize
-from .semantics import (Rel, SizeWindow, Structure, eval_term, exhaustive_check,
-                        random_check, structure_count)
+import numpy as np
+
+from .constants import decide_0vo
+from .semantics import (Rel, SizeWindow, Structure, eval_term, eval_term_batch,
+                        exhaustive_check, full_mask, random_check, structure_count)
 from .search import OracleConfig
 from .terms import Term, Var, dotdagger_level, variables, vo
-from .words import Word, apply_word, decompose_1vo, format_word, reduce_letters
+from .words import Word, apply_word
 
 
 @dataclass(frozen=True)
@@ -89,90 +116,53 @@ def _checked_inequivalent(t1: Term, t2: Term, witness: Structure) -> Inequivalen
 
 
 # ---------------------------------------------------------------------------
-# Words
+# One variable occurrence per side
 
 
-def decide_word_equiv(w1: Word, w2: Word, cfg: OracleConfig = OracleConfig(),
-                      rules: Optional[RewriteSystem] = None) -> Verdict:
-    """Equivalent when both words rewrite to the same normal form
-    (valid on universes of size >= 5, the class the rules are certified
-    for); Inequivalent with a concrete witness when they differ at a
-    size up to the exhaustive one (the first separating relation, read
-    off the singleton images) or on a sampled panel; Unknown
-    otherwise."""
-    rs = rules if rules is not None else figure1_rules()
-    nf1, tr1 = normalize(w1, rs)
-    nf2, tr2 = normalize(w2, rs)
-    if nf1 == nf2:
-        return Equivalent({
-            "kind": "rewrite",
-            "normal_form": format_word(nf1),
-            "lhs_trace": list(tr1),
-            "rhs_trace": list(tr2),
-            "rules": "certified on all size-5 relations and sampled larger sizes",
-        })
-    t1, t2 = apply_word(w1, Var("a")), apply_word(w2, Var("a"))
-    for n in range(1, cfg.exhaustive_size + 1):
-        hit = bitrel.first_counterexample(w1, w2, n)
-        if hit is not None:
-            witness = Structure(n, {"a": Rel(n, hit)})
-            return _checked_inequivalent(t1, t2, witness)
-    samples = 0
-    for n in cfg.sample_sizes:
-        hit = bitrel.sampled_counterexample(w1, w2, n, cfg.samples_per_size, cfg.seed)
-        samples += cfg.samples_per_size
-        if hit is not None:
-            witness = Structure(n, {"a": Rel(n, hit)})
-            return _checked_inequivalent(t1, t2, witness)
-    return Unknown(SizeWindow(1, cfg.exhaustive_size), samples)
+@lru_cache(maxsize=None)
+def _basis(n: int) -> np.ndarray:
+    # empty, full, then every one-pair and every all-but-one-pair relation
+    fm = full_mask(n)
+    singles = [1 << p for p in range(n * n)]
+    return np.array([0, fm, *singles, *(fm ^ s for s in singles)], dtype=np.uint64)
+
+
+def _basis_difference(t1: Term, t2: Term, n: int) -> Optional[Structure]:
+    """First assignment of basis relations (first variable by name
+    slowest) on which the terms differ at size n, or None."""
+    names = sorted(variables(t1) | variables(t2))
+    grids = np.meshgrid(*[_basis(n)] * len(names), indexing="ij")
+    assignment = {name: g.ravel() for name, g in zip(names, grids)}
+    diff = np.nonzero(eval_term_batch(t1, assignment, n) != eval_term_batch(t2, assignment, n))[0]
+    if not diff.size:
+        return None
+    return Structure(n, {name: Rel(n, int(v[diff[0]])) for name, v in assignment.items()})
+
+
+def _one_occurrence(t1: Term, t2: Term, min_size: int) -> Optional[Verdict]:
+    """Exact verdict for two sides with at most one variable occurrence
+    each and level at most one (see the module docstring); None when
+    the sides differ from size 5 on but the mode's sizes are too large
+    to pack a witness."""
+    small = list(range(min_size, 5))
+    large = max(min_size, 5) if min_size <= 8 else 5
+    for n in (*small, large):
+        witness = _basis_difference(t1, t2, n)
+        if witness is not None:
+            return _checked_inequivalent(t1, t2, witness) if n >= min_size else None
+    return Equivalent({"kind": "one-occurrence", "exhausted_sizes": small})
+
+
+def decide_word_equiv(w1: Word, w2: Word, cfg: OracleConfig = OracleConfig()) -> Verdict:
+    """Exact verdict on universes of size at least 5 for the words
+    filled with one variable: Equivalent, or Inequivalent with a size-5
+    witness.  ``cfg`` is accepted for compatibility and ignored."""
+    a = Var("a")
+    return _one_occurrence(apply_word(w1, a), apply_word(w2, a), 5)
 
 
 # ---------------------------------------------------------------------------
 # Terms
-
-
-def _pipeline_pieces(t: Term, rs: RewriteSystem) -> tuple[frozenset, list]:
-    """Union-free canonical pieces of a one-occurrence level-one term:
-    constant classes for variable-free disjuncts and (variable,
-    decoration, normal-form word) triples otherwise.
-
-    Dropped pieces: variable-free disjuncts of the bottom class (exact
-    on sizes >= 3; smaller sizes are re-checked separately by the
-    caller) and variable disjuncts whose word contains the iI iD
-    factor, which pinch through I & D and denote the empty relation on
-    every universe.
-    """
-    from .words import CAP_D, CAP_I
-    u = projection_nf(t)
-    u = complement_nf(u)
-    u = expand_projections(u)
-    pieces = set()
-    notes = []
-    for d in union_nf(u):
-        if vo(d) == 0:
-            c = classify_const(d)
-            if c is not ConstClass.BOT:
-                pieces.add(("const", c.value))
-            continue
-        letters, base = decompose_1vo(d)
-        decoration = ""
-        if letters and letters[-1].kind == "compl":
-            decoration = "~"
-            letters = letters[:-1]
-        word = reduce_letters(letters)
-        nf, trace = normalize(word, rs)
-        notes.append({"disjunct_word": format_word(word),
-                      "normal_form": format_word(nf), "trace": list(trace)})
-        if any(nf[i:i + 2] == (CAP_I, CAP_D) for i in range(len(nf) - 1)):
-            continue
-        pieces.add(("var", base.name, decoration, nf))
-    return frozenset(pieces), notes
-
-
-def _piece_json(piece) -> list:
-    if piece[0] == "const":
-        return ["const", piece[1]]
-    return ["var", piece[1], piece[2], format_word(piece[3])]
 
 
 def _bounded_separation(t1: Term, t2: Term, mode: Mode,
@@ -204,9 +194,7 @@ def _bounded_separation(t1: Term, t2: Term, mode: Mode,
 
 
 def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
-                 cfg: OracleConfig = OracleConfig(),
-                 rules: Optional[RewriteSystem] = None) -> Verdict:
-    rs = rules if rules is not None else figure1_rules()
+                 cfg: OracleConfig = OracleConfig()) -> Verdict:
     if vo(t1) == 0 and vo(t2) == 0:
         z = decide_0vo(t1, t2, mode.min_size)
         if z.equivalent:
@@ -219,60 +207,22 @@ def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
         return _checked_inequivalent(t1, t2, z.witness)
 
     info1, info2 = dotdagger_level(t1), dotdagger_level(t2)
-    low = (info1.vo <= 1 and info2.vo <= 1
-           and info1.sigma_level is not None and info1.sigma_level <= 1
-           and info2.sigma_level is not None and info2.sigma_level <= 1)
-    if low:
-        try:
-            pieces1, notes1 = _pipeline_pieces(t1, rs)
-            pieces2, notes2 = _pipeline_pieces(t2, rs)
-        except UnionBlowup:
-            return _bounded_separation(t1, t2, mode, cfg)
-        if pieces1 == pieces2:
-            checked: list[int] = []
-            if mode.min_size < 5:
-                small = list(range(mode.min_size, 5))
-                witness = exhaustive_check(t1, t2, small)
-                if witness is not None:
-                    return _checked_inequivalent(t1, t2, witness)
-                checked = small
-            return Equivalent({
-                "kind": "pipeline",
-                "pieces": sorted(map(_piece_json, pieces1)),
-                "lhs": notes1,
-                "rhs": notes2,
-                "exhausted_sizes": checked,
-                "rules": "certified on all size-5 relations and sampled larger sizes",
-            })
+    if (info1.vo <= 1 and info2.vo <= 1
+            and info1.sigma_level is not None and info1.sigma_level <= 1
+            and info2.sigma_level is not None and info2.sigma_level <= 1):
+        verdict = _one_occurrence(t1, t2, mode.min_size)
+        if verdict is not None:
+            return verdict
     return _bounded_separation(t1, t2, mode, cfg)
 
 
-def replay_justification(verdict: Equivalent, t1: Term, t2: Term,
-                         rules: Optional[RewriteSystem] = None) -> bool:
+def replay_justification(verdict: Equivalent, t1: Term, t2: Term) -> bool:
     """Re-derive an Equivalent verdict from its recorded justification.
-    """
-    rs = rules if rules is not None else figure1_rules()
+    A word verdict replays on the words filled with the variable a."""
     j = verdict.justification
     if j["kind"] == "constant-classes":
         z = decide_0vo(t1, t2, min(j["checked_small_sizes"], default=3))
         return z.equivalent and z.left_class.value == j["class"]
-    if j["kind"] == "pipeline":
-        pieces1, _ = _pipeline_pieces(t1, rs)
-        pieces2, _ = _pipeline_pieces(t2, rs)
-        if pieces1 != pieces2 or sorted(map(_piece_json, pieces1)) != j["pieces"]:
-            return False
-        sizes = j["exhausted_sizes"]
-        return not sizes or exhaustive_check(t1, t2, sizes) is None
+    if j["kind"] == "one-occurrence":
+        return _one_occurrence(t1, t2, min(j["exhausted_sizes"], default=5)) == verdict
     return False
-
-
-def replay_word_justification(verdict: Equivalent, w1: Word, w2: Word,
-                              rules: Optional[RewriteSystem] = None) -> bool:
-    from .rewriting import replay_trace
-    rs = rules if rules is not None else figure1_rules()
-    j = verdict.justification
-    if j["kind"] != "rewrite":
-        return False
-    a = replay_trace(w1, rs, [tuple(s) for s in j["lhs_trace"]])
-    b = replay_trace(w2, rs, [tuple(s) for s in j["rhs_trace"]])
-    return a == b and format_word(a) == j["normal_form"]

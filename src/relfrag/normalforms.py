@@ -17,6 +17,10 @@ termination is plain structural recursion:
   by its constant class (exact on universes of size at least three);
 * ``complement_dual`` produces, for a universal-level term, the
   existential-level term whose complement it is equivalent to.
+
+No decision route runs these passes: ``decide`` settles one-occurrence
+terms from their values on basis relations.  They remain a library
+surface that ``perfbench/tracer.py`` and the tests look up by name.
 """
 
 from __future__ import annotations

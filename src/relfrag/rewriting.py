@@ -18,7 +18,7 @@ syntax (e.g. ``iI = iI iI``); ``#`` starts a comment line.  The name
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from . import automata
@@ -63,6 +63,15 @@ class RewriteSystem:
     def by_index(self, index: int) -> Rule:
         return self.rules[index - 1]
 
+    @cached_property
+    def _matcher(self):
+        """Aho-Corasick machine over the large sides, with, per state,
+        the matched (pattern length, rule index) pairs, and the longest
+        large side; built once per system."""
+        goto, matches = automata.aho_corasick(self.large_sides())
+        outputs = [[(len(self.rules[i].large), self.rules[i].index) for i in m] for m in matches]
+        return goto, outputs, max((len(r.large) for r in self.rules), default=0)
+
 
 def make_system(pairs: Sequence[tuple[Word, Word]]) -> RewriteSystem:
     return RewriteSystem(tuple(Rule(s, l, i) for i, (s, l) in enumerate(pairs, start=1)))
@@ -104,18 +113,10 @@ def figure1_rules() -> RewriteSystem:
 # Matching and normalization
 
 
-@lru_cache(maxsize=64)
-def _matcher(rs: RewriteSystem):
-    """Aho-Corasick machine over the large sides, with, per state, the
-    matched (pattern length, rule index) pairs."""
-    goto, matches = automata.aho_corasick(rs.large_sides())
-    return goto, [[(len(rs.rules[i].large), rs.rules[i].index) for i in m] for m in matches]
-
-
 def _first_match(w: Word, rs: RewriteSystem) -> Optional[tuple[int, int]]:
     # (start position, rule index) of the leftmost match, lowest rule
     # index on position ties
-    children, outputs = _matcher(rs)
+    children, outputs, max_len = rs._matcher
     best: Optional[tuple[int, int]] = None
     state = 0
     for end, letter in enumerate(w):
@@ -125,14 +126,9 @@ def _first_match(w: Word, rs: RewriteSystem) -> Optional[tuple[int, int]]:
             cand = (start, index)
             if best is None or cand < best:
                 best = cand
-        if best is not None and best[0] <= end + 1 - _max_len(rs):
+        if best is not None and best[0] <= end + 1 - max_len:
             break
     return best
-
-
-@lru_cache(maxsize=64)
-def _max_len(rs: RewriteSystem) -> int:
-    return max((len(r.large) for r in rs.rules), default=0)
 
 
 def rewrite_step(w: Word, rs: RewriteSystem) -> Optional[tuple[Word, int, int]]:

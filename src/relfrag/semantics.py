@@ -142,25 +142,8 @@ class Rel:
         return Rel(n, out)
 
     def dagger(self, other: "Rel") -> "Rel":
-        # relative sum: (x,y) present iff every z has (x,z) in self or
-        # (z,y) in other, computed per row straight from that clause
-        n = self.size
-        row_full = (1 << n) - 1
-        cols = [0] * n
-        for z in range(n):
-            r = other.row(z)
-            for y in range(n):
-                cols[y] |= ((r >> y) & 1) << z
-        out = 0
-        for x in range(n):
-            r = self.row(x)
-            acc = 0
-            for y in range(n):
-                need = row_full & ~r  # the z's with (x,z) missing
-                if need & ~cols[y] == 0:
-                    acc |= 1 << y
-            out |= acc << (x * n)
-        return Rel(n, out)
+        # relative sum, the De Morgan dual of composition
+        return self.compl().comp(other.compl()).compl()
 
     def converse(self) -> "Rel":
         n = self.size
@@ -176,22 +159,10 @@ class Rel:
             return self
         if (img1, img2) == (2, 1):
             return self.converse()
-        n = self.size
-        out = 0
-        if (img1, img2) == (1, 1):
-            # (x,y) present iff (x,x) in self
-            for x in range(n):
-                if self.contains(x, x):
-                    out |= ((1 << n) - 1) << (x * n)
-        else:
-            # (x,y) present iff (y,y) in self
-            col = 0
-            for y in range(n):
-                if self.contains(y, y):
-                    col |= 1 << y
-            for x in range(n):
-                out |= col << (x * n)
-        return Rel(n, out)
+        loops = self.inter(Rel.identity(self.size))
+        full = Rel.full(self.size)
+        # [1,1]: (x,y) iff (x,x) in self; [2,2]: (x,y) iff (y,y) in self
+        return loops.comp(full) if img1 == 1 else full.comp(loops)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,29 @@ def _extend_pipeline(children):
 
 sigma1_terms = st.recursive(_pipeline_leaves, _extend_pipeline, max_leaves=8)
 
+# the shape of sigma1_terms with at most one variable occurrence, plus
+# complements (level one when they sit below every composition, which a
+# caller filters for); two variable names, so two sides often share one
+_constant_terms = st.recursive(st.sampled_from([BOT, TOP, ID, DI]), _extend_pipeline,
+                               max_leaves=3)
+
+
+def _extend_one_hole(children):
+    with_const = st.tuples(children, _constant_terms)
+    return st.one_of(
+        with_const.map(lambda p: Union(*p)),
+        with_const.map(lambda p: Inter(*p)),
+        with_const.map(lambda p: Comp(*p)),
+        with_const.map(lambda p: Comp(p[1], p[0])),
+        st.tuples(children, st.sampled_from(ALL_PROJECTIONS)).map(lambda p: Proj(*p)),
+        children.map(Compl),
+    )
+
+
+one_occurrence_terms = st.recursive(
+    st.one_of(st.sampled_from([Var("a"), Var("b")]), st.sampled_from([BOT, TOP, ID, DI])),
+    _extend_one_hole, max_leaves=6)
+
 words = st.lists(st.sampled_from(LETTERS), max_size=12).map(tuple)
 
 nonempty_words = st.lists(st.sampled_from(LETTERS), min_size=1, max_size=10).map(tuple)

@@ -1,11 +1,18 @@
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from naive import naive_eval
+from strategies import one_occurrence_terms
+from relfrag import bitrel
 from relfrag.decide import (Equivalent, Inequivalent, Mode, REL, Unknown,
                             decide_terms, decide_word_equiv, parse_mode,
-                            replay_justification, replay_word_justification)
+                            replay_justification)
+from relfrag.rewriting import enumerate_irreducibles, figure1_rules
 from relfrag.search import OracleConfig
-from relfrag.semantics import eval_term
-from relfrag.terms import Var, parse_term
+from relfrag.semantics import Rel, Structure, eval_term, exhaustive_check, random_check
+from relfrag.terms import Var, dotdagger_level, parse_term, variables, vo
 from relfrag.words import apply_word, parse_word
 
 CFG = OracleConfig()
@@ -26,12 +33,13 @@ def test_parse_mode():
 def test_word_equiv_examples():
     v = decide_word_equiv(parse_word("cD cD cD"), parse_word("cD cD"), CFG)
     assert isinstance(v, Equivalent)
-    assert v.justification["kind"] == "rewrite"
-    assert replay_word_justification(v, parse_word("cD cD cD"), parse_word("cD cD"))
+    assert v.justification["kind"] == "one-occurrence"
+    assert replay_justification(v, apply_word(parse_word("cD cD cD"), Var("a")),
+                                apply_word(parse_word("cD cD"), Var("a")))
 
     v = decide_word_equiv(parse_word("cD"), parse_word("cv cD"), CFG)
     assert isinstance(v, Inequivalent)
-    assert v.witness.size <= 3
+    assert v.witness.size == 5
 
     w = parse_word("iI cD iD cv")
     assert isinstance(decide_word_equiv(w, w, CFG), Equivalent)
@@ -58,7 +66,7 @@ def test_decide_terms_pipeline_route():
     lhs, rhs = parse_term("a & I"), parse_term("(a & I) & I")
     v = decide_terms(lhs, rhs, REL, FAST)
     assert isinstance(v, Equivalent)
-    assert v.justification["kind"] == "pipeline"
+    assert v.justification["kind"] == "one-occurrence"
     assert v.justification["exhausted_sizes"] == [1, 2, 3, 4]
     assert replay_justification(v, lhs, rhs)
 
@@ -127,3 +135,90 @@ def test_decide_terms_mode_monotone():
 def test_decide_terms_deterministic():
     lhs, rhs = parse_term("a ; a^"), parse_term("a^ ; a")
     assert decide_terms(lhs, rhs, REL, FAST) == decide_terms(lhs, rhs, REL, FAST)
+
+
+def test_one_occurrence_decides_words_on_large_universes():
+    # equal from size 5 on, though iI and iI cD cD iI differ at size 1
+    for lhs, rhs in (("iI", "iI cD cD iI"), ("iD iI", "iD iI cv")):
+        v = decide_word_equiv(parse_word(lhs), parse_word(rhs), CFG)
+        assert isinstance(v, Equivalent), (lhs, rhs)
+        assert v.justification == {"kind": "one-occurrence", "exhausted_sizes": []}
+
+
+def test_one_occurrence_terms_on_large_universes():
+    lhs, rhs = parse_term("a & I"), parse_term("((a & I) ; D ; D) & I")
+    v = decide_terms(lhs, rhs, Mode(5), FAST)
+    assert isinstance(v, Equivalent)
+    assert replay_justification(v, lhs, rhs)
+    v = decide_terms(lhs, rhs, REL, FAST)
+    assert isinstance(v, Inequivalent) and v.witness.size < 5
+
+
+def test_one_occurrence_witness_at_the_mode_size():
+    # the sides differ on every size; the witness is never below the mode
+    for m in (1, 3, 5, 6, 8):
+        v = decide_terms(parse_term("a"), parse_term("a ; D"), Mode(m), FAST)
+        assert isinstance(v, Inequivalent) and v.witness.size == m
+
+
+def test_one_occurrence_mixed_variables_and_polarities():
+    v = decide_terms(parse_term("a & bot"), parse_term("b & bot"), REL, FAST)
+    assert isinstance(v, Equivalent)
+    v = decide_terms(parse_term("a | top"), parse_term("b~ | top"), REL, FAST)
+    assert isinstance(v, Equivalent)
+    for lhs, rhs in (("a", "b"), ("a", "a~"), ("a & I", "a~ & I")):
+        v = decide_terms(parse_term(lhs), parse_term(rhs), Mode(5), FAST)
+        assert isinstance(v, Inequivalent), (lhs, rhs)
+
+
+def _partition(words, n):
+    classes = {}
+    for w in words:
+        classes.setdefault(bitrel.singleton_images(w, n).tobytes(), set()).add(w)
+    return {frozenset(c) for c in classes.values()}
+
+
+def test_figure1_leftovers_stabilize_from_size_5():
+    # the word monoid at size n is read off the singleton images; from
+    # n = 5 on it no longer changes
+    leftovers = list(enumerate_irreducibles(figure1_rules()))
+    assert len(leftovers) == 1810
+    at5 = _partition(leftovers, 5)
+    assert len(at5) == 124
+    for n in (6, 7, 8):
+        assert _partition(leftovers, n) == at5, n
+
+
+def _naive_structures(names, n):
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    for code in range(1 << (len(names) * n * n)):
+        yield {name: {p for i, p in enumerate(pairs) if code >> (slot * n * n + i) & 1}
+               for slot, name in enumerate(names)}
+
+
+def _in_gate(t):
+    info = dotdagger_level(t)
+    return info.vo <= 1 and info.sigma_level is not None and info.sigma_level <= 1
+
+
+@given(one_occurrence_terms, one_occurrence_terms, st.sampled_from([1, 2, 3, 5, 6]))
+@settings(max_examples=150, deadline=None)
+def test_one_occurrence_route_differential(lhs, rhs, m):
+    assume(_in_gate(lhs) and _in_gate(rhs) and vo(lhs) + vo(rhs) > 0)
+    v = decide_terms(lhs, rhs, Mode(m), FAST)
+    assert not isinstance(v, Unknown)
+    names = sorted(variables(lhs) | variables(rhs))
+    if isinstance(v, Inequivalent):
+        n = v.witness.size
+        assert n >= m
+        env = {name: set(rel.pairs()) for name, rel in v.witness.assignment.items()}
+        assert naive_eval(lhs, n, env) != naive_eval(rhs, n, env)
+        return
+    for n in range(m, 4):
+        if len(names) * n * n <= 12:
+            for env in _naive_structures(names, n):
+                assert naive_eval(lhs, n, env) == naive_eval(rhs, n, env), (n, env)
+        else:
+            assert exhaustive_check(lhs, rhs, [n]) is None, n
+    for n in range(max(m, 5), 9):
+        assert random_check(lhs, rhs, n, 3000, n) is None, n
