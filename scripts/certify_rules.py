@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Certification of a rule system: every rule is checked exactly on
-all 2^(n^2) relations at the exhaustive size (from the images of the
-one-pair relations) and on large seeded panels at the sample sizes.
+all 2^(n^2) relations at the exhaustive size and at each sample size,
+from the images of the one-pair relations.
 
 Example:
     python3 scripts/certify_rules.py builtin:figure1
@@ -21,15 +21,12 @@ def main() -> None:
     ap.add_argument("--exhaustive-size", type=int, default=5)
     ap.add_argument("--sample-sizes", default="6,7",
                     type=lambda s: tuple(int(x) for x in s.split(",")))
-    ap.add_argument("--samples", type=int, default=100_000)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     rs = load_rules(args.rules)
     t0 = time.time()
     checks = verify_rules(rs, exhaustive_size=args.exhaustive_size,
-                          sample_sizes=args.sample_sizes,
-                          samples_per_size=args.samples, seed=args.seed)
+                          sample_sizes=args.sample_sizes)
     elapsed = time.time() - t0
     passed = 0
     for c in checks:
@@ -40,7 +37,7 @@ def main() -> None:
         if not c.exhaustive_ok:
             print(f"       exhaustive counterexample (packed): {c.exhaustive_counterexample}")
         for size, packed in c.sampled_failures:
-            print(f"       sampled counterexample at size {size} (packed): {packed}")
+            print(f"       counterexample at size {size} (packed): {packed}")
     print(f"{passed}/{len(checks)} rules certified in {elapsed:.1f}s")
     raise SystemExit(0 if passed == len(checks) else 1)
 

@@ -21,14 +21,11 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-len", type=int, default=15)
     ap.add_argument("--budget", type=int, default=10**6)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--exhaustive-size", type=int, default=5)
-    ap.add_argument("--samples", type=int, default=2048)
     ap.add_argument("--emit")
     args = ap.parse_args()
 
-    cfg = OracleConfig(exhaustive_size=args.exhaustive_size,
-                       samples_per_size=args.samples, seed=args.seed)
+    cfg = OracleConfig(exhaustive_size=args.exhaustive_size)
     t0 = time.time()
     report = run_search(cfg, args.max_len, args.budget)
     elapsed = time.time() - t0

@@ -118,7 +118,9 @@ def word_matrix(w: Word, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Seeded panels
+# Seeded panels: kept only because the perfbench tracer wraps
+# ``sampled_counterexample``; every word question in the program is
+# answered from the singleton images above.
 
 
 @lru_cache(maxsize=32)

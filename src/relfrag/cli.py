@@ -7,8 +7,7 @@ export-tptp, verify-rules.
 Exit codes: 0 success (for equiv: Equivalent), 1 Inequivalent,
 2 Unknown, 64 usage error, 65 input format error (input nested too
 deeply included), 70 internal error.  ``--json`` switches
-every subcommand to a stable machine-readable schema.  ``--threads``
-is still accepted and ignored: every check runs on one thread.
+every subcommand to a stable machine-readable schema.
 """
 
 from __future__ import annotations
@@ -87,20 +86,17 @@ def _rules_arg(args) -> str:
     return spec
 
 
-def _oracle_config(args) -> OracleConfig:
-    return OracleConfig(exhaustive_size=args.exhaustive_size,
-                        sample_sizes=tuple(args.sample_sizes),
-                        samples_per_size=args.samples, seed=args.seed)
-
-
-def _add_oracle_flags(p, samples_default: int, sizes_default: tuple[int, ...]) -> None:
+def _add_oracle_flags(p, sizes_default: Optional[tuple[int, ...]] = None,
+                      samples_default: Optional[int] = None) -> None:
+    """--exhaustive-size always; --sample-sizes for commands that check
+    further sizes, --samples and --seed for those that draw samples."""
     p.add_argument("--exhaustive-size", type=int, default=5, dest="exhaustive_size")
-    p.add_argument("--samples", type=int, default=samples_default)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-sizes", dest="sample_sizes", default=sizes_default,
-                   type=lambda s: tuple(int(x) for x in s.split(",")))
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility and ignored")
+    if sizes_default is not None:
+        p.add_argument("--sample-sizes", dest="sample_sizes", default=sizes_default,
+                       type=lambda s: tuple(int(x) for x in s.split(",")))
+    if samples_default is not None:
+        p.add_argument("--samples", type=int, default=samples_default)
+        p.add_argument("--seed", type=int, default=0)
 
 
 def _cmd_eval(args) -> int:
@@ -119,7 +115,9 @@ def _cmd_eval(args) -> int:
 def _cmd_equiv(args) -> int:
     lhs, rhs = parse_term(args.lhs), parse_term(args.rhs)
     mode = parse_mode(args.mode)
-    verdict = decide_terms(lhs, rhs, mode, _oracle_config(args))
+    cfg = OracleConfig(exhaustive_size=args.exhaustive_size, sample_sizes=args.sample_sizes,
+                       samples_per_size=args.samples, seed=args.seed)
+    verdict = decide_terms(lhs, rhs, mode, cfg)
     return _print_verdict(verdict, args.json)
 
 
@@ -188,7 +186,7 @@ def _cmd_cofinite(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    cfg = _oracle_config(args)
+    cfg = OracleConfig(exhaustive_size=args.exhaustive_size)
     seed_rules = load_rules(args.rules) if args.rules else None
     report = run_search(cfg, args.max_len, args.budget, seed_rules)
     if args.emit:
@@ -261,8 +259,7 @@ def _cmd_export_obligation(args, fmt: str) -> int:
 def _cmd_verify_rules(args) -> int:
     rs = load_rules(_rules_arg(args))
     checks = verify_rules(rs, exhaustive_size=args.exhaustive_size,
-                          sample_sizes=args.sample_sizes,
-                          samples_per_size=args.samples, seed=args.seed)
+                          sample_sizes=args.sample_sizes)
     passed = 0
     rows = []
     for c in checks:
@@ -279,7 +276,7 @@ def _cmd_verify_rules(args) -> int:
         print(json.dumps({"passed": passed, "total": len(checks), "rules": rows}))
     else:
         print(f"{passed}/{len(checks)} rules pass (exhaustive size {args.exhaustive_size}, "
-              f"{args.samples} samples at sizes {','.join(map(str, args.sample_sizes))})")
+              f"exact at sizes {','.join(map(str, args.sample_sizes))})")
     return EX_OK if passed == len(checks) else EX_INEQUIV
 
 
@@ -340,7 +337,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--budget", type=int, default=10**6)
     p.add_argument("--rules", help="optional seed rules")
     p.add_argument("--emit", help="write the admitted rules to this file")
-    _add_oracle_flags(p, samples_default=2048, sizes_default=(3, 4, 6))
+    _add_oracle_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_search)
 
@@ -362,11 +359,11 @@ def build_parser() -> _ArgumentParser:
         p.add_argument("--run-solver", dest="run_solver")
         p.set_defaults(fn=lambda args, fmt=fmt: _cmd_export_obligation(args, fmt))
 
-    p = sub.add_parser("verify-rules", help="certify every rule: exactly at the exhaustive "
-                                            "size, on seeded samples at larger sizes")
+    p = sub.add_parser("verify-rules", help="certify every rule exactly at the exhaustive "
+                                            "size and at each sample size")
     p.add_argument("rules_positional", nargs="?")
     p.add_argument("--rules")
-    _add_oracle_flags(p, samples_default=100_000, sizes_default=(6, 7))
+    _add_oracle_flags(p, sizes_default=(6, 7))
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify_rules)
 

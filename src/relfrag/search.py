@@ -1,30 +1,28 @@
-"""Equation search over the core alphabet, with a bounded-model
-equivalence oracle.
+"""Equation search over the core alphabet, with an exact word oracle.
 
-The oracle for two context words compares their values on every
-relation at one exhaustive size (default five) and on seeded random
-panels at the sample sizes.  Both clauses go through the words'
-singleton images (``bitrel.singleton_images``): letters preserve
-unions, so the images of the n^2 one-pair relations fix a word's map
-at size n, and equal images mean equal values on all 2^(n^2)
-relations, hence on every panel of that size too (the panel is only
-evaluated when the images differ).  The images at the exhaustive size
-are also the exact bucket key of the search (``word_fingerprint``).
+Two context words are compared through their singleton images
+(``bitrel.singleton_images``): letters preserve unions, so the images
+of the n^2 one-pair relations fix a word's map at size n, and equal
+images mean equal values on all 2^(n^2) relations.  The word monoid
+read off these images stops changing from 5 points on (the images
+agree at one size from 5 on iff they agree at all of them; see
+``decide``), so the images at the sizes from the exhaustive size to 5
+decide equality on every universe of at least the exhaustive size.
+That concatenation is the search's exact key (``word_fingerprint``);
+no seeded panel is evaluated anywhere in this module.
 
 ``run_search`` is the possibly non-terminating completion loop: it
 draws candidate pairs (u, v), with v ascending in shortlex order over
 the words that are irreducible under the rules admitted so far, and u
-ascending over the previously surviving words below v.  Restricting u
-to survivors loses nothing: the oracle relation is equality of values
-on a fixed model panel, hence transitive, and every discarded word is
-oracle-equal to some survivor.  A pair that passes the oracle becomes a
+the surviving word below v with the same key.  Restricting u to
+survivors loses nothing: key equality is transitive, and every
+discarded word has the key of some survivor.  A key hit becomes a
 rule; the loop stops as soon as the admitted large sides make the
 irreducible language finite, or when the budget or length bound runs
 out.  Each stopping cause is reported.
 
-Verdicts are bounded-certified only: agreement on the checked models.
 ``verify_rules`` re-certifies any rule set exactly at the exhaustive
-size and on large sampled panels at the remaining sizes.
+size and at each sample size.
 """
 
 from __future__ import annotations
@@ -55,22 +53,18 @@ class OracleConfig:
 
 
 def word_fingerprint(w: Word, cfg: OracleConfig) -> bytes:
-    """Exact key of the word's map at the exhaustive size: its packed
-    singleton images.  Two words share a key iff they agree on every
-    relation of that size."""
-    return bitrel.singleton_images(w, cfg.exhaustive_size).tobytes()
+    """Exact key of the word's map on universes of at least the
+    exhaustive size m: its packed singleton images at every size from m
+    to max(m, 5), concatenated.  Two words share a key iff they agree
+    on every relation of every size >= m."""
+    return b"".join(bitrel.singleton_images(w, n).tobytes()
+                    for n in range(cfg.exhaustive_size, max(cfg.exhaustive_size, 5) + 1))
 
 
 def word_equiv_oracle(w1: Word, w2: Word, cfg: OracleConfig) -> bool:
-    """True iff the words agree on every relation at the exhaustive
-    size and on every panel relation at the sample sizes."""
-    if w1 == w2:
-        return True
-    if not bitrel.words_equal_all_relations(w1, w2, cfg.exhaustive_size):
-        return False
-    return all(bitrel.sampled_counterexample(w1, w2, n, cfg.samples_per_size,
-                                             cfg.seed) is None
-               for n in cfg.sample_sizes)
+    """True iff the words agree on every relation of every size from
+    the exhaustive size on."""
+    return word_fingerprint(w1, cfg) == word_fingerprint(w2, cfg)
 
 
 @dataclass(frozen=True)
@@ -91,22 +85,11 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
 
     A word is fresh when all its proper factors survived earlier rounds
     and it is not itself an admitted large side; fresh words are drawn
-    in shortlex order.  Each fresh word is compared against the
-    surviving words below it with the same exact key, in shortlex order,
-    and the first oracle hit admits the pair as a rule.
-
-    Admission targets the word monoid on universes of size >= the
-    exhaustive size, so sample sizes below it are dropped here: several
-    true rules of that monoid (e.g. three of the built-in ones) are
-    false on 3-element universes, and sampling there would veto them
-    and leave the loop unable to ever reach cofiniteness.
+    in shortlex order.  A fresh word whose exact key is already taken
+    is admitted as a rule with the survivor of that key as its small
+    side; otherwise it survives.
     """
     from .automata import is_cofinite
-
-    cfg = OracleConfig(cfg.exhaustive_size,
-                       tuple(s for s in cfg.sample_sizes if s >= cfg.exhaustive_size)
-                       or (min(cfg.exhaustive_size + 1, bitrel.MAX_SIZE),),
-                       cfg.samples_per_size, cfg.seed)
 
     rules: list[Rule] = list(seed_rules.rules) if seed_rules else []
     larges = {r.large for r in rules}
@@ -118,37 +101,22 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
                             rep.max_complement_length,
                             survivors=len(survivors))
 
-    survivors: list[Word] = []
-    survivor_set: set[Word] = set()
-    by_fp: dict[bytes, list[Word]] = {}
+    survivors: set[Word] = set()
+    by_fp: dict[bytes, Word] = {}  # key -> the one survivor with that key
     by_len: dict[int, list[Word]] = {}
     examined = 0
     oracle_calls = 0
 
-    def admit_or_keep(v: Word) -> Optional[Rule]:
-        nonlocal examined, oracle_calls
-        fp = word_fingerprint(v, cfg)
-        examined_here = len(survivors)
-        for u in by_fp.get(fp, ()):  # ascending shortlex by construction
-            oracle_calls += 1
-            if word_equiv_oracle(u, v, cfg):
-                examined += examined_here
-                return Rule(u, v, len(rules) + 1)
-        examined += examined_here
-        survivors.append(v)
-        survivor_set.add(v)
-        by_fp.setdefault(fp, []).append(v)
+    def keep(v: Word, fp: bytes) -> None:
+        survivors.add(v)
+        by_fp[fp] = v
         by_len.setdefault(len(v), []).append(v)
-        return None
 
     if is_cofinite([r.large for r in rules]).cofinite:
         return report("cofinite")
 
     # the empty word always survives (nothing is below it)
-    survivors.append(())
-    survivor_set.add(())
-    by_fp.setdefault(word_fingerprint((), cfg), []).append(())
-    by_len.setdefault(0, []).append(())
+    keep((), word_fingerprint((), cfg))
 
     for length in range(1, max_len + 1):
         parents = by_len.get(length - 1, [])
@@ -157,21 +125,26 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
         for p in parents:
             for letter in LETTERS:
                 v = p + (letter,)
-                if v[1:] not in survivor_set or v in larges:
+                if v[1:] not in survivors or v in larges:
                     continue
                 if examined >= budget:
                     return report("budget")
-                rule = admit_or_keep(v)
-                if rule is not None:
-                    rules.append(rule)
-                    larges.add(rule.large)
-                    if is_cofinite([r.large for r in rules]).cofinite:
-                        return report("cofinite")
+                examined += len(survivors)
+                fp = word_fingerprint(v, cfg)
+                u = by_fp.get(fp)
+                if u is None:
+                    keep(v, fp)
+                    continue
+                oracle_calls += 1
+                rules.append(Rule(u, v, len(rules) + 1))
+                larges.add(v)
+                if is_cofinite([r.large for r in rules]).cofinite:
+                    return report("cofinite")
     return report("exhausted")
 
 
 # ---------------------------------------------------------------------------
-# Heavyweight certification
+# Rule certification
 
 
 @dataclass(frozen=True)
@@ -190,21 +163,19 @@ def verify_rules(rs: RewriteSystem, exhaustive_size: int = 5,
                  sample_sizes: Sequence[int] = (6, 7),
                  samples_per_size: int = 100_000, seed: int = 0,
                  threads: Optional[int] = None) -> list[RuleCheck]:
-    """Certify every rule: equality of both sides on all 2^(n^2)
-    relations at the exhaustive size (exact, from the singleton images)
-    and on seeded sampled panels at the remaining sizes.  ``threads``
-    is accepted for compatibility and ignored."""
+    """Certify every rule exactly, from the singleton images, on all
+    2^(n^2) relations at the exhaustive size and at each sample size.
+    A failure at a sample size is reported as (size, 1 << j) for the
+    lowest differing image j.  ``samples_per_size``, ``seed`` and
+    ``threads`` are accepted for compatibility and ignored: no panel is
+    drawn."""
     pairs = [(r.small, r.large) for r in rs.rules]
     exhaustive = bitrel.scan_rule_pairs(pairs, exhaustive_size)
+    by_size = [(n, bitrel.scan_rule_pairs(pairs, n)) for n in sample_sizes]
     out = []
-    for rule, bad in zip(rs.rules, exhaustive):
-        failures = []
-        for n in sample_sizes:
-            hit = bitrel.sampled_counterexample(rule.small, rule.large, n,
-                                                samples_per_size, seed)
-            if hit is not None:
-                failures.append((n, hit))
+    for i, (rule, bad) in enumerate(zip(rs.rules, exhaustive)):
+        failures = tuple((n, hits[i]) for n, hits in by_size if hits[i] is not None)
         out.append(RuleCheck(rule.index, rule.small, rule.large,
                              exhaustive_size, bad is None, bad,
-                             not failures, tuple(failures)))
+                             not failures, failures))
     return out

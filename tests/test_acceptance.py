@@ -53,13 +53,12 @@ def test_criterion_1_rule_soundness(capsys):
     assert scanned == [None] * 21
     assert scanned == [c.exhaustive_counterexample for c in checks]
     # same verdict through the command-line surface
-    code = cli_main(["verify-rules", "builtin:figure1", "--threads", "4",
-                     "--samples", "1000", "--exhaustive-size", "4", "--json"])
+    code = cli_main(["verify-rules", "builtin:figure1", "--exhaustive-size", "4", "--json"])
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert code == 0 and out["passed"] == 21
     with capsys.disabled():
         _report(1, "21/21 rules hold on all 2^25 size-5 relations and "
-                   "100000 samples each at sizes 6 and 7")
+                   "exactly at sizes 6 and 7")
 
 
 def test_criterion_2_cofiniteness_boundary(capsys):
@@ -190,7 +189,7 @@ def test_criterion_7_search_reproduction(capsys):
         _report(7, f"length-2 search admits exactly the seven short rules; "
                    f"full search terminates cofinite with "
                    f"{len(full.rules.rules)} rules, every one certified "
-                   f"exhaustively at size 5 and on 100000 samples at 6 and 7")
+                   f"exhaustively at size 5 and exactly at sizes 6 and 7")
 
 
 def _random_term(rng, depth, names=("a", "b", "c")):

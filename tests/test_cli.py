@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from relfrag.cli import main
 from relfrag.semantics import structure_from_json
+
+PLANTED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "planted_false_rules.txt"
 
 
 @pytest.fixture()
@@ -153,7 +156,7 @@ def test_verify_rules_subcommand_small(run, tmp_path):
     path = tmp_path / "r.txt"
     path.write_text("iI = iI iI\ncD cD = cD cD cD\n", encoding="utf-8")
     code, out, _ = run("verify-rules", str(path), "--exhaustive-size", "4",
-                       "--samples", "2000", "--sample-sizes", "5")
+                       "--sample-sizes", "5")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "rule 1: PASS"
@@ -163,10 +166,31 @@ def test_verify_rules_subcommand_small(run, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("iI = iD iD\n", encoding="utf-8")
     code, out, _ = run("verify-rules", str(bad), "--exhaustive-size", "3",
-                       "--samples", "100", "--sample-sizes", "4", "--json")
+                       "--sample-sizes", "4", "--json")
     assert code == 1
     obj = json.loads(out)
     assert obj["passed"] == 0 and obj["rules"][0]["pass"] is False
+
+
+def test_verify_rules_reports_exact_failures_beyond_size_5(run, tmp_path):
+    # {(0,0)} separates these sides at sizes 5, 6 and 7; a seeded panel
+    # at 6 and 7 missed it
+    path = tmp_path / "r.txt"
+    path.write_text("cD cv cD cD = cD cD cv cD cD\n", encoding="utf-8")
+    code, out, _ = run("verify-rules", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["rules"][0]["sampled_failures"] == [[6, 1], [7, 1]]
+
+    code, out, _ = run("verify-rules", str(PLANTED), "--json")
+    assert code == 1
+    assert [r["sampled_failures"] for r in json.loads(out)["rules"]] == \
+        [[[6, 1], [7, 1]], [[6, 2], [7, 2]], [[6, 1], [7, 1]]]
+
+
+def test_removed_oracle_flags_are_usage_errors(run):
+    assert run("search", "--max-len", "2", "--samples", "64")[0] == 64
+    assert run("verify-rules", "builtin:figure1", "--seed", "1")[0] == 64
+    assert run("equiv", "--lhs", "a", "--rhs", "a", "--threads", "2")[0] == 64
 
 
 def test_usage_errors(run):

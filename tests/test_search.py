@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,25 @@ def test_search_same_rules_for_every_oracle_seed():
         assert report.oracle_calls == len(report.rules.rules) == 43
         texts.add(format_rules(report.rules))
     assert len(texts) == 1
+
+
+# sha256 of the rule text admitted at exhaustive sizes 3 and 4 with
+# max_len 15, recorded when the oracle still checked seeded panels
+_SEARCH_TEXT_SHA256 = {
+    3: "1a9d23c2830304e853af728fdf5eceabfbb47a2c3e1302a99f64b09921c9c8c1",
+    4: "effb75866f9f0c3787662d58cabd6f3711c0f3c7c95dc045734c728b4c700cc3",
+}
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_search_admits_only_exact_rules(m):
+    report = run_search(OracleConfig(exhaustive_size=m), 15, 10**6)
+    assert hashlib.sha256(format_rules(report.rules).encode()).hexdigest() == _SEARCH_TEXT_SHA256[m]
+    # one key hit per admitted rule, and no rule is false at any size >= m
+    assert report.oracle_calls == len(report.rules.rules)
+    for rule in report.rules.rules:
+        for n in range(m, 9):
+            assert bitrel.words_equal_all_relations(rule.small, rule.large, n), (rule, n)
 
 
 def test_search_budget_zero():
