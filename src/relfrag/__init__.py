@@ -16,8 +16,7 @@ from .rewriting import (Rule, RewriteSystem, figure1_rules, rewrite_step,
                         normalize, is_irreducible, enumerate_irreducibles,
                         count_irreducibles, load_rules, parse_rules, format_rules)
 from .automata import (Dfa, CofinitenessReport, build_pattern_dfa,
-                       complement_and_trim, is_finite_language, is_cofinite,
-                       minimize, export_dot)
+                       complement_and_trim, is_cofinite, minimize, export_dot)
 from .search import OracleConfig, SearchReport, word_fingerprint, word_equiv_oracle, run_search, verify_rules
 from .normalforms import complement_nf, projection_nf, union_nf, complement_dual
 from .fo import (FoFormula, standard_translation, export_equation_smt2,

@@ -1,13 +1,16 @@
 """Pattern automata over the four-letter context alphabet.
 
-``build_pattern_dfa`` runs Aho-Corasick over a pattern set and returns
-a total DFA for "some pattern occurs as a factor" (the accepting states
-are absorbing).  Complementation plus trimming, an acyclicity check
-with longest-path / path-count dynamic programming, and partition-
-refinement minimization together decide whether the factor language is
-cofinite and, when it is, how long and how numerous the leftover words
-are.  Everything is linear-time in the total pattern length except
-minimization, which only serves reporting and export.
+``aho_corasick`` builds the goto and match tables of a pattern set.  A
+word contains a pattern iff its path from the root meets a state that
+matches one, so the leftover words (those containing no pattern) are
+the paths from the root through states that match none.
+``leftover_paths`` finds in one depth-first pass a cycle among those
+states, or else how long and how numerous the leftover words are; that
+decides ``is_cofinite``, and rewriting counts and enumerates its
+irreducible words from the same pass.  Both are linear in the total
+pattern length.  ``build_pattern_dfa``, ``complement_and_trim``
+and partition-refinement ``minimize`` build the explicit automata that
+``export-dfa`` draws.
 """
 
 from __future__ import annotations
@@ -167,78 +170,52 @@ def complement_and_trim(d: Dfa) -> Dfa:
     return Dfa(dead + 1, index[d.start], acc, tuple(delta), dead=dead)
 
 
-def is_finite_language(d: Dfa) -> tuple[bool, Optional[int], Optional[int]]:
-    """(finite, longest accepted length, accepted word count) for a
-    trimmed DFA; the dead state is ignored by the cycle search."""
-    if not d.accepting:
-        return True, None, 0
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * d.num_states
-    stack = [(d.start, 0)]
-    while stack:
-        s, ci = stack[-1]
-        if ci == 0:
-            color[s] = GRAY
-        if ci == ALPHABET_SIZE:
-            color[s] = BLACK
-            stack.pop()
-            continue
-        stack[-1] = (s, ci + 1)
-        t = d.delta[s][ci]
-        if t == d.dead:
-            continue
-        if color[t] == GRAY:
-            return False, None, None
-        if color[t] == WHITE:
-            stack.append((t, 0))
-
-    # acyclic: longest path and path count to acceptance, memoized
-    max_len: dict[int, Optional[int]] = {}
+def leftover_paths(goto: Sequence[Sequence[int]],
+                   matches: Sequence[Sequence]) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+    """One depth-first pass over the leftover states of an Aho-Corasick
+    machine: those that match no pattern and are reachable from the
+    root through such states.  They are the states of the trimmed
+    complement DFA, and each of them accepts.  None if they hold a
+    cycle (infinitely many leftover words); otherwise, per leftover
+    state, the length of the longest path from it and the number of
+    paths from it, the empty path included."""
+    longest: dict[int, int] = {}
     count: dict[int, int] = {}
-
-    order: list[int] = []
-    seen = [False] * d.num_states
-    stack2 = [(d.start, 0)]
-    seen[d.start] = True
-    while stack2:
-        s, ci = stack2.pop()
-        if ci == ALPHABET_SIZE:
-            order.append(s)
-            continue
-        stack2.append((s, ci + 1))
-        t = d.delta[s][ci]
-        if t != d.dead and not seen[t]:
-            seen[t] = True
-            stack2.append((t, 0))
-    for s in order:  # reverse-topological
-        best: Optional[int] = 0 if s in d.accepting else None
-        total = 1 if s in d.accepting else 0
-        for c in range(ALPHABET_SIZE):
-            t = d.delta[s][c]
-            if t == d.dead or not seen[t]:
+    on_path = {0}
+    stack = [(0, iter(goto[0]))]
+    while stack:
+        s, succ = stack[-1]
+        for t in succ:
+            if matches[t] or t in longest:
                 continue
-            sub = max_len.get(t)
-            if sub is not None and (best is None or sub + 1 > best):
-                best = sub + 1
-            total += count.get(t, 0)
-        max_len[s] = best
-        count[s] = total
-    return True, max_len.get(d.start), count.get(d.start, 0)
+            if t in on_path:
+                return None
+            on_path.add(t)
+            stack.append((t, iter(goto[t])))
+            break
+        else:
+            stack.pop()
+            on_path.remove(s)
+            nxt = [t for t in goto[s] if not matches[t]]
+            longest[s] = 1 + max((longest[t] for t in nxt), default=-1)
+            count[s] = 1 + sum(count[t] for t in nxt)
+    return longest, count
 
 
 def is_cofinite(patterns: Iterable[Word]) -> CofinitenessReport:
     """Whether all but finitely many words contain some pattern as a
     factor; when they do, the longest leftover length and the leftover
-    count."""
+    count.  Patterns must be nonempty words."""
     pats = [tuple(p) for p in patterns]
     if not pats:
         return CofinitenessReport(False)
-    trimmed = complement_and_trim(build_pattern_dfa(pats))
-    finite, longest, count = is_finite_language(trimmed)
-    if not finite:
+    if any(len(p) == 0 for p in pats):
+        raise AutomataError("the empty word is not a valid pattern")
+    paths = leftover_paths(*aho_corasick(pats))
+    if paths is None:
         return CofinitenessReport(False)
-    return CofinitenessReport(True, longest, count)
+    longest, count = paths
+    return CofinitenessReport(True, longest[0], count[0])
 
 
 def minimize(d: Dfa) -> Dfa:

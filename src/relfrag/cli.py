@@ -52,9 +52,10 @@ def _verdict_json(verdict) -> dict:
     if isinstance(verdict, Inequivalent):
         return {"verdict": "inequivalent", "witness": _structure_json_obj(verdict.witness),
                 "justification": None, "checked": None}
+    lo, hi = (verdict.checked.lo, verdict.checked.hi) if verdict.checked else (None, None)
     return {"verdict": "unknown", "witness": None, "justification": None,
-            "checked": {"lo": verdict.checked.lo, "hi": verdict.checked.hi,
-                        "samples": verdict.samples}}
+            "checked": {"lo": lo, "hi": hi,
+                        "samples": verdict.samples, "sampled": list(verdict.sampled)}}
 
 
 def _verdict_exit(verdict) -> int:
@@ -74,8 +75,10 @@ def _print_verdict(verdict, as_json: bool) -> int:
     elif isinstance(verdict, Inequivalent):
         print(f"inequivalent; witness: {structure_to_json(verdict.witness)}")
     else:
-        print(f"unknown (exhausted sizes {verdict.checked.lo}..{verdict.checked.hi}, "
-              f"{verdict.samples} samples)")
+        window = verdict.checked
+        exhausted = f"sizes {window.lo}..{window.hi}" if window else "no size"
+        at = f" at sizes {','.join(map(str, verdict.sampled))}" if verdict.sampled else ""
+        print(f"unknown (exhausted {exhausted}, {verdict.samples} samples{at})")
     return _verdict_exit(verdict)
 
 

@@ -3,10 +3,10 @@
 ``Equivalent`` always carries a replayable justification (constant-class
 derivations, or the sizes a one-occurrence check decided one by one);
 ``Inequivalent`` carries a separating structure that is re-checked on
-construction; everything else is ``Unknown`` with the window actually
-covered.  Only the variable-free route and the one-occurrence route
-can answer ``Equivalent``; the bounded oracles are sound but
-incomplete.
+construction; everything else is ``Unknown`` with the sizes actually
+exhausted and sampled.  Only the variable-free route and the
+one-occurrence route can answer ``Equivalent``; the bounded oracles
+are sound but incomplete.
 
 Routing in ``decide_terms``: two variable-free terms go through the
 constant classes (exact).  Two terms with at most one variable
@@ -74,8 +74,13 @@ class Inequivalent:
 
 @dataclass(frozen=True)
 class Unknown:
-    checked: SizeWindow
+    """No verdict.  ``checked`` is the window of sizes scanned
+    exhaustively (None if there were none); ``samples`` seeded
+    structures were drawn in all over the ``sampled`` sizes."""
+
+    checked: Optional[SizeWindow]
     samples: int
+    sampled: tuple[int, ...] = ()
 
 
 Verdict = TUnion[Equivalent, Inequivalent, Unknown]
@@ -171,17 +176,16 @@ def _bounded_separation(t1: Term, t2: Term, mode: Mode,
     sampling (including any small sizes the budget skipped); never
     answers Equivalent."""
     num_vars = max(1, len(variables(t1) | variables(t2)))
-    checked_hi = mode.min_size
     budget = 1 << 26
-    skipped_small = []
+    exhausted, skipped_small = [], []
     for n in range(mode.min_size, 5):
         if structure_count(num_vars, n) > budget:
             skipped_small.append(n)
             continue
         witness = exhaustive_check(t1, t2, [n], budget=budget)
-        checked_hi = max(checked_hi, n)
         if witness is not None:
             return _checked_inequivalent(t1, t2, witness)
+        exhausted.append(n)
     samples = 0
     sizes = sorted({s for s in (*cfg.sample_sizes, cfg.exhaustive_size, *skipped_small)
                     if mode.min_size <= s <= 8})
@@ -190,7 +194,10 @@ def _bounded_separation(t1: Term, t2: Term, mode: Mode,
         samples += cfg.samples_per_size
         if witness is not None:
             return _checked_inequivalent(t1, t2, witness)
-    return Unknown(SizeWindow(mode.min_size, max(checked_hi, mode.min_size)), samples)
+    # the structure count grows with the size, so the exhausted sizes
+    # are a run from the mode's minimum
+    checked = SizeWindow(exhausted[0], exhausted[-1]) if exhausted else None
+    return Unknown(checked, samples, tuple(sizes))
 
 
 def decide_terms(t1: Term, t2: Term, mode: Mode = REL,

@@ -182,67 +182,45 @@ def is_irreducible(w: Word, rs: RewriteSystem) -> bool:
 # The irreducible language
 
 
-def _complement_dfa(rs: RewriteSystem) -> automata.Dfa:
+def _leftover_paths(rs: RewriteSystem) -> tuple[dict[int, int], dict[int, int]]:
+    # per irreducible state of the matcher: longest path, path count
     if not rs.rules:
         raise InfiniteIrreducibleSet("with no rules every word is irreducible")
-    trimmed = automata.complement_and_trim(automata.build_pattern_dfa(rs.large_sides()))
-    finite, _, _ = automata.is_finite_language(trimmed)
-    if not finite:
+    goto, outputs, _ = rs._matcher
+    paths = automata.leftover_paths(goto, outputs)
+    if paths is None:
         raise InfiniteIrreducibleSet("the irreducible language is infinite")
-    return trimmed
+    return paths
 
 
 def count_irreducibles(rs: RewriteSystem) -> int:
-    """Number of irreducible words, by path counting over the acyclic
-    complement automaton; errors out when infinite."""
-    trimmed = _complement_dfa(rs)
-    _, _, count = automata.is_finite_language(trimmed)
-    return count or 0
+    """Number of irreducible words, by path counting over the matcher's
+    irreducible states; errors out when infinite."""
+    return _leftover_paths(rs)[1][0]
 
 
 def enumerate_irreducibles(rs: RewriteSystem) -> Iterator[Word]:
     """All irreducible words exactly once in shortlex order; errors out
     when the set is infinite."""
-    d = _complement_dfa(rs)
-    finite, longest, count = automata.is_finite_language(d)
-    if count == 0:
-        return
-    assert longest is not None
-
-    # distances-to-acceptance per state, as a bitmask over lengths
-    masks: dict[int, int] = {}
-
-    def mask(s: int) -> int:
-        if s in masks:
-            return masks[s]
-        m = 1 if s in d.accepting else 0
-        masks[s] = m  # provisional; graph is acyclic so no real cycles
-        for c in range(automata.ALPHABET_SIZE):
-            t = d.delta[s][c]
-            if t != d.dead:
-                m |= mask(t) << 1
-        masks[s] = m
-        return m
-
+    longest, _ = _leftover_paths(rs)
+    goto = rs._matcher[0]
     prefix: list = []
 
     def walk(s: int, remaining: int) -> Iterator[Word]:
+        # every irreducible state accepts, so a path of this length
+        # starts at t iff t's longest path is at least that long
         if remaining == 0:
-            if s in d.accepting:
-                yield tuple(prefix)
+            yield tuple(prefix)
             return
         for letter in LETTERS:
-            t = d.delta[s][int(letter)]
-            if t == d.dead:
-                continue
-            if (mask(t) >> (remaining - 1)) & 1:
+            t = goto[s][int(letter)]
+            if longest.get(t, -1) >= remaining - 1:
                 prefix.append(letter)
                 yield from walk(t, remaining - 1)
                 prefix.pop()
 
-    for length in range(longest + 1):
-        if (mask(d.start) >> length) & 1:
-            yield from walk(d.start, length)
+    for length in range(longest[0] + 1):
+        yield from walk(0, length)
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,10 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
     rules: list[Rule] = list(seed_rules.rules) if seed_rules else []
     larges = {r.large for r in rules}
 
+    # rechecked whenever a rule is admitted, so it always covers ``rules``
+    rep = is_cofinite([r.large for r in rules])
+
     def report(reason: str) -> SearchReport:
-        rep = is_cofinite([r.large for r in rules])
         return SearchReport(make_system([(r.small, r.large) for r in rules]),
                             rep.cofinite, examined, oracle_calls, reason,
                             rep.max_complement_length,
@@ -112,7 +114,7 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
         by_fp[fp] = v
         by_len.setdefault(len(v), []).append(v)
 
-    if is_cofinite([r.large for r in rules]).cofinite:
+    if rep.cofinite:
         return report("cofinite")
 
     # the empty word always survives (nothing is below it)
@@ -138,7 +140,8 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
                 oracle_calls += 1
                 rules.append(Rule(u, v, len(rules) + 1))
                 larges.add(v)
-                if is_cofinite([r.large for r in rules]).cofinite:
+                rep = is_cofinite([r.large for r in rules])
+                if rep.cofinite:
                     return report("cofinite")
     return report("exhausted")
 

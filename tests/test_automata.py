@@ -4,11 +4,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from relfrag.automata import (AutomataError, Dfa, build_pattern_dfa,
-                              complement_and_trim, export_dot, is_cofinite,
-                              is_finite_language, minimize)
-from relfrag.rewriting import figure1_rules
-from relfrag.words import CAP_D, CAP_I, CONV, DOT_D, LETTERS, parse_word
+from relfrag.automata import (AutomataError, CofinitenessReport, Dfa,
+                              build_pattern_dfa, complement_and_trim, export_dot,
+                              is_cofinite, minimize)
+from relfrag.rewriting import (InfiniteIrreducibleSet, count_irreducibles,
+                               enumerate_irreducibles, figure1_rules, make_system)
+from relfrag.words import CAP_D, CAP_I, CONV, DOT_D, LETTERS, parse_word, shortlex_key
 
 RS = figure1_rules()
 W28 = parse_word("iI iD cD cD cv cD iI cD cv cD cD iD cv cD iD cv cD iD "
@@ -68,7 +69,6 @@ def test_complement_trim_full_language():
     full = Dfa(1, 0, frozenset({0}), ((0, 0, 0, 0),))
     c = complement_and_trim(full)
     assert c.accepting == frozenset()
-    assert is_finite_language(c) == (True, None, 0)
 
 
 def test_complement_of_builtin_accepts_short_words():
@@ -86,12 +86,6 @@ def test_complement_two_letter_blanket():
     accepted = [w for length in range(4) for w in product(LETTERS, repeat=length)
                 if c.accepts(tuple(w))]
     assert len(accepted) == 5  # the empty word and the four letters
-    assert is_finite_language(c) == (True, 1, 5)
-
-
-def test_is_finite_language_cycle():
-    looping = Dfa(1, 0, frozenset({0}), ((0, 0, 0, 0),))
-    assert is_finite_language(looping)[0] is False
 
 
 def test_is_cofinite_examples():
@@ -152,9 +146,9 @@ def test_finiteness_dp_matches_brute_force_enumeration():
     while built < 6:
         pats = {tuple(LETTERS[i] for i in rng.integers(0, 4, size=2))
                 for _ in range(int(rng.integers(8, 14)))}
-        trimmed = complement_and_trim(build_pattern_dfa(sorted(pats)))
-        finite, longest, count = is_finite_language(trimmed)
-        if not finite or count > 10**5:
+        report = is_cofinite(sorted(pats))
+        longest, count = report.max_complement_length, report.complement_count
+        if not report.cofinite or count > 10**5:
             continue
         words = []
         frontier = [()]
@@ -168,6 +162,52 @@ def test_finiteness_dp_matches_brute_force_enumeration():
         assert len(words) == count
         assert max((len(w) for w in words), default=None) == longest
         built += 1
+
+
+def _brute_leftovers(pats):
+    """Every word containing no pattern, found letter by letter, or None
+    if there are infinitely many.  Whether a letter completes a pattern
+    depends only on the last m - 1 letters before it (m the longest
+    pattern), so a leftover word of length 4^(m-1) + m - 1 repeats such
+    a window, and the factor between the repeats can be pumped."""
+    m = max(map(len, pats))
+    bound = 4 ** (m - 1) + m - 1
+    found, stack = [], [()]
+    while stack:
+        w = stack.pop()
+        if _naive_contains_factor(w, pats):
+            continue
+        if len(w) >= bound:
+            return None
+        found.append(w)
+        stack.extend(w + (x,) for x in LETTERS)
+    return sorted(found, key=shortlex_key)
+
+
+def test_leftover_pass_matches_brute_force():
+    # random sets of patterns of length 1 to 3, cofinite or not: the
+    # cofiniteness report, the irreducible count and the exact shortlex
+    # enumeration all agree with literal enumeration
+    rng = np.random.default_rng(31)
+    cofinite = 0
+    for _ in range(300):
+        pats = sorted({tuple(LETTERS[i] for i in rng.integers(0, 4, size=int(rng.integers(1, 4))))
+                       for _ in range(int(rng.integers(1, 40)))})
+        words = _brute_leftovers(pats)
+        report = is_cofinite(pats)
+        rs = make_system([((), p) for p in pats])
+        if words is None:
+            assert not report.cofinite
+            with pytest.raises(InfiniteIrreducibleSet):
+                count_irreducibles(rs)
+            with pytest.raises(InfiniteIrreducibleSet):
+                next(enumerate_irreducibles(rs))
+            continue
+        cofinite += 1
+        assert report == CofinitenessReport(True, max(map(len, words)), len(words))
+        assert count_irreducibles(rs) == len(words)
+        assert list(enumerate_irreducibles(rs)) == words
+    assert 100 <= cofinite <= 200, cofinite
 
 
 def test_is_cofinite_scales_linearly():

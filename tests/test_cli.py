@@ -273,3 +273,24 @@ def test_determinism_byte_identical(run):
     first = run(*args)
     second = run(*args)
     assert first == second
+
+
+def test_unknown_beyond_packed_sizes_claims_no_coverage(run):
+    # the sides differ from size 5 on, but no kernel packs a size-9
+    # structure: nothing is exhausted and nothing is sampled
+    code, out, err = run("equiv", "--lhs", "a", "--rhs", "a;D", "--mode", "rel>=9")
+    assert code == 2
+    assert out == "unknown (exhausted no size, 0 samples)\n"
+    assert err == ""
+
+
+def test_unknown_separates_sampled_from_exhausted_sizes(run):
+    # in mode rel>=5 the bounded route exhausts no size; sizes 5 and 6
+    # are only sampled
+    code, out, _ = run("equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c", "--mode", "rel>=5",
+                       "--samples", "64", "--json")
+    assert code == 2
+    assert json.loads(out)["checked"] == {"lo": None, "hi": None, "samples": 128,
+                                          "sampled": [5, 6]}
+    code, out, _ = run("equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c", "--samples", "64")
+    assert out == "unknown (exhausted sizes 1..2, 256 samples at sizes 3,4,5,6)\n"
