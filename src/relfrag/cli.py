@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from typing import Optional
 
@@ -150,9 +149,6 @@ def _cmd_normalize(args) -> int:
                           "trace": [list(step) for step in trace]}))
     else:
         print(format_word(nf))
-        if args.trace:
-            for index, pos in trace:
-                print(f"# rule {index} at {pos}", file=sys.stderr)
     return EX_OK
 
 
@@ -246,16 +242,6 @@ def _cmd_export_obligation(args, fmt: str) -> int:
             fh.write(text)
     else:
         print(text, end="")
-    if args.run_solver:
-        if not args.out:
-            raise UsageError("--run-solver needs --out to point the solver at a file")
-        proc = subprocess.run([args.run_solver, args.out], capture_output=True, text=True)
-        output = (proc.stdout + proc.stderr).strip()
-        print(output)
-        last = output.splitlines()[-1] if output else ""
-        if fmt == "smt2":
-            return EX_OK if last == "unsat" else EX_INEQUIV
-        return EX_OK if "Theorem" in output or "Unsatisfiable" in output else EX_INEQUIV
     return EX_OK
 
 
@@ -314,7 +300,6 @@ def build_parser() -> _ArgumentParser:
     p = sub.add_parser("normalize", help="rewrite a word to normal form")
     p.add_argument("--word", required=True)
     p.add_argument("--rules", default="builtin:figure1")
-    p.add_argument("--trace", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_normalize)
 
@@ -359,7 +344,6 @@ def build_parser() -> _ArgumentParser:
         p.add_argument("--rhs-word", dest="rhs_word")
         p.add_argument("--min-size", type=int, default=5, dest="min_size")
         p.add_argument("--out")
-        p.add_argument("--run-solver", dest="run_solver")
         p.set_defaults(fn=lambda args, fmt=fmt: _cmd_export_obligation(args, fmt))
 
     p = sub.add_parser("verify-rules", help="certify every rule exactly at the exhaustive "

@@ -38,7 +38,9 @@ exact:
   At every quantifier it has at most 4 free variables, so each
   quantifier is eliminated in the same way on every universe with at
   least 5 points, and the images agree at one size from 5 on iff they
-  agree at all of them.
+  agree at all of them.  Past size 8 no kernel packs the basis, so a
+  size-5 witness is carried to the mode's minimum with the same named
+  points: the pair it separates keeps its equality type with them.
 * Sides in different variables, or in one variable with opposite
   polarities, are equal only when both are constant: one is monotone
   and the other antitone or independent of it.  The basis holds the
@@ -55,8 +57,8 @@ from typing import Optional, Union as TUnion
 import numpy as np
 
 from .constants import decide_0vo
-from .semantics import (Rel, SizeWindow, Structure, eval_term, eval_term_batch,
-                        exhaustive_check, full_mask, random_check, structure_count)
+from .semantics import (Rel, SizeWindow, Structure, eval_term, exhaustive_check,
+                        first_separating, full_mask, random_check, structure_count)
 from .search import OracleConfig
 from .terms import Term, Var, dotdagger_level, variables, vo
 from .words import Word, apply_word
@@ -137,24 +139,30 @@ def _basis_difference(t1: Term, t2: Term, n: int) -> Optional[Structure]:
     slowest) on which the terms differ at size n, or None."""
     names = sorted(variables(t1) | variables(t2))
     grids = np.meshgrid(*[_basis(n)] * len(names), indexing="ij")
-    assignment = {name: g.ravel() for name, g in zip(names, grids)}
-    diff = np.nonzero(eval_term_batch(t1, assignment, n) != eval_term_batch(t2, assignment, n))[0]
-    if not diff.size:
-        return None
-    return Structure(n, {name: Rel(n, int(v[diff[0]])) for name, v in assignment.items()})
+    return first_separating(t1, t2, {name: g.ravel() for name, g in zip(names, grids)}, n)
 
 
-def _one_occurrence(t1: Term, t2: Term, min_size: int) -> Optional[Verdict]:
+def _lift(rel: Rel, n: int) -> Rel:
+    """A basis relation carried to size n: the same pairs, or all pairs
+    but the same ones."""
+    if rel.bits.bit_count() <= 1:
+        return Rel.from_pairs(n, rel.pairs())
+    return Rel.from_pairs(n, rel.compl().pairs()).compl()
+
+
+def _one_occurrence(t1: Term, t2: Term, min_size: int) -> Verdict:
     """Exact verdict for two sides with at most one variable occurrence
-    each and level at most one (see the module docstring); None when
-    the sides differ from size 5 on but the mode's sizes are too large
-    to pack a witness."""
+    each and level at most one (see the module docstring); a witness
+    is at the mode's minimum size."""
     small = list(range(min_size, 5))
     large = max(min_size, 5) if min_size <= 8 else 5
     for n in (*small, large):
         witness = _basis_difference(t1, t2, n)
         if witness is not None:
-            return _checked_inequivalent(t1, t2, witness) if n >= min_size else None
+            if n < min_size:
+                witness = Structure(min_size, {name: _lift(rel, min_size)
+                                               for name, rel in witness.assignment.items()})
+            return _checked_inequivalent(t1, t2, witness)
     return Equivalent({"kind": "one-occurrence", "exhausted_sizes": small})
 
 
@@ -217,9 +225,7 @@ def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
     if (info1.vo <= 1 and info2.vo <= 1
             and info1.sigma_level is not None and info1.sigma_level <= 1
             and info2.sigma_level is not None and info2.sigma_level <= 1):
-        verdict = _one_occurrence(t1, t2, mode.min_size)
-        if verdict is not None:
-            return verdict
+        return _one_occurrence(t1, t2, mode.min_size)
     return _bounded_separation(t1, t2, mode, cfg)
 
 

@@ -24,9 +24,9 @@ enumeration index into relations, go through chunked lookup tables
 Equivalence oracles come in two flavours: ``exhaustive_check`` scans
 every labeled structure at the given sizes (with a structure-count
 budget) and ``random_check`` samples seeded random structures.  Both
-evaluate in chunks of ``_CHUNK`` structures, stop at the first chunk
-that separates the terms, and return the first counterexample in a
-documented deterministic order.
+hand chunks of ``_CHUNK`` structures to ``first_separating``, stop at
+the first chunk that separates the terms, and return the first
+counterexample in a documented deterministic order.
 """
 
 from __future__ import annotations
@@ -274,19 +274,6 @@ def structure_count(num_vars: int, size: int) -> int:
     return 1 << (size * size * num_vars)
 
 
-def _structure_from_index(index: int, names: list[str], size: int) -> Structure:
-    nn = size * size
-    assignment = {}
-    for slot, name in enumerate(names):
-        block = (index >> (nn * (len(names) - 1 - slot))) & ((1 << nn) - 1)
-        bits = 0
-        for p in range(nn):
-            if (block >> (nn - 1 - p)) & 1:
-                bits |= 1 << p
-        assignment[name] = Rel(size, bits)
-    return Structure(size, assignment)
-
-
 # ---------------------------------------------------------------------------
 # Vectorized term evaluation on batches of packed relations
 
@@ -429,6 +416,29 @@ def eval_term_batch(t: Term, assignment: Mapping[str, np.ndarray], n: int) -> np
 _CHUNK = 1 << 14
 
 
+def first_separating(t1: Term, t2: Term, assignment: Mapping[str, np.ndarray],
+                     n: int) -> Optional[Structure]:
+    """The structure at the first index of the batch where the two terms
+    evaluate differently; None if they agree on the whole batch."""
+    diff = np.nonzero(eval_term_batch(t1, assignment, n) != eval_term_batch(t2, assignment, n))[0]
+    if not diff.size:
+        return None
+    return Structure(n, {name: Rel(n, int(vals[diff[0]])) for name, vals in assignment.items()})
+
+
+def _enumerated_batch(start: int, stop: int, names: list[str], size: int) -> dict[str, np.ndarray]:
+    """The structures with enumeration indices start..stop-1, as one
+    array of packed relations per variable: each variable's block of the
+    index is bit-reversed into a row-major relation."""
+    nn = size * size
+    rev = _bitrev_tables(nn)
+    block_mask = np.uint64((1 << nn) - 1)
+    idx = np.arange(start, stop, dtype=np.uint64)
+    k = len(names)
+    return {name: map_bits((idx >> np.uint64(nn * (k - 1 - slot))) & block_mask, rev)
+            for slot, name in enumerate(names)}
+
+
 def exhaustive_check(t1: Term, t2: Term, sizes: Iterable[int],
                      budget: int = DEFAULT_BUDGET) -> Optional[Structure]:
     """First structure (sizes ascending, then enumeration order) where
@@ -438,31 +448,12 @@ def exhaustive_check(t1: Term, t2: Term, sizes: Iterable[int],
         count = structure_count(len(names), size)
         if count > budget:
             raise BudgetExceeded(count, budget)
-        idx = _scan_size(t1, t2, names, size, count)
-        if idx is not None:
-            return _structure_from_index(idx, names, size)
+        for start in range(0, count, _CHUNK):
+            witness = first_separating(
+                t1, t2, _enumerated_batch(start, min(start + _CHUNK, count), names, size), size)
+            if witness is not None:
+                return witness
     return None
-
-
-def _scan_size(t1: Term, t2: Term, names: list[str], size: int, count: int) -> Optional[int]:
-    nn = size * size
-    rev = _bitrev_tables(nn)
-    block_mask = np.uint64((1 << nn) - 1)
-    k = len(names)
-    for start in range(0, count, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, count), dtype=np.uint64)
-        assignment = {name: map_bits((idx >> np.uint64(nn * (k - 1 - slot))) & block_mask, rev)
-                      for slot, name in enumerate(names)}
-        i = _first_difference(t1, t2, assignment, size)
-        if i is not None:
-            return start + i
-    return None
-
-
-def _first_difference(t1: Term, t2: Term, assignment: Mapping[str, np.ndarray],
-                      size: int) -> Optional[int]:
-    diff = np.nonzero(eval_term_batch(t1, assignment, size) != eval_term_batch(t2, assignment, size))[0]
-    return int(diff[0]) if diff.size else None
 
 
 def random_check(t1: Term, t2: Term, size: int, samples: int,
@@ -489,9 +480,8 @@ def random_check(t1: Term, t2: Term, size: int, samples: int,
         vals[: len(forced)] = forced
         assignment[name] = vals
     for start in range(0, total, _CHUNK):
-        i = _first_difference(t1, t2, {name: vals[start:start + _CHUNK]
-                                       for name, vals in assignment.items()}, size)
-        if i is not None:
-            return Structure(size, {name: Rel(size, int(vals[start + i]))
-                                    for name, vals in assignment.items()})
+        witness = first_separating(t1, t2, {name: vals[start:start + _CHUNK]
+                                            for name, vals in assignment.items()}, size)
+        if witness is not None:
+            return witness
     return None

@@ -187,10 +187,23 @@ def test_verify_rules_reports_exact_failures_beyond_size_5(run, tmp_path):
         [[[6, 1], [7, 1]], [[6, 2], [7, 2]], [[6, 1], [7, 1]]]
 
 
+def test_search_output_certifies_with_verify_rules(run, tmp_path):
+    emit = tmp_path / "found.txt"
+    code, _, _ = run("search", "--max-len", "15", "--budget", "1000000", "--emit", str(emit))
+    assert code == 0
+    code, out, _ = run("verify-rules", str(emit), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["passed"], obj["total"]) == (43, 43)
+
+
 def test_removed_oracle_flags_are_usage_errors(run):
     assert run("search", "--max-len", "2", "--samples", "64")[0] == 64
     assert run("verify-rules", "builtin:figure1", "--seed", "1")[0] == 64
     assert run("equiv", "--lhs", "a", "--rhs", "a", "--threads", "2")[0] == 64
+    assert run("export-smt", "--lhs", "a", "--rhs", "a", "--out", "f",
+               "--run-solver", "z3")[0] == 64
+    assert run("normalize", "--word", "iI", "--trace")[0] == 64
 
 
 def test_usage_errors(run):
@@ -276,12 +289,20 @@ def test_determinism_byte_identical(run):
 
 
 def test_unknown_beyond_packed_sizes_claims_no_coverage(run):
-    # the sides differ from size 5 on, but no kernel packs a size-9
-    # structure: nothing is exhausted and nothing is sampled
-    code, out, err = run("equiv", "--lhs", "a", "--rhs", "a;D", "--mode", "rel>=9")
+    # a level-2 pair takes the bounded route, and no kernel packs a
+    # size-9 structure: nothing is exhausted and nothing is sampled
+    code, out, err = run("equiv", "--lhs", "a;(b$c)", "--rhs", "(a;b)$c", "--mode", "rel>=9")
     assert code == 2
     assert out == "unknown (exhausted no size, 0 samples)\n"
     assert err == ""
+
+
+def test_one_occurrence_witness_beyond_packed_sizes(run):
+    # the size-5 basis witness is carried to size 9 with the same pairs
+    code, out, _ = run("equiv", "--lhs", "a", "--rhs", "a;D", "--mode", "rel>=9", "--json")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["witness"] == {"size": 9, "relations": {"a": [[0, 0]]}}
 
 
 def test_unknown_separates_sampled_from_exhausted_sizes(run):

@@ -161,6 +161,15 @@ def test_one_occurrence_witness_at_the_mode_size():
         assert isinstance(v, Inequivalent) and v.witness.size == m
 
 
+def test_one_occurrence_witness_keeps_its_shape_past_packed_sizes():
+    # a full or all-but-one-pair witness at size 5 stays full or all but
+    # the same pair at size 9
+    v = decide_terms(parse_term("top;a~;top"), parse_term("top"), Mode(9), FAST)
+    assert v.witness.assignment["a"] == Rel.full(9)
+    v = decide_terms(parse_term("top;(a~ & I);top"), parse_term("top;a~;top"), Mode(9), FAST)
+    assert v.witness.assignment["a"] == Rel.from_pairs(9, [(0, 1)]).compl()
+
+
 def test_one_occurrence_mixed_variables_and_polarities():
     v = decide_terms(parse_term("a & bot"), parse_term("b & bot"), REL, FAST)
     assert isinstance(v, Equivalent)
@@ -222,3 +231,17 @@ def test_one_occurrence_route_differential(lhs, rhs, m):
             assert exhaustive_check(lhs, rhs, [n]) is None, n
     for n in range(max(m, 5), 9):
         assert random_check(lhs, rhs, n, 3000, n) is None, n
+
+
+@given(one_occurrence_terms, one_occurrence_terms, st.sampled_from([9, 10, 13]))
+@settings(max_examples=100, deadline=None)
+def test_one_occurrence_witness_carried_past_packed_sizes(lhs, rhs, m):
+    # past size 8 the verdict is the one at size 5, and a size-5 witness
+    # carried to size m still separates under the set semantics
+    assume(_in_gate(lhs) and _in_gate(rhs) and vo(lhs) + vo(rhs) > 0)
+    v = decide_terms(lhs, rhs, Mode(m), FAST)
+    assert type(v) is type(decide_terms(lhs, rhs, Mode(5), FAST))
+    if isinstance(v, Inequivalent):
+        assert v.witness.size == m
+        env = {name: set(rel.pairs()) for name, rel in v.witness.assignment.items()}
+        assert naive_eval(lhs, m, env) != naive_eval(rhs, m, env)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from relfrag.semantics import (BudgetExceeded, Rel, SemanticsError, SizeWindow,
-                               Structure, _structure_from_index, eval_term,
+                               Structure, _enumerated_batch, eval_term,
                                eval_term_batch, exhaustive_check, random_check,
                                structure_count, structure_from_json,
                                structure_to_json)
@@ -181,10 +181,8 @@ def test_enumerate_structures_counts():
 
 def test_enumerate_structures_unique_and_ordered():
     # the order in which exhaustive_check scans structures
-    seen = []
-    for index in range(structure_count(2, 2)):
-        m = _structure_from_index(index, ["a", "b"], 2)
-        seen.append((m.assignment["a"].bits, m.assignment["b"].bits))
+    batch = _enumerated_batch(0, structure_count(2, 2), ["a", "b"], 2)
+    seen = [(int(a), int(b)) for a, b in zip(batch["a"], batch["b"])]
     assert len(seen) == 256
     assert len(set(seen)) == 256
     # documented order: first structure all-empty, last all-full
