@@ -54,7 +54,8 @@ def _verdict_json(verdict) -> dict:
     lo, hi = (verdict.checked.lo, verdict.checked.hi) if verdict.checked else (None, None)
     return {"verdict": "unknown", "witness": None, "justification": None,
             "checked": {"lo": lo, "hi": hi,
-                        "samples": verdict.samples, "sampled": list(verdict.sampled)}}
+                        "samples": verdict.samples, "sampled": list(verdict.sampled),
+                        "reason": verdict.reason, "seed": verdict.seed}}
 
 
 def _verdict_exit(verdict) -> int:

@@ -1,20 +1,26 @@
 """Top-level equivalence decisions, three-valued.
 
 ``Equivalent`` always carries a replayable justification (constant-class
-derivations, or the sizes a one-occurrence check decided one by one);
-``Inequivalent`` carries a separating structure that is re-checked on
-construction; everything else is ``Unknown`` with the sizes actually
-exhausted and sampled.  Only the variable-free route and the
-one-occurrence route can answer ``Equivalent``; the bounded oracles
-are sound but incomplete.
+derivations, syntactic identity, or the sizes and number of structures
+an exact route checked); ``Inequivalent`` carries a separating
+structure that is re-checked on construction; everything else is
+``Unknown`` with the sizes actually exhausted and sampled, the sampling
+seed, and the reason the small-model route did not apply.  Only the
+bounded route can answer ``Unknown``, and it never answers
+``Equivalent``.
 
 Routing in ``decide_terms``: two variable-free terms go through the
 constant classes (exact).  Two terms with at most one variable
 occurrence each and existential level at most one take the
-one-occurrence route (exact).  Anything else gets a bounded
-counterexample search and never an ``Equivalent``.  Words
+one-occurrence route (exact).  Two identical terms are equivalent.
+Every other pair takes the small-model route (exact) when it applies,
+and the bounded counterexample search otherwise.  Words
 (``decide_word_equiv``) take the one-occurrence route on the terms
 they make from one variable, on universes of size at least five.
+
+The exact routes hand (size, assignment batch) pairs to one loop,
+``_separate``, which stops at the first structure that separates the
+sides and re-checks it.
 
 The one-occurrence route evaluates both sides on every assignment of
 *basis* relations to the variables: the empty relation, the full
@@ -46,6 +52,55 @@ exact:
   and the other antitone or independent of it.  The basis holds the
   empty and the full relation, on which a non-constant monotone side
   differs, so the check finds that too.
+
+The small-model route checks both inclusions.  t1 ⊆ t2 fails on a
+structure of size at least M exactly when φ = T1(x0, y0) ∧ ¬T2(x0, y0)
+holds there for some points x0, y0, where T1 and T2 are the standard
+translations (``fo``), their bound names drawn from one pool.  In
+negation normal form, with no existential below a universal, φ is
+equivalent to ∃x0 ∃y0 of a disjunction of formulas ∃z̄ (L ∧ U1 ∧ ... ∧
+Ur): the literals L are quantifier-free and the Ui are universal
+formulas (``fo.ea_disjuncts``).  Call x0, y0 and z̄ the disjunct's
+witnesses.  For every disjunct and every partition of its witnesses
+into k classes, the route builds one structure C on max(M, k) points:
+the classes are the points 0..k-1 in order of first appearance, a
+variable that occurs only positively in the Ui is full and every other
+variable is empty, and then each atom literal of L sets or clears its
+pair.  A partition that breaks an equality literal of L is skipped.
+The sides are equivalent iff no C separates them:
+
+1. *Substructures preserve the universal parts.*  Let A, of size at
+   least M, satisfy a disjunct with witnesses ā, and let the partition
+   be the equality type of ā, with k classes.  Take B, a substructure
+   of A with max(M, k) points that contains ā (A has at least M and at
+   least k points, and every subset of a relational structure is a
+   substructure).  Literals are quantifier-free and universal formulas
+   hold in every substructure, so B satisfies the disjunct with ā.
+2. *The polarity fill keeps the disjunct true.*  Identify B's points
+   with C's so that ā goes to the classes.  C satisfies L: its atom
+   literals by construction (they agree with one another, since B
+   satisfies them all) and its equality literals by the partition.  A
+   variable R that occurs only positively in the Ui is full in C
+   except for the pairs that a literal ¬R clears, and B leaves those
+   out too, so R in C contains R in B.  A variable that occurs only
+   negatively in the Ui is empty in C except for the pairs that a
+   literal R sets, and B holds those too, so R in C lies inside R in
+   B.  Every Ui is monotone in its atoms and their negations, each of
+   which is at least as true in C as in B, so C satisfies every Ui.
+3. *max(M, k) points suffice.*  So if the inclusion fails on any
+   structure of size at least M, it fails on one of the built
+   structures, each of which has at least M points; and any structure
+   that separates the sides is a witness.
+
+The route does not apply, and the pair goes to the bounded search,
+when an existential sits below a universal, when a variable has both
+polarities in the universal parts of one disjunct, when a structure
+would have more than 8 points (no kernel packs it), or when there
+would be more than ``_CANDIDATE_CAP`` structures.  All four are read
+from ``fo.ea_profile`` before any disjunct is expanded.  When a built
+structure separates the sides, the bounded search runs all the same,
+so that its witness is the one reported; the built witness is reported
+only when that search comes back ``Unknown``.
 """
 
 from __future__ import annotations
@@ -57,6 +112,8 @@ from typing import Optional, Union as TUnion
 import numpy as np
 
 from .constants import decide_0vo
+from .fo import (FoAnd, FoAtom, FoEq, FoNot, ea_disjuncts, ea_profile, nnf,
+                 standard_translations, universal_polarities)
 from .semantics import (Rel, SizeWindow, Structure, eval_term, exhaustive_check,
                         first_separating, full_mask, random_check, structure_count)
 from .search import OracleConfig
@@ -77,12 +134,15 @@ class Inequivalent:
 @dataclass(frozen=True)
 class Unknown:
     """No verdict.  ``checked`` is the window of sizes scanned
-    exhaustively (None if there were none); ``samples`` seeded
-    structures were drawn in all over the ``sampled`` sizes."""
+    exhaustively (None if there were none); ``samples`` structures were
+    drawn with ``seed`` in all over the ``sampled`` sizes.  ``reason``
+    says why the small-model route did not apply."""
 
     checked: Optional[SizeWindow]
     samples: int
-    sampled: tuple[int, ...] = ()
+    sampled: tuple[int, ...]
+    reason: str
+    seed: int
 
 
 Verdict = TUnion[Equivalent, Inequivalent, Unknown]
@@ -122,6 +182,20 @@ def _checked_inequivalent(t1: Term, t2: Term, witness: Structure) -> Inequivalen
     return Inequivalent(witness)
 
 
+def _separate(t1: Term, t2: Term, batches, min_size: int) -> Optional[Inequivalent]:
+    """Run ``first_separating`` over (size, assignment batch) pairs in
+    order.  The first witness, carried to ``min_size`` if it is smaller
+    (see ``_lift``) and re-checked; None if no batch separates."""
+    for n, assignment in batches:
+        witness = first_separating(t1, t2, assignment, n)
+        if witness is not None:
+            if n < min_size:
+                witness = Structure(min_size, {name: _lift(rel, min_size)
+                                               for name, rel in witness.assignment.items()})
+            return _checked_inequivalent(t1, t2, witness)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # One variable occurrence per side
 
@@ -134,12 +208,11 @@ def _basis(n: int) -> np.ndarray:
     return np.array([0, fm, *singles, *(fm ^ s for s in singles)], dtype=np.uint64)
 
 
-def _basis_difference(t1: Term, t2: Term, n: int) -> Optional[Structure]:
-    """First assignment of basis relations (first variable by name
-    slowest) on which the terms differ at size n, or None."""
-    names = sorted(variables(t1) | variables(t2))
+def _basis_batch(names: list[str], n: int) -> dict[str, np.ndarray]:
+    """Every assignment of basis relations at size n, first variable by
+    name slowest."""
     grids = np.meshgrid(*[_basis(n)] * len(names), indexing="ij")
-    return first_separating(t1, t2, {name: g.ravel() for name, g in zip(names, grids)}, n)
+    return {name: g.ravel() for name, g in zip(names, grids)}
 
 
 def _lift(rel: Rel, n: int) -> Rel:
@@ -154,16 +227,11 @@ def _one_occurrence(t1: Term, t2: Term, min_size: int) -> Verdict:
     """Exact verdict for two sides with at most one variable occurrence
     each and level at most one (see the module docstring); a witness
     is at the mode's minimum size."""
+    names = sorted(variables(t1) | variables(t2))
     small = list(range(min_size, 5))
     large = max(min_size, 5) if min_size <= 8 else 5
-    for n in (*small, large):
-        witness = _basis_difference(t1, t2, n)
-        if witness is not None:
-            if n < min_size:
-                witness = Structure(min_size, {name: _lift(rel, min_size)
-                                               for name, rel in witness.assignment.items()})
-            return _checked_inequivalent(t1, t2, witness)
-    return Equivalent({"kind": "one-occurrence", "exhausted_sizes": small})
+    found = _separate(t1, t2, ((n, _basis_batch(names, n)) for n in (*small, large)), min_size)
+    return found or Equivalent({"kind": "one-occurrence", "exhausted_sizes": small})
 
 
 def decide_word_equiv(w1: Word, w2: Word, cfg: OracleConfig = OracleConfig()) -> Verdict:
@@ -175,14 +243,75 @@ def decide_word_equiv(w1: Word, w2: Word, cfg: OracleConfig = OracleConfig()) ->
 
 
 # ---------------------------------------------------------------------------
+# Small models of ∃*∀* inclusions
+
+# the most structures the small-model route builds for one pair
+_CANDIDATE_CAP = 1 << 14
+
+
+@lru_cache(maxsize=None)
+def _partitions(k: int) -> tuple[tuple[int, ...], ...]:
+    """Every partition of k ordered witnesses, as the class of each
+    witness with classes numbered in order of first appearance."""
+    out = [()]
+    for _ in range(k):
+        out = [p + (c,) for p in out for c in range(max(p, default=-1) + 2)]
+    return tuple(out)
+
+
+def _small_model(t1: Term, t2: Term, min_size: int) -> TUnion[str, Verdict]:
+    """Exact verdict from the structures built in the module docstring,
+    or the reason the route does not apply."""
+    f1, f2 = standard_translations((t1, t2))
+    phis = [nnf(FoAnd(f1, FoNot(f2))), nnf(FoAnd(f2, FoNot(f1)))]
+    profiles = [ea_profile(phi) for phi in phis]
+    if None in profiles:
+        return "not exists-forall"
+    mixed = sorted(frozenset().union(*(p.mixed for p in profiles)))
+    if mixed:
+        return f"mixed polarity in {mixed[0]}"
+    witnesses = [(k + 2, count) for p in profiles for k, count in p.exists.items()]
+    if max((max(min_size, k) for k, _ in witnesses), default=0) > 8:
+        return "beyond 8 points"
+    if sum(len(_partitions(k)) * count for k, count in witnesses) > _CANDIDATE_CAP:
+        return "candidate budget"
+
+    names = sorted(variables(t1) | variables(t2))
+    structures: dict[int, dict[tuple[int, ...], None]] = {}
+    for d in (d for phi in phis for d in ea_disjuncts(phi)):
+        points = ("x0", "y0", *d.exists)
+        full = frozenset().union(*(universal_polarities(u)[0] for u in d.foralls))
+        for classes in _partitions(len(points)):
+            at = dict(zip(points, classes))
+            n = max(min_size, max(classes) + 1)
+            bits = {name: full_mask(n) if name in full else 0 for name in names}
+            for lit in d.literals:
+                atom = lit.arg if isinstance(lit, FoNot) else lit
+                if isinstance(atom, FoEq):
+                    if (at[atom.left] == at[atom.right]) != (lit is atom):
+                        break
+                elif isinstance(atom, FoAtom):
+                    pair = 1 << (at[atom.left] * n + at[atom.right])
+                    bits[atom.rel] = bits[atom.rel] | pair if lit is atom else bits[atom.rel] & ~pair
+            else:
+                structures.setdefault(n, {})[tuple(bits[name] for name in names)] = None
+    batches = [(n, {name: np.array([s[i] for s in structures[n]], dtype=np.uint64)
+                    for i, name in enumerate(names)})
+               for n in sorted(structures)]
+    found = _separate(t1, t2, batches, min_size)
+    return found or Equivalent({"kind": "small-model", "sizes": sorted(structures),
+                                "structures": sum(map(len, structures.values()))})
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
 def _bounded_separation(t1: Term, t2: Term, mode: Mode,
-                        cfg: OracleConfig) -> Verdict:
+                        cfg: OracleConfig, reason: str) -> Verdict:
     """Exhaustive scan at small sizes within budget, then seeded
     sampling (including any small sizes the budget skipped); never
-    answers Equivalent."""
+    answers Equivalent.  An Unknown carries ``reason``."""
     num_vars = max(1, len(variables(t1) | variables(t2)))
     budget = 1 << 26
     exhausted, skipped_small = [], []
@@ -205,7 +334,7 @@ def _bounded_separation(t1: Term, t2: Term, mode: Mode,
     # the structure count grows with the size, so the exhausted sizes
     # are a run from the mode's minimum
     checked = SizeWindow(exhausted[0], exhausted[-1]) if exhausted else None
-    return Unknown(checked, samples, tuple(sizes))
+    return Unknown(checked, samples, tuple(sizes), reason, cfg.seed)
 
 
 def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
@@ -226,7 +355,15 @@ def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
             and info1.sigma_level is not None and info1.sigma_level <= 1
             and info2.sigma_level is not None and info2.sigma_level <= 1):
         return _one_occurrence(t1, t2, mode.min_size)
-    return _bounded_separation(t1, t2, mode, cfg)
+    if t1 == t2:
+        return Equivalent({"kind": "syntactic"})
+    verdict = _small_model(t1, t2, mode.min_size)
+    if isinstance(verdict, Equivalent):
+        return verdict
+    bounded = _bounded_separation(t1, t2, mode, cfg, verdict if isinstance(verdict, str) else "")
+    if isinstance(verdict, Inequivalent) and isinstance(bounded, Unknown):
+        return verdict
+    return bounded
 
 
 def replay_justification(verdict: Equivalent, t1: Term, t2: Term) -> bool:
@@ -238,4 +375,8 @@ def replay_justification(verdict: Equivalent, t1: Term, t2: Term) -> bool:
         return z.equivalent and z.left_class.value == j["class"]
     if j["kind"] == "one-occurrence":
         return _one_occurrence(t1, t2, min(j["exhausted_sizes"], default=5)) == verdict
+    if j["kind"] == "syntactic":
+        return t1 == t2
+    if j["kind"] == "small-model":
+        return _small_model(t1, t2, min(j["sizes"], default=1)) == verdict
     return False

@@ -10,6 +10,15 @@ y1, y2, ..., allocated left to right; a middle point draws from the
 pool opposite to the current source argument, which reproduces the
 conventional layout (x0 free source, y0 free target, existentials
 named y1, y2, ... in a plain composition chain).
+``standard_translations`` draws the bound names of several terms from
+one pool, so that no bound name occurs in two of the formulas.
+
+``nnf`` pushes negations down to the atoms.  ``ea_profile`` and
+``ea_disjuncts`` read a formula in negation normal form with no
+existential below a universal (an ∃*∀* formula, once prenexed) as a
+disjunction: each disjunct has its existential names, its
+quantifier-free literals and its maximal universal subformulas.  The
+profile reads the shape of those disjuncts without expanding them.
 
 ``export_equation_smt2`` / ``export_equation_tptp`` emit a script whose
 unsatisfiability (resp. theoremhood) certifies that the two sides agree
@@ -21,8 +30,9 @@ byte-stable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Union as TUnion
+from typing import NamedTuple, Optional, Union as TUnion
 
 from .terms import (Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term,
                     TermError, Top, Union, Var, variables)
@@ -113,6 +123,14 @@ def standard_translation(t: Term, x: str = "x0", y: str = "y0") -> FoFormula:
     return _translate(t, x, y, _Pool())
 
 
+def standard_translations(terms: tuple[Term, ...]) -> tuple[FoFormula, ...]:
+    """Standard translations of several terms in x0 and y0, with their
+    bound names drawn from one pool, so no bound name occurs in two of
+    them."""
+    pool = _Pool()
+    return tuple(_translate(t, "x0", "y0", pool) for t in terms)
+
+
 def _translate(t: Term, x: str, y: str, pool: _Pool) -> FoFormula:
     if isinstance(t, Var):
         return FoAtom(t.name, x, y)
@@ -171,6 +189,138 @@ def _canon(f: FoFormula, bound: dict[str, str], counter: list[int]):
         name = f"_b{counter[0]}"
         return (type(f).__name__, _canon(f.body, {**bound, f.var: name}, counter))
     raise FoError(f"unexpected formula {f!r}")  # pragma: no cover
+
+
+# ---------------------------------------------------------------------------
+# Negation normal form and the disjuncts of an ∃*∀* formula
+
+
+def nnf(f: FoFormula, positive: bool = True) -> FoFormula:
+    """Negation normal form of f (of its negation when ``positive`` is
+    False): negations only on atoms and equalities, no FoIff, and FoTrue
+    or FoFalse only as the whole formula.  Universes are non-empty, so
+    a quantifier over a constant is that constant."""
+    if isinstance(f, FoNot):
+        return nnf(f.arg, not positive)
+    if isinstance(f, (FoAtom, FoEq)):
+        return f if positive else FoNot(f)
+    if isinstance(f, (FoTrue, FoFalse)):
+        return FoTrue() if isinstance(f, FoTrue) == positive else FoFalse()
+    if isinstance(f, FoIff):
+        return nnf(FoOr(FoAnd(f.left, f.right), FoAnd(FoNot(f.left), FoNot(f.right))), positive)
+    if isinstance(f, (FoAnd, FoOr)):
+        conj = isinstance(f, FoAnd) == positive
+        zero, unit = (FoFalse, FoTrue) if conj else (FoTrue, FoFalse)
+        left, right = nnf(f.left, positive), nnf(f.right, positive)
+        if isinstance(left, zero) or isinstance(right, zero):
+            return zero()
+        if isinstance(left, unit):
+            return right
+        if isinstance(right, unit):
+            return left
+        return FoAnd(left, right) if conj else FoOr(left, right)
+    if isinstance(f, (FoExists, FoForall)):
+        body = nnf(f.body, positive)
+        if isinstance(body, (FoTrue, FoFalse)):
+            return body
+        return FoExists(f.var, body) if isinstance(f, FoExists) == positive else FoForall(f.var, body)
+    raise FoError(f"unexpected formula {f!r}")  # pragma: no cover
+
+
+def universal_polarities(f: FoFormula) -> Optional[tuple[frozenset[str], frozenset[str]]]:
+    """The predicates that occur positively and those that occur
+    negatively in an NNF formula; None if it has an existential."""
+    if isinstance(f, FoExists):
+        return None
+    if isinstance(f, FoAtom):
+        return frozenset({f.rel}), frozenset()
+    if isinstance(f, FoNot):
+        return frozenset(), frozenset({f.arg.rel} if isinstance(f.arg, FoAtom) else ())
+    if isinstance(f, (FoAnd, FoOr)):
+        left, right = universal_polarities(f.left), universal_polarities(f.right)
+        if left is None or right is None:
+            return None
+        return left[0] | right[0], left[1] | right[1]
+    if isinstance(f, FoForall):
+        return universal_polarities(f.body)
+    return frozenset(), frozenset()
+
+
+# named tuples rather than dataclasses: each dataclass costs about 0.7 ms
+# at import, which every CLI process pays
+class EaDisjunct(NamedTuple):
+    """One disjunct of an ∃*∀* formula in NNF: its existential names, its
+    quantifier-free literals and its maximal universal subformulas."""
+
+    exists: tuple[str, ...]
+    literals: tuple[FoFormula, ...]
+    foralls: tuple[FoFormula, ...]
+
+
+class EaProfile(NamedTuple):
+    """The shape of an NNF formula's disjuncts, read without expanding
+    them.  ``exists`` maps a number of existential names to the number
+    of disjuncts with that many; ``positive`` and ``negative`` hold the
+    predicates with that polarity in the universal parts of some
+    disjunct, ``mixed`` those with both in the universal parts of one."""
+
+    exists: dict[int, int]
+    positive: frozenset[str]
+    negative: frozenset[str]
+    mixed: frozenset[str]
+
+
+def ea_profile(f: FoFormula) -> Optional[EaProfile]:
+    """Profile of an NNF formula whose bound names are distinct; None if
+    an existential sits below a universal."""
+    none = frozenset()
+    if isinstance(f, FoFalse):
+        return EaProfile({}, none, none, none)
+    if isinstance(f, FoForall):
+        signs = universal_polarities(f)
+        return None if signs is None else EaProfile({0: 1}, *signs, signs[0] & signs[1])
+    if isinstance(f, FoExists):
+        body = ea_profile(f.body)
+        if body is None:
+            return None
+        return EaProfile({k + 1: count for k, count in body.exists.items()},
+                         body.positive, body.negative, body.mixed)
+    if isinstance(f, (FoAnd, FoOr)):
+        left, right = ea_profile(f.left), ea_profile(f.right)
+        if left is None or right is None:
+            return None
+        mixed = left.mixed | right.mixed
+        if isinstance(f, FoOr):
+            exists = Counter(left.exists) + Counter(right.exists)
+        else:
+            exists = Counter()
+            for j, m in left.exists.items():
+                for k, n in right.exists.items():
+                    exists[j + k] += m * n
+            mixed |= (left.positive & right.negative) | (left.negative & right.positive)
+        return EaProfile(dict(exists), left.positive | right.positive,
+                         left.negative | right.negative, mixed)
+    return EaProfile({0: 1}, none, none, none)
+
+
+def ea_disjuncts(f: FoFormula) -> list[EaDisjunct]:
+    """The disjuncts of an NNF formula whose profile is not None, with
+    conjunction distributed over disjunction outside the universal
+    parts."""
+    if isinstance(f, FoFalse):
+        return []
+    if isinstance(f, FoTrue):
+        return [EaDisjunct((), (), ())]
+    if isinstance(f, FoForall):
+        return [EaDisjunct((), (), (f,))]
+    if isinstance(f, FoExists):
+        return [EaDisjunct((f.var, *d.exists), d.literals, d.foralls) for d in ea_disjuncts(f.body)]
+    if isinstance(f, FoOr):
+        return ea_disjuncts(f.left) + ea_disjuncts(f.right)
+    if isinstance(f, FoAnd):
+        return [EaDisjunct(a.exists + b.exists, a.literals + b.literals, a.foralls + b.foralls)
+                for a in ea_disjuncts(f.left) for b in ea_disjuncts(f.right)]
+    return [EaDisjunct((), (f,), ())]
 
 
 # ---------------------------------------------------------------------------

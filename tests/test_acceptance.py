@@ -139,6 +139,9 @@ def test_criterion_5_paper_instance_suite(capsys):
         assert random_check(lhs, rhs, 4, 20_000, 7) is None, lhs_text
         verdict = decide_terms(lhs, rhs, REL, fast)
         assert not isinstance(verdict, Inequivalent), lhs_text
+        if k == 3:
+            assert isinstance(verdict, Equivalent), lhs_text
+            assert verdict.justification["kind"] == "small-model"
     # the two stated failures, with small witnesses
     v = decide_terms(parse_term("a ; a^"), parse_term("a^ ; a"), REL, fast)
     assert isinstance(v, Inequivalent) and v.witness.size <= 3

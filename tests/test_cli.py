@@ -26,9 +26,12 @@ def test_equiv_exit_codes_and_witness(run):
     code, out, _ = run("equiv", "--lhs", "D;D", "--rhs", "top", "--mode", "rel>=3")
     assert code == 0
 
-    code, out, _ = run("equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c",
+    code, out, _ = run("equiv", "--lhs", "(a;(b$c))^", "--rhs", "(c^$b^);a^",
                        "--samples", "64")
     assert code == 2
+
+    code, out, _ = run("equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c")
+    assert (code, out) == (0, "equivalent (small-model)\n")
 
 
 def test_equiv_json_schema(run):
@@ -46,11 +49,16 @@ def test_equiv_json_schema(run):
     witness = structure_from_json(json.dumps(obj["witness"]))
     assert witness.size <= 3
 
-    code, out, _ = run("equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c",
+    code, out, _ = run("equiv", "--lhs", "(a;(b$c))^", "--rhs", "(c^$b^);a^",
                        "--samples", "64", "--json")
     obj = json.loads(out)
     assert obj["verdict"] == "unknown"
     assert obj["checked"]["lo"] == 1 and obj["checked"]["samples"] > 0
+
+    code, out, _ = run("equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c", "--json")
+    assert code == 0
+    assert json.loads(out)["justification"] == {"kind": "small-model", "sizes": [1, 2, 3, 4],
+                                                "structures": 17}
 
 
 def test_eval_subcommand(run, tmp_path):
@@ -308,10 +316,26 @@ def test_one_occurrence_witness_beyond_packed_sizes(run):
 def test_unknown_separates_sampled_from_exhausted_sizes(run):
     # in mode rel>=5 the bounded route exhausts no size; sizes 5 and 6
     # are only sampled
-    code, out, _ = run("equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c", "--mode", "rel>=5",
+    code, out, _ = run("equiv", "--lhs", "(a;(b$c))^", "--rhs", "(c^$b^);a^", "--mode", "rel>=5",
                        "--samples", "64", "--json")
     assert code == 2
     assert json.loads(out)["checked"] == {"lo": None, "hi": None, "samples": 128,
-                                          "sampled": [5, 6]}
-    code, out, _ = run("equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c", "--samples", "64")
+                                          "sampled": [5, 6], "reason": "not exists-forall",
+                                          "seed": 0}
+    code, out, _ = run("equiv", "--lhs", "(a;(b$c))^", "--rhs", "(c^$b^);a^", "--samples", "64")
     assert out == "unknown (exhausted sizes 1..2, 256 samples at sizes 3,4,5,6)\n"
+
+
+def test_equiv_syntactic_equality(run):
+    # a mixed-polarity dagger, identical on both sides, in every mode
+    for mode in ("rel", "rel>=3", "rel>=9"):
+        code, out, _ = run("equiv", "--lhs", "a$a~", "--rhs", "a$a~", "--mode", mode)
+        assert (code, out) == (0, "equivalent (syntactic)\n")
+
+
+def test_unknown_reason_and_seed_in_json(run):
+    code, out, _ = run("equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c", "--mode", "rel>=9",
+                       "--seed", "7", "--json")
+    assert code == 2
+    checked = json.loads(out)["checked"]
+    assert (checked["reason"], checked["seed"]) == ("beyond 8 points", 7)

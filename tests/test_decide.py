@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from naive import naive_eval
-from strategies import one_occurrence_terms
+from strategies import near_pairs, one_occurrence_terms, two_variable_terms
 from relfrag import bitrel
 from relfrag.decide import (Equivalent, Inequivalent, Mode, REL, Unknown,
                             decide_terms, decide_word_equiv, parse_mode,
                             replay_justification)
 from relfrag.rewriting import enumerate_irreducibles, figure1_rules
 from relfrag.search import OracleConfig
-from relfrag.semantics import Rel, Structure, eval_term, exhaustive_check, random_check
-from relfrag.terms import Var, dotdagger_level, parse_term, variables, vo
+from relfrag.semantics import (Rel, Structure, eval_term, exhaustive_check, random_check,
+                               structure_count)
+from relfrag.terms import BOT, Var, dotdagger_level, parse_term, variables, vo
 from relfrag.words import apply_word, parse_word
 
 CFG = OracleConfig()
@@ -113,13 +114,16 @@ def test_decide_terms_bounded_route_counterexamples():
 
 
 def test_decide_terms_bounded_route_agreements_stay_unknown():
-    # associativity holds everywhere, but the bounded route cannot
-    # certify it: the verdict must stay Unknown, never Equivalent
-    v = decide_terms(parse_term("a ; (b ; c)"), parse_term("(a ; b) ; c"), REL,
-                     OracleConfig(samples_per_size=128))
+    # an identity with an existential below a universal in both
+    # directions: the bounded route cannot certify it, so the verdict
+    # must stay Unknown, never Equivalent
+    v = decide_terms(parse_term("(a;(b$c))^"), parse_term("(c^$b^);a^"), REL,
+                     OracleConfig(samples_per_size=128, seed=3))
     assert isinstance(v, Unknown)
     assert v.checked.lo == 1
     assert v.samples > 0
+    assert v.reason == "not exists-forall"
+    assert v.seed == 3
 
 
 def test_decide_terms_mode_monotone():
@@ -245,3 +249,114 @@ def test_one_occurrence_witness_carried_past_packed_sizes(lhs, rhs, m):
         assert v.witness.size == m
         env = {name: set(rel.pairs()) for name, rel in v.witness.assignment.items()}
         assert naive_eval(lhs, m, env) != naive_eval(rhs, m, env)
+
+
+# the identities of the decide benchmark's bounded queries, over three
+# variables
+BOUNDED_IDENTITIES = [
+    ("(a;b);c", "a;(b;c)"),
+    ("(a$b)$c", "a$(b$c)"),
+    ("(a;b)^", "b^;a^"),
+    ("(a$b)^", "b^$a^"),
+    ("a$b", "(a~;b~)~"),
+    ("(a|b);c", "(a;c)|(b;c)"),
+    ("a;(b|c)", "(a;b)|(a;c)"),
+    ("a;(b;c)", "(a;b);c"),
+    ("a&(b|c)", "(a&b)|(a&c)"),
+]
+
+
+@pytest.mark.parametrize("m", [1, 5, 8])
+def test_small_model_decides_the_bounded_identities(m):
+    for lhs_text, rhs_text in BOUNDED_IDENTITIES:
+        lhs, rhs = parse_term(lhs_text), parse_term(rhs_text)
+        v = decide_terms(lhs, rhs, Mode(m), CFG)
+        assert isinstance(v, Equivalent), (lhs_text, rhs_text)
+        assert v.justification["kind"] == "small-model"
+        assert min(v.justification["sizes"]) == m
+        assert replay_justification(v, lhs, rhs)
+
+
+def test_small_model_separating_structure_defers_to_the_bounded_witness():
+    # the candidate separates, and the bounded scan reports its own
+    # first witness, the one printed before the small-model route
+    lhs, rhs = parse_term("a ; b"), parse_term("b ; a")
+    v = decide_terms(lhs, rhs, REL, FAST)
+    assert v == decide_terms(lhs, rhs, REL, FAST)
+    assert v.witness == exhaustive_check(lhs, rhs, [1, 2])
+    # with nothing to scan or sample, the candidate's witness is returned
+    v = decide_terms(lhs, rhs, Mode(7), OracleConfig(sample_sizes=(3,), samples_per_size=1))
+    assert isinstance(v, Inequivalent) and v.witness.size == 7
+
+
+def test_syntactic_equality():
+    t = parse_term("a$a~")
+    for m in (1, 3, 9):
+        v = decide_terms(t, t, Mode(m), FAST)
+        assert v == Equivalent({"kind": "syntactic"})
+        assert replay_justification(v, t, t)
+    assert not replay_justification(v, t, parse_term("a$a~ | bot"))
+
+
+def _chain(n, left):
+    t = parse_term("a")
+    for _ in range(n - 1):
+        t = parse_term(f"({t});a") if left else parse_term(f"a;({t})")
+    return t
+
+
+def test_small_model_reasons_for_unknown():
+    cases = [
+        (parse_term("(a;(b$c))^"), parse_term("(c^$b^);a^"), REL, "not exists-forall"),
+        (parse_term("a$a~"), parse_term("(a$a~)^^"), REL, "mixed polarity in a"),
+        (parse_term("a;(b;c)"), parse_term("(a;b);c"), Mode(9), "beyond 8 points"),
+        (_chain(8, True), _chain(8, False), Mode(8), "beyond 8 points"),
+        (parse_term(f"({_chain(6, True)});(a|b)"), parse_term(f"({_chain(6, False)});(a|b)"),
+         Mode(8), "candidate budget"),
+    ]
+    for lhs, rhs, mode, reason in cases:
+        v = decide_terms(lhs, rhs, mode, OracleConfig(samples_per_size=16, seed=5))
+        assert isinstance(v, Unknown), (lhs, rhs)
+        assert (v.reason, v.seed) == (reason, 5)
+    # within the budget, a longer chain is still decided
+    v = decide_terms(_chain(7, True), _chain(7, False), REL, FAST)
+    assert v.justification["kind"] == "small-model"
+
+
+def _scan_or_sample(lhs, rhs, m):
+    """Every structure of each size m..4 within 2^20 structures, set
+    semantics for the smallest; 3,000 samples at every other size up
+    to 6.  True if nothing separates the sides."""
+    names = sorted(variables(lhs) | variables(rhs))
+    for n in range(m, 7):
+        if n <= 4 and structure_count(len(names), n) <= 1 << 12:
+            for env in _naive_structures(names, n):
+                if naive_eval(lhs, n, env) != naive_eval(rhs, n, env):
+                    return False
+        elif n <= 4 and structure_count(len(names), n) <= 1 << 20:
+            if exhaustive_check(lhs, rhs, [n]) is not None:
+                return False
+        elif random_check(lhs, rhs, n, 3000, n) is not None:
+            return False
+    return True
+
+
+@given(st.one_of(st.tuples(two_variable_terms, two_variable_terms), near_pairs()),
+       st.sampled_from([1, 2, 3, 4, 5]))
+@example((parse_term("b$b"), BOT), 2)
+@example((parse_term("a;b | top"), parse_term("a;b | top;D")), 1)
+@settings(max_examples=500, deadline=None)
+def test_small_model_route_differential(pair, m):
+    # every small-model or syntactic verdict survives a scan and samples
+    # (the two examples separate only under the documented polarity fill
+    # and at max(M, k) points), and every witness separates
+    lhs, rhs = pair
+    v = decide_terms(lhs, rhs, Mode(m), FAST)
+    if isinstance(v, Inequivalent):
+        n = v.witness.size
+        assert n >= m
+        env = {name: set(rel.pairs()) for name, rel in v.witness.assignment.items()}
+        assert naive_eval(lhs, n, env) != naive_eval(rhs, n, env)
+    elif isinstance(v, Equivalent) and v.justification["kind"] in ("small-model", "syntactic"):
+        assert _scan_or_sample(lhs, rhs, m), v.justification
+        assert replay_justification(v, lhs, rhs)

@@ -1,10 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from relfrag.fo import (FoAnd, FoAtom, FoEq, FoError, FoExists, FoNot,
-                        FoTrue, alpha_equivalent, export_equation_smt2,
-                        export_equation_tptp, standard_translation,
-                        word_translation)
+from relfrag.fo import (FoAnd, FoAtom, FoEq, FoError, FoExists, FoFalse, FoForall,
+                        FoIff, FoNot, FoOr, FoTrue, alpha_equivalent, ea_disjuncts,
+                        ea_profile, export_equation_smt2, export_equation_tptp, nnf,
+                        standard_translation, standard_translations,
+                        universal_polarities, word_translation)
 from relfrag.rewriting import figure1_rules
 from relfrag.semantics import Rel, Structure, eval_term
 from relfrag.terms import TOP, Var, parse_term, variables
@@ -12,6 +16,7 @@ from relfrag.words import apply_word, parse_word
 
 from checkers import check_smt2, check_tptp
 from naive import evaluate_formula
+from strategies import two_variable_terms
 
 
 def test_translation_basics():
@@ -148,3 +153,81 @@ def test_export_min_size_validation():
         export_equation_smt2(Var("a"), Var("a"), 0)
     with pytest.raises(FoError):
         export_equation_tptp(Var("a"), Var("a"), 0)
+
+
+def _bound_names(f):
+    if isinstance(f, (FoExists, FoForall)):
+        return [f.var] + _bound_names(f.body)
+    if isinstance(f, (FoAnd, FoOr, FoIff)):
+        return _bound_names(f.left) + _bound_names(f.right)
+    if isinstance(f, FoNot):
+        return _bound_names(f.arg)
+    return []
+
+
+def test_translations_share_one_pool():
+    f, g = standard_translations((parse_term("a ; b"), parse_term("a $ b")))
+    assert (f, g) == (FoExists("y1", FoAnd(FoAtom("a", "x0", "y1"), FoAtom("b", "y1", "y0"))),
+                      FoForall("y2", FoOr(FoAtom("a", "x0", "y2"), FoAtom("b", "y2", "y0"))))
+    # one side alone is translated as before
+    assert standard_translations((parse_term("a $ b"),))[0] == standard_translation(parse_term("a $ b"))
+
+
+def test_nnf_pushes_negations_to_atoms_and_folds_constants():
+    a = FoAtom("a", "x0", "y0")
+    assert nnf(FoNot(FoExists("y1", FoAnd(a, FoEq("y1", "y0"))))) == \
+        FoForall("y1", FoOr(FoNot(a), FoNot(FoEq("y1", "y0"))))
+    assert nnf(FoNot(FoOr(a, FoTrue()))) == FoFalse()
+    assert nnf(FoAnd(a, FoNot(FoFalse()))) == a
+    assert nnf(FoForall("y1", FoOr(a, FoNot(FoFalse())))) == FoTrue()
+    assert nnf(FoNot(FoIff(a, FoTrue()))) == FoNot(a)
+
+
+def test_ea_profile_rejects_an_existential_below_a_universal():
+    f, g = standard_translations((parse_term("a ; (b $ c)"), parse_term("(a ; b) $ c")))
+    assert ea_profile(nnf(FoAnd(f, FoNot(g)))) is not None
+    assert ea_profile(nnf(FoAnd(g, FoNot(f)))) is None
+    assert universal_polarities(nnf(g)) is None
+
+
+def _disjunction(disjuncts):
+    out = FoFalse()
+    for d in disjuncts:
+        body = FoTrue()
+        for part in (*d.literals, *d.foralls):
+            body = FoAnd(body, part)
+        for name in reversed(d.exists):
+            body = FoExists(name, body)
+        out = FoOr(out, body)
+    return out
+
+
+@given(two_variable_terms, two_variable_terms)
+@settings(max_examples=150, deadline=None)
+def test_ea_split_keeps_the_meaning_and_matches_its_profile(lhs, rhs):
+    f, g = standard_translations((lhs, rhs))
+    assert len(set(_bound_names(FoAnd(f, g)))) == len(_bound_names(FoAnd(f, g)))
+    phi = FoAnd(f, FoNot(g))
+    normal = nnf(phi)
+    profile = ea_profile(normal)
+    split = _disjunction(ea_disjuncts(normal)) if profile is not None else None
+    rng = np.random.default_rng(len(str(lhs)) + len(str(rhs)))
+    for size in (1, 2, 3):
+        m = _random_structure(rng, ["a", "b"], size)
+        for x in range(size):
+            for y in range(size):
+                env = {"x0": x, "y0": y}
+                want = evaluate_formula(phi, m, env)
+                assert evaluate_formula(normal, m, env) == want
+                if split is not None:
+                    assert evaluate_formula(split, m, env) == want
+    if profile is None:
+        return
+    disjuncts = ea_disjuncts(normal)
+    assert profile.exists == dict(Counter(len(d.exists) for d in disjuncts))
+    signs = [[universal_polarities(u) for u in d.foralls] for d in disjuncts]
+    positive = [frozenset().union(*(p for p, _ in s)) for s in signs]
+    negative = [frozenset().union(*(n for _, n in s)) for s in signs]
+    assert profile.positive == frozenset().union(*positive)
+    assert profile.negative == frozenset().union(*negative)
+    assert profile.mixed == frozenset().union(*(p & n for p, n in zip(positive, negative)))
