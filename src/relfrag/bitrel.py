@@ -32,10 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .semantics import _transpose_tables, diag_mask, full_mask, linear_tables, map_bits
+from .semantics import MAX_SIZE, _transpose_tables, diag_mask, full_mask, linear_tables, map_bits
 from .words import CAP_D, CAP_I, CONV, DOT_D, Letter, Word
-
-MAX_SIZE = 8
 
 
 def _dtype(n: int):

@@ -8,6 +8,12 @@ Exit codes: 0 success (for equiv: Equivalent), 1 Inequivalent,
 2 Unknown, 64 usage error, 65 input format error (input nested too
 deeply included), 70 internal error.  ``--json`` switches
 every subcommand to a stable machine-readable schema.
+
+Each command imports the modules it runs, at the top of its function,
+so a process loads only what its command uses: ``vo`` and ``level``
+load ``terms`` alone, and only ``equiv``, ``eval``, ``search`` and
+``verify-rules`` load the numpy kernel.  ``terms`` is imported here
+because every command parses with it.
 """
 
 from __future__ import annotations
@@ -17,16 +23,7 @@ import json
 import sys
 from typing import Optional
 
-from .automata import build_pattern_dfa, complement_and_trim, export_dot, is_cofinite, minimize
-from .decide import Equivalent, Inequivalent, decide_terms, parse_mode
-from .fo import export_equation_smt2, export_equation_tptp
-from .rewriting import (RewriteError, count_irreducibles, enumerate_irreducibles,
-                        format_rules, load_rules, normalize)
-from .search import OracleConfig, run_search, verify_rules
-from .semantics import (SemanticsError, eval_term, structure_from_json,
-                        structure_to_json)
-from .terms import ParseError, TermError, Var, dotdagger_level, parse_term, vo
-from .words import WordError, apply_word, format_word, parse_word
+from .terms import Var, dotdagger_level, parse_term, vo
 
 EX_OK, EX_INEQUIV, EX_UNKNOWN, EX_USAGE, EX_DATA, EX_SOFTWARE = 0, 1, 2, 64, 65, 70
 
@@ -41,10 +38,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _structure_json_obj(m) -> dict:
+    from .semantics import structure_to_json
+
     return json.loads(structure_to_json(m))
 
 
 def _verdict_json(verdict) -> dict:
+    from .decide import Equivalent, Inequivalent
+
     if isinstance(verdict, Equivalent):
         return {"verdict": "equivalent", "witness": None,
                 "justification": verdict.justification, "checked": None}
@@ -59,6 +60,8 @@ def _verdict_json(verdict) -> dict:
 
 
 def _verdict_exit(verdict) -> int:
+    from .decide import Equivalent, Inequivalent
+
     if isinstance(verdict, Equivalent):
         return EX_OK
     if isinstance(verdict, Inequivalent):
@@ -67,6 +70,9 @@ def _verdict_exit(verdict) -> int:
 
 
 def _print_verdict(verdict, as_json: bool) -> int:
+    from .decide import Equivalent, Inequivalent
+    from .semantics import structure_to_json
+
     if as_json:
         print(json.dumps(_verdict_json(verdict)))
         return _verdict_exit(verdict)
@@ -103,6 +109,8 @@ def _add_oracle_flags(p, sizes_default: Optional[tuple[int, ...]] = None,
 
 
 def _cmd_eval(args) -> int:
+    from .semantics import eval_term, structure_from_json
+
     term = parse_term(args.term)
     with open(args.structure, "r", encoding="utf-8") as fh:
         structure = structure_from_json(fh.read())
@@ -116,6 +124,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .decide import decide_terms, parse_mode
+    from .semantics import OracleConfig
+
     lhs, rhs = parse_term(args.lhs), parse_term(args.rhs)
     mode = parse_mode(args.mode)
     cfg = OracleConfig(exhaustive_size=args.exhaustive_size, sample_sizes=args.sample_sizes,
@@ -142,6 +153,9 @@ def _cmd_level(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from .rewriting import load_rules, normalize
+    from .words import format_word, parse_word
+
     rs = load_rules(args.rules)
     word = parse_word(args.word)
     nf, trace = normalize(word, rs)
@@ -154,6 +168,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .rewriting import enumerate_irreducibles, load_rules
+    from .words import format_word
+
     rs = load_rules(_rules_arg(args))
     count = 0
     for w in enumerate_irreducibles(rs):
@@ -165,11 +182,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .rewriting import count_irreducibles, load_rules
+
     print(count_irreducibles(load_rules(_rules_arg(args))))
     return EX_OK
 
 
 def _cmd_cofinite(args) -> int:
+    from .automata import is_cofinite
+    from .rewriting import load_rules
+
     rs = load_rules(_rules_arg(args))
     report = is_cofinite(rs.large_sides())
     if args.json:
@@ -186,6 +208,11 @@ def _cmd_cofinite(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .rewriting import format_rules, load_rules
+    from .search import run_search
+    from .semantics import OracleConfig
+    from .words import format_word
+
     cfg = OracleConfig(exhaustive_size=args.exhaustive_size)
     seed_rules = load_rules(args.rules) if args.rules else None
     report = run_search(cfg, args.max_len, args.budget, seed_rules)
@@ -209,6 +236,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_export_dfa(args) -> int:
+    from .automata import build_pattern_dfa, complement_and_trim, export_dot, minimize
+    from .rewriting import load_rules
+
     rs = load_rules(_rules_arg(args))
     d = build_pattern_dfa(rs.large_sides())
     if args.kind == "minimal":
@@ -225,6 +255,8 @@ def _cmd_export_dfa(args) -> int:
 
 
 def _term_sides(args):
+    from .words import apply_word, parse_word
+
     if (args.lhs is None) == (args.lhs_word is None):
         raise UsageError("give exactly one of --lhs / --lhs-word (same for rhs)")
     if (args.rhs is None) == (args.rhs_word is None):
@@ -235,6 +267,8 @@ def _term_sides(args):
 
 
 def _cmd_export_obligation(args, fmt: str) -> int:
+    from .fo import export_equation_smt2, export_equation_tptp
+
     lhs, rhs = _term_sides(args)
     exporter = export_equation_smt2 if fmt == "smt2" else export_equation_tptp
     text = exporter(lhs, rhs, args.min_size)
@@ -247,6 +281,10 @@ def _cmd_export_obligation(args, fmt: str) -> int:
 
 
 def _cmd_verify_rules(args) -> int:
+    from .rewriting import load_rules
+    from .search import verify_rules
+    from .words import format_word
+
     rs = load_rules(_rules_arg(args))
     checks = verify_rules(rs, exhaustive_size=args.exhaustive_size,
                           sample_sizes=args.sample_sizes)
@@ -369,8 +407,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EX_USAGE
-    except (ParseError, WordError, TermError, RewriteError, SemanticsError,
-            ValueError) as e:
+    except ValueError as e:  # every relfrag input error derives from it
         print(f"input error: {e}", file=sys.stderr)
         return EX_DATA
     except OSError as e:

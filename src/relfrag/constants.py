@@ -23,7 +23,6 @@ from typing import Optional
 from .terms import (ALL_PROJECTIONS, BOT, DI, ID, TOP, Bot, Comp, Compl, Dagger, Di,
                     Id, Inter, Proj, Projection, PROJ_BOTH_1, PROJ_IDENTITY,
                     PROJ_SWAP, Term, TermError, Top, Union, Var, vo)
-from .semantics import Structure, eval_term
 
 
 class ConstClass(enum.Enum):
@@ -149,6 +148,8 @@ def decide_0vo(t1: Term, t2: Term, min_size: int = 1) -> ZeroVoVerdict:
     variable-free structures of the remaining small sizes are evaluated
     exhaustively.
     """
+    from .semantics import Structure, eval_term  # numpy only when a verdict is needed
+
     if vo(t1) != 0 or vo(t2) != 0:
         raise ConstError("decide_0vo needs variable-free terms on both sides")
     if min_size < 1:

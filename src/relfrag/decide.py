@@ -114,9 +114,9 @@ import numpy as np
 from .constants import decide_0vo
 from .fo import (FoAnd, FoAtom, FoEq, FoNot, ea_disjuncts, ea_profile, nnf,
                  standard_translations, universal_polarities)
-from .semantics import (Rel, SizeWindow, Structure, eval_term, exhaustive_check,
-                        first_separating, full_mask, random_check, structure_count)
-from .search import OracleConfig
+from .semantics import (MAX_SIZE, OracleConfig, Rel, SizeWindow, Structure, eval_term,
+                        exhaustive_check, first_separating, full_mask, random_check,
+                        structure_count)
 from .terms import Term, Var, dotdagger_level, variables, vo
 from .words import Word, apply_word
 
@@ -229,7 +229,7 @@ def _one_occurrence(t1: Term, t2: Term, min_size: int) -> Verdict:
     is at the mode's minimum size."""
     names = sorted(variables(t1) | variables(t2))
     small = list(range(min_size, 5))
-    large = max(min_size, 5) if min_size <= 8 else 5
+    large = max(min_size, 5) if min_size <= MAX_SIZE else 5
     found = _separate(t1, t2, ((n, _basis_batch(names, n)) for n in (*small, large)), min_size)
     return found or Equivalent({"kind": "one-occurrence", "exhausted_sizes": small})
 
@@ -271,7 +271,7 @@ def _small_model(t1: Term, t2: Term, min_size: int) -> TUnion[str, Verdict]:
     if mixed:
         return f"mixed polarity in {mixed[0]}"
     witnesses = [(k + 2, count) for p in profiles for k, count in p.exists.items()]
-    if max((max(min_size, k) for k, _ in witnesses), default=0) > 8:
+    if max((max(min_size, k) for k, _ in witnesses), default=0) > MAX_SIZE:
         return "beyond 8 points"
     if sum(len(_partitions(k)) * count for k, count in witnesses) > _CANDIDATE_CAP:
         return "candidate budget"
@@ -310,8 +310,9 @@ def _small_model(t1: Term, t2: Term, min_size: int) -> TUnion[str, Verdict]:
 def _bounded_separation(t1: Term, t2: Term, mode: Mode,
                         cfg: OracleConfig, reason: str) -> Verdict:
     """Exhaustive scan at small sizes within budget, then seeded
-    sampling (including any small sizes the budget skipped); never
-    answers Equivalent.  An Unknown carries ``reason``."""
+    sampling (including any small sizes the budget skipped); an oracle
+    size below the mode's minimum is sampled at the minimum instead.
+    Never answers Equivalent.  An Unknown carries ``reason``."""
     num_vars = max(1, len(variables(t1) | variables(t2)))
     budget = 1 << 26
     exhausted, skipped_small = [], []
@@ -324,8 +325,9 @@ def _bounded_separation(t1: Term, t2: Term, mode: Mode,
             return _checked_inequivalent(t1, t2, witness)
         exhausted.append(n)
     samples = 0
-    sizes = sorted({s for s in (*cfg.sample_sizes, cfg.exhaustive_size, *skipped_small)
-                    if mode.min_size <= s <= 8})
+    sizes = sorted({n for n in (max(s, mode.min_size) for s in
+                                (*cfg.sample_sizes, cfg.exhaustive_size, *skipped_small))
+                    if n <= MAX_SIZE})
     for n in sizes:
         witness = random_check(t1, t2, n, cfg.samples_per_size, cfg.seed)
         samples += cfg.samples_per_size

@@ -32,24 +32,8 @@ from typing import Optional, Sequence
 
 from . import bitrel
 from .rewriting import RewriteSystem, Rule, make_system
+from .semantics import OracleConfig
 from .words import LETTERS, Word
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    exhaustive_size: int = 5
-    sample_sizes: tuple[int, ...] = (3, 4, 6)
-    samples_per_size: int = 2048
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.exhaustive_size <= bitrel.MAX_SIZE:
-            raise ValueError(f"exhaustive_size must be in 1..{bitrel.MAX_SIZE}")
-        if any(not 1 <= s <= bitrel.MAX_SIZE for s in self.sample_sizes):
-            raise ValueError(f"sample sizes must be in 1..{bitrel.MAX_SIZE}")
-        if self.samples_per_size < 1:
-            raise ValueError("samples_per_size must be positive")
-        object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
 
 
 def word_fingerprint(w: Word, cfg: OracleConfig) -> bytes:

@@ -277,6 +277,9 @@ def structure_count(num_vars: int, size: int) -> int:
 # ---------------------------------------------------------------------------
 # Vectorized term evaluation on batches of packed relations
 
+# a relation on n points packs into one 64-bit word only up to n = 8
+MAX_SIZE = 8
+
 
 def _first_col(n: int) -> int:
     # bit 0 of every row
@@ -369,9 +372,9 @@ def _batch_project(r: np.ndarray, img1: int, img2: int, n: int) -> np.ndarray:
 def eval_term_batch(t: Term, assignment: Mapping[str, np.ndarray], n: int) -> np.ndarray:
     """Evaluate a term on a whole batch of structures at once; each
     variable maps to a uint64 array of packed relations.  Packing
-    limits the universe to 8 points."""
-    if n > 8:
-        raise SemanticsError("batched evaluation packs relations into 64-bit words; size must be <= 8")
+    limits the universe to ``MAX_SIZE`` points."""
+    if n > MAX_SIZE:
+        raise SemanticsError(f"batched evaluation packs relations into 64-bit words; size must be <= {MAX_SIZE}")
     fm = np.uint64(full_mask(n))
     if isinstance(t, Var):
         try:
@@ -410,6 +413,27 @@ def eval_term_batch(t: Term, assignment: Mapping[str, np.ndarray], n: int) -> np
 
 # ---------------------------------------------------------------------------
 # Equivalence oracles
+
+
+@dataclass(frozen=True)
+class OracleConfig:
+    """Sizes and seeded samples for the bounded route in ``decide``;
+    ``search`` reads only the exhaustive size.  Every size must pack."""
+
+    exhaustive_size: int = 5
+    sample_sizes: tuple[int, ...] = (3, 4, 6)
+    samples_per_size: int = 2048
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.exhaustive_size <= MAX_SIZE:
+            raise ValueError(f"exhaustive_size must be in 1..{MAX_SIZE}")
+        if any(not 1 <= s <= MAX_SIZE for s in self.sample_sizes):
+            raise ValueError(f"sample sizes must be in 1..{MAX_SIZE}")
+        if self.samples_per_size < 1:
+            raise ValueError("samples_per_size must be positive")
+        object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
+
 
 # small enough that a chunk's temporaries stay in cache and the first
 # separating chunk ends the scan early
@@ -461,8 +485,8 @@ def random_check(t1: Term, t2: Term, size: int, samples: int,
     """Seeded random search for a separating structure: each pair is
     present independently with probability 1/2, with the empty, full,
     identity and difference assignments forced into every batch."""
-    if size > 8:
-        raise SemanticsError("random_check packs relations into 64-bit words; size must be <= 8")
+    if size > MAX_SIZE:
+        raise SemanticsError(f"random_check packs relations into 64-bit words; size must be <= {MAX_SIZE}")
     names = sorted(variables(t1) | variables(t2))
     if not names:
         names = ["a"]  # constant terms still need one dummy slot for batching

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -261,19 +264,70 @@ def test_deep_nesting_is_an_input_error(run, command):
     assert err == "input error: input nested too deeply\n"
 
 
-def test_deep_nesting_exit_code_in_a_fresh_process():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def _fresh_python(*args, cwd=None):
+    """Run a new interpreter with this checkout's ``src`` on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd, timeout=60)
+
+
+def test_deep_nesting_exit_code_in_a_fresh_process():
     deep = "(" * 2000 + "a" + ")" * 2000
-    proc = subprocess.run([sys.executable, "-m", "relfrag.cli", "equiv", "--lhs", deep, "--rhs", "a"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _fresh_python("-m", "relfrag.cli", "equiv", "--lhs", deep, "--rhs", "a")
     assert proc.returncode == 65
     assert "Traceback" not in proc.stderr
+
+
+# runs each command line given as a JSON list in argv[1] through
+# cli.main in this one process, then prints the exit codes and the
+# relfrag modules and numpy as far as they were loaded
+_LOADED = """
+import contextlib, io, json, sys
+from relfrag import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("relfrag."))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+README_WITHOUT_KERNEL = [
+    ["vo", "--term", "(a;b);(I;(a;b))"],
+    ["level", "--term", "a;(b$c)"],
+    ["normalize", "--word", "cv cv iI"],
+    ["cofinite", "builtin:figure1", "--json"],
+    ["count-irreducible", "builtin:figure1"],
+    ["enumerate-irreducible", "builtin:figure1", "--limit", "5"],
+    ["export-dfa", "builtin:figure1", "--kind", "minimal", "--out", "dfa.dot"],
+    ["export-smt", "--lhs-word", "cD cD", "--rhs-word", "cD cD cD", "--min-size", "5",
+     "--out", "ob.smt2"],
+    ["export-tptp", "--lhs", "a & I", "--rhs", "(a & I) & I", "--min-size", "5"],
+]
+
+
+def _loaded_by(commands, cwd):
+    proc = _fresh_python("-c", _LOADED, json.dumps(commands), cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_commands_without_the_kernel_load_no_numpy(tmp_path):
+    # nine README commands run without numpy and without the modules
+    # that decide, search or evaluate on packed relations
+    got = _loaded_by(README_WITHOUT_KERNEL, tmp_path)
+    assert got["codes"] == [0] * len(README_WITHOUT_KERNEL)
+    assert {"numpy", "relfrag.semantics", "relfrag.decide", "relfrag.search"}.isdisjoint(got["loaded"])
+    assert (tmp_path / "dfa.dot").exists() and (tmp_path / "ob.smt2").exists()
+
+
+def test_eval_loads_no_decision_route(tmp_path):
+    (tmp_path / "m.json").write_text('{"size": 2, "relations": {"a": [[0, 1]]}}')
+    got = _loaded_by([["eval", "--term", "a ; a^", "--structure", "m.json"]], tmp_path)
+    assert got["codes"] == [0]
+    assert "relfrag.semantics" in got["loaded"]
+    assert {"relfrag.decide", "relfrag.search"}.isdisjoint(got["loaded"])
 
 
 def test_unexpected_exception_exits_70(run, monkeypatch):
@@ -311,6 +365,15 @@ def test_one_occurrence_witness_beyond_packed_sizes(run):
     assert code == 1
     obj = json.loads(out)
     assert obj["witness"] == {"size": 9, "relations": {"a": [[0, 0]]}}
+
+
+def test_bounded_route_samples_at_the_mode_minimum(run):
+    # the default oracle sizes 5 and 6 lie below rel>=7; the route
+    # samples at size 7 instead, where this level-2 pair separates
+    code, out, err = run("equiv", "--lhs", "a;(b$c)", "--rhs", "(a;b)$c", "--mode", "rel>=7",
+                         "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["witness"]["size"] == 7
 
 
 def test_unknown_separates_sampled_from_exhausted_sizes(run):

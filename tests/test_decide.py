@@ -284,7 +284,10 @@ def test_small_model_separating_structure_defers_to_the_bounded_witness():
     v = decide_terms(lhs, rhs, REL, FAST)
     assert v == decide_terms(lhs, rhs, REL, FAST)
     assert v.witness == exhaustive_check(lhs, rhs, [1, 2])
-    # with nothing to scan or sample, the candidate's witness is returned
+    # at size 7 the bounded route scans nothing and samples only the
+    # forced assignments (both oracle sizes are raised to 7), which give
+    # a and b one relation and so do not separate; the candidate's
+    # witness is returned
     v = decide_terms(lhs, rhs, Mode(7), OracleConfig(sample_sizes=(3,), samples_per_size=1))
     assert isinstance(v, Inequivalent) and v.witness.size == 7
 
