@@ -146,9 +146,7 @@ def _cmd_level(args) -> int:
         print(json.dumps({"vo": info.vo, "sigma_level": info.sigma_level,
                           "pi_level": info.pi_level}))
     else:
-        sigma = "-" if info.sigma_level is None else info.sigma_level
-        pi = "-" if info.pi_level is None else info.pi_level
-        print(f"vo={info.vo} sigma={sigma} pi={pi}")
+        print(f"vo={info.vo} sigma={info.sigma_level} pi={info.pi_level}")
     return EX_OK
 
 

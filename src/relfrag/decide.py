@@ -29,12 +29,14 @@ It does so at each size from the mode's minimum to 4, and once at one
 size of at least 5, which stands for every size from 5 on.  This is
 exact:
 
-* Level at most one means there is no dagger and every complement sits
-  below every composition.  Complements pass through union,
-  intersection, converse and the projections, so each side is f(a) or
+* The levels are read from the complement normal form
+  (``terms.complement_nf``), which pushes every complement down to the
+  variables and is equal to the side on every structure.  Existential
+  level at most one means that form has no dagger, so it is f(a) or
   f(~a) for a variable a (or a constant), where f is built from union
   and intersection with constants, composition with constants, converse
-  and projections.  Such an f is monotone and preserves non-empty
+  and projections.  The route evaluates the side itself, which has the
+  same value as that form.  Such an f is monotone and preserves non-empty
   unions, so it is fixed by its value on the empty relation and on the
   one-pair relations; as a map of a, f(~a) is fixed by its values on
   the full and the all-but-one-pair relations.  The basis of size n
@@ -353,9 +355,7 @@ def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
         return _checked_inequivalent(t1, t2, z.witness)
 
     info1, info2 = dotdagger_level(t1), dotdagger_level(t2)
-    if (info1.vo <= 1 and info2.vo <= 1
-            and info1.sigma_level is not None and info1.sigma_level <= 1
-            and info2.sigma_level is not None and info2.sigma_level <= 1):
+    if info1.vo <= 1 and info2.vo <= 1 and info1.sigma_level <= 1 and info2.sigma_level <= 1:
         return _one_occurrence(t1, t2, mode.min_size)
     if t1 == t2:
         return Equivalent({"kind": "syntactic"})

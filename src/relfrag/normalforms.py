@@ -4,19 +4,15 @@
 Each pass applies a family of valid equations structurally, so
 termination is plain structural recursion:
 
-* ``complement_nf`` pushes complements down to variables (legal for
-  terms of alternation level at most one, where complement never sits
-  above a composition or dagger);
+* ``complement_nf`` pushes complements down to variables on every
+  term; it lives in ``terms``, where ``dotdagger_level`` reads the
+  alternation levels from its output, and is bound here as well;
 * ``projection_nf`` pushes projections down to variables, rewriting
   through composition and dagger with the four-case tables;
 * ``expand_projections`` removes non-converse projections anywhere via
   p[1,1] = (p & I) ; top and p[2,2] = top ; (p & I);
 * ``union_nf`` distributes unions out of intersections and
-  compositions, returning the list of union-free disjuncts;
-* ``collapse_constants`` replaces every maximal variable-free subterm
-  by its constant class (exact on universes of size at least three);
-* ``complement_dual`` produces, for a universal-level term, the
-  existential-level term whose complement it is equivalent to.
+  compositions, returning the list of union-free disjuncts.
 
 No decision route runs these passes: ``decide`` settles one-occurrence
 terms from their values on basis relations.  They remain a library
@@ -25,10 +21,10 @@ surface that ``perfbench/tracer.py`` and the tests look up by name.
 
 from __future__ import annotations
 
-from .constants import REPRESENTATIVES, classify_const
 from .terms import (BOT, DI, ID, TOP, Bot, Comp, Compl, Dagger, Di, Id, Inter,
                     PROJ_IDENTITY, PROJ_SWAP, Proj, Projection, Term, TermError,
-                    Top, Union, Var, compose_projections, dotdagger_level, vo)
+                    Top, Union, Var, compose_projections)
+from .terms import complement_nf  # noqa: F401  (callers look the pass up here)
 
 
 class NormalFormError(TermError):
@@ -37,45 +33,6 @@ class NormalFormError(TermError):
 
 class UnionBlowup(NormalFormError):
     """Distribution would exceed the configured disjunct ceiling."""
-
-
-def complement_nf(t: Term) -> Term:
-    """Push complements down to variables.  Requires alternation level
-    at most one on either side of the hierarchy."""
-    info = dotdagger_level(t)
-    ok = (info.sigma_level is not None and info.sigma_level <= 1) or \
-         (info.pi_level is not None and info.pi_level <= 1)
-    if not ok:
-        raise NormalFormError("complement normal form needs alternation level <= 1")
-    return _cnf(t, False)
-
-
-def _cnf(t: Term, neg: bool) -> Term:
-    if isinstance(t, Var):
-        return Compl(t) if neg else t
-    if isinstance(t, Bot):
-        return TOP if neg else BOT
-    if isinstance(t, Top):
-        return BOT if neg else TOP
-    if isinstance(t, Id):
-        return DI if neg else ID
-    if isinstance(t, Di):
-        return ID if neg else DI
-    if isinstance(t, Union):
-        ctor = Inter if neg else Union
-        return ctor(_cnf(t.left, neg), _cnf(t.right, neg))
-    if isinstance(t, Inter):
-        ctor = Union if neg else Inter
-        return ctor(_cnf(t.left, neg), _cnf(t.right, neg))
-    if isinstance(t, Compl):
-        return _cnf(t.arg, not neg)
-    if isinstance(t, Proj):
-        return Proj(_cnf(t.arg, neg), t.proj)
-    if isinstance(t, (Comp, Dagger)):
-        if neg:  # excluded by the level precondition
-            raise NormalFormError("complement above composition or dagger")
-        return type(t)(_cnf(t.left, False), _cnf(t.right, False))
-    raise TermError(f"unexpected term {t!r}")  # pragma: no cover
 
 
 def projection_nf(t: Term) -> Term:
@@ -180,53 +137,3 @@ def _unf(t: Term, ceiling: int) -> list[Term]:
             raise UnionBlowup(f"more than {ceiling} disjuncts")
         return [type(t)(a, b) for a in left for b in right]
     raise NormalFormError(f"union normal form got an unsupported node: {t!r}")
-
-
-def collapse_constants(t: Term) -> Term:
-    """Replace every maximal variable-free subterm by its constant
-    class representative (exact on universes of size at least three).
-    """
-    if vo(t) == 0:
-        return REPRESENTATIVES[classify_const(t)]
-    if isinstance(t, (Union, Inter, Comp, Dagger)):
-        return type(t)(collapse_constants(t.left), collapse_constants(t.right))
-    if isinstance(t, Compl):
-        return Compl(collapse_constants(t.arg))
-    if isinstance(t, Proj):
-        return Proj(collapse_constants(t.arg), t.proj)
-    return t
-
-
-def complement_dual(t: Term) -> Term:
-    """For t of universal level n, the level-n existential term whose
-    complement is equivalent to t (everywhere)."""
-    info = dotdagger_level(t)
-    if info.pi_level is None:
-        raise NormalFormError("complement_dual needs a term inside the alternation hierarchy")
-    return _dual(t)
-
-
-def _dual(t: Term) -> Term:
-    if isinstance(t, Var):
-        return Compl(t)
-    if isinstance(t, Bot):
-        return TOP
-    if isinstance(t, Top):
-        return BOT
-    if isinstance(t, Id):
-        return DI
-    if isinstance(t, Di):
-        return ID
-    if isinstance(t, Union):
-        return Inter(_dual(t.left), _dual(t.right))
-    if isinstance(t, Inter):
-        return Union(_dual(t.left), _dual(t.right))
-    if isinstance(t, Compl):
-        return t.arg
-    if isinstance(t, Comp):
-        return Dagger(_dual(t.left), _dual(t.right))
-    if isinstance(t, Dagger):
-        return Comp(_dual(t.left), _dual(t.right))
-    if isinstance(t, Proj):
-        return Proj(_dual(t.arg), t.proj)
-    raise TermError(f"unexpected term {t!r}")  # pragma: no cover

@@ -111,9 +111,10 @@ class Rel:
         n = self.size
         return [(x, y) for x in range(n) for y in range(n) if self.contains(x, y)]
 
-    def row(self, x: int) -> int:
+    def rows(self) -> list[int]:
         n = self.size
-        return (self.bits >> (x * n)) & ((1 << n) - 1)
+        mask = (1 << n) - 1
+        return [(self.bits >> (x * n)) & mask for x in range(n)]
 
     def union(self, other: "Rel") -> "Rel":
         return Rel(self.size, self.bits | other.bits)
@@ -128,17 +129,15 @@ class Rel:
         # relative product: row x of the result is the union of the
         # rows of `other` indexed by the bits of row x of self
         n = self.size
+        right = other.rows()
         out = 0
-        for x in range(n):
-            r = self.row(x)
+        for r in reversed(self.rows()):
             acc = 0
-            z = 0
             while r:
-                if r & 1:
-                    acc |= other.row(z)
-                r >>= 1
-                z += 1
-            out |= acc << (x * n)
+                low = r & -r
+                acc |= right[low.bit_length() - 1]
+                r ^= low
+            out = (out << n) | acc
         return Rel(n, out)
 
     def dagger(self, other: "Rel") -> "Rel":
@@ -146,12 +145,17 @@ class Rel:
         return self.compl().comp(other.compl()).compl()
 
     def converse(self) -> "Rel":
+        # scatter the set bits of each row x into column x
         n = self.size
+        cols = [0] * n
+        for x, r in enumerate(self.rows()):
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= 1 << x
+                r ^= low
         out = 0
-        for x in range(n):
-            for y in range(n):
-                if self.contains(x, y):
-                    out |= 1 << (y * n + x)
+        for c in reversed(cols):
+            out = (out << n) | c
         return Rel(n, out)
 
     def project(self, img1: int, img2: int) -> "Rel":

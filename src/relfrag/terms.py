@@ -16,7 +16,7 @@ left-associative.  Example: ``a ; (b $ c) & I`` parses as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class TermError(ValueError):
@@ -169,7 +169,34 @@ def vo(t: Term) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dot-dagger alternation levels
+# Complement normal form and dot-dagger alternation levels
+
+
+def complement_nf(t: Term) -> Term:
+    """Push complements down to variables.  The result is equal to t on
+    every structure: complement passes through union and intersection
+    by De Morgan, through the projections unchanged, and turns
+    composition into dagger and back (``~(R ; S) = ~R $ ~S``)."""
+    return _cnf(t, False)
+
+
+_DUAL = {Union: Inter, Inter: Union, Comp: Dagger, Dagger: Comp}
+_NEGATED_CONSTANT = {Bot: TOP, Top: BOT, Id: DI, Di: ID}
+
+
+def _cnf(t: Term, neg: bool) -> Term:
+    if isinstance(t, Var):
+        return Compl(t) if neg else t
+    if isinstance(t, (Bot, Top, Id, Di)):
+        return _NEGATED_CONSTANT[type(t)] if neg else t
+    if isinstance(t, _BINARY):
+        ctor = _DUAL[type(t)] if neg else type(t)
+        return ctor(_cnf(t.left, neg), _cnf(t.right, neg))
+    if isinstance(t, Compl):
+        return _cnf(t.arg, not neg)
+    if isinstance(t, Proj):
+        return Proj(_cnf(t.arg, neg), t.proj)
+    raise TermError(f"unexpected term {t!r}")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -177,53 +204,38 @@ class FragmentInfo:
     """Variable-occurrence count and least alternation levels.
 
     ``sigma_level``/``pi_level`` are the least n such that the term lies
-    in the n-th existential/universal alternation class.  They are None
-    for terms outside every class (complement applied above a
-    composition or dagger), and otherwise differ by at most one.
+    in the n-th existential/universal alternation class.  They are read
+    from the complement normal form, which is equal to the term, so
+    every term has both; they are 0 exactly when that form has no
+    composition or dagger, and otherwise differ by at most one.
     """
 
     vo: int
-    sigma_level: Optional[int]
-    pi_level: Optional[int]
+    sigma_level: int
+    pi_level: int
 
 
-def _levels(t: Term) -> tuple[Optional[int], Optional[int]]:
-    if not any(isinstance(s, (Comp, Dagger)) for s in subterms(t)):
-        return 0, 0
+def _levels(t: Term) -> tuple[int, int]:
+    # on a complement normal form, where complements sit on variables;
+    # a subterm is (0, 0) iff it has no composition or dagger, and a
+    # level of 1 or more on one side means 1 or more on the other
     if isinstance(t, (Union, Inter)):
         ls, lp = _levels(t.left)
         rs, rp = _levels(t.right)
-        if ls is None or rs is None:
-            return None, None
-        return max(ls, rs, 1), max(lp, rp, 1)
+        return max(ls, rs), max(lp, rp)
     if isinstance(t, Proj):
-        s, p = _levels(t.arg)
-        if s is None:
-            return None, None
-        return max(s, 1), max(p, 1)
+        return _levels(t.arg)
     if isinstance(t, Comp):
-        ls, lp = _levels(t.left)
-        rs, rp = _levels(t.right)
-        if ls is None or rs is None:
-            return None, None
-        sigma = max(ls, rs, 1)
+        sigma = max(_levels(t.left)[0], _levels(t.right)[0], 1)
         return sigma, sigma + 1
     if isinstance(t, Dagger):
-        ls, lp = _levels(t.left)
-        rs, rp = _levels(t.right)
-        if ls is None or rs is None:
-            return None, None
-        pi = max(lp, rp, 1)
+        pi = max(_levels(t.left)[1], _levels(t.right)[1], 1)
         return pi + 1, pi
-    if isinstance(t, Compl):
-        # Complement above a composition or dagger lies in no class.
-        return None, None
-    raise TermError(f"unexpected term {t!r}")  # pragma: no cover
+    return 0, 0
 
 
 def dotdagger_level(t: Term) -> FragmentInfo:
-    sigma, pi = _levels(t)
-    return FragmentInfo(vo(t), sigma, pi)
+    return FragmentInfo(vo(t), *_levels(complement_nf(t)))
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,44 @@ one_occurrence_terms = st.recursive(
     st.one_of(st.sampled_from([Var("a"), Var("b")]), st.sampled_from([BOT, TOP, ID, DI])),
     _extend_one_hole, max_leaves=6)
 
+
+def _extend_dagger_constant(children):
+    binary = st.tuples(children, children)
+    return st.one_of(
+        binary.map(lambda p: Union(*p)),
+        binary.map(lambda p: Inter(*p)),
+        binary.map(lambda p: Dagger(*p)),
+        st.tuples(children, st.sampled_from(ALL_PROJECTIONS)).map(lambda p: Proj(*p)),
+    )
+
+
+_dagger_constant_terms = st.recursive(st.sampled_from([BOT, TOP, ID, DI]),
+                                      _extend_dagger_constant, max_leaves=3)
+
+
+def _extend_dagger_hole(children):
+    with_const = st.tuples(children, _dagger_constant_terms)
+    return st.one_of(
+        with_const.map(lambda p: Union(*p)),
+        with_const.map(lambda p: Inter(*p)),
+        with_const.map(lambda p: Dagger(*p)),
+        with_const.map(lambda p: Dagger(p[1], p[0])),
+        st.tuples(children, st.sampled_from(ALL_PROJECTIONS)).map(lambda p: Proj(*p)),
+    )
+
+
+_dagger_hole_terms = st.recursive(
+    st.one_of(st.sampled_from([Var("a"), Var("b"), Compl(Var("a")), Compl(Var("b"))]),
+              st.sampled_from([BOT, TOP, ID, DI])),
+    _extend_dagger_hole, max_leaves=5)
+
+# one_occurrence_terms turned inside out: the complement of a dagger
+# over one hole and constants built without composition.  Pushed down,
+# the complement turns every dagger into a composition, so each of
+# these sides has existential level one.
+complemented_daggers = st.tuples(_dagger_hole_terms, _dagger_constant_terms, st.booleans()).map(
+    lambda p: Compl(Dagger(p[0], p[1]) if p[2] else Dagger(p[1], p[0])))
+
 words = st.lists(st.sampled_from(LETTERS), max_size=12).map(tuple)
 
 nonempty_words = st.lists(st.sampled_from(LETTERS), min_size=1, max_size=10).map(tuple)

@@ -86,6 +86,16 @@ def test_vo_and_level(run):
     assert run("vo", "--term", "(a;b);(I;(a;b))")[:2] == (0, "4\n")
     code, out, _ = run("level", "--term", "a;(b$c)", "--json")
     assert json.loads(out) == {"vo": 3, "sigma_level": 2, "pi_level": 3}
+    # complements are pushed down first: (a;b)~ is a~ $ b~
+    assert run("level", "--term", "(a;b)~") == (0, "vo=2 sigma=2 pi=1\n", "")
+    code, out, _ = run("level", "--term", "(a;b)~", "--json")
+    assert json.loads(out) == {"vo": 2, "sigma_level": 2, "pi_level": 1}
+
+
+def test_equiv_complement_above_dagger_is_one_occurrence(run):
+    # (a $ D)~ is a~ ; I, so the pair takes the exact one-occurrence route
+    code, out, err = run("equiv", "--lhs", "(a $ D)~", "--rhs", "a~ ; I")
+    assert (code, out, err) == (0, "equivalent (one-occurrence)\n", "")
 
 
 def test_normalize_subcommand(run):

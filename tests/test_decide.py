@@ -4,7 +4,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from naive import naive_eval
-from strategies import near_pairs, one_occurrence_terms, two_variable_terms
+from strategies import (complemented_daggers, near_pairs, one_occurrence_terms,
+                        two_variable_terms)
 from relfrag import bitrel
 from relfrag.decide import (Equivalent, Inequivalent, Mode, REL, Unknown,
                             decide_terms, decide_word_equiv, parse_mode,
@@ -211,7 +212,7 @@ def _naive_structures(names, n):
 
 def _in_gate(t):
     info = dotdagger_level(t)
-    return info.vo <= 1 and info.sigma_level is not None and info.sigma_level <= 1
+    return info.vo <= 1 and info.sigma_level <= 1
 
 
 @given(one_occurrence_terms, one_occurrence_terms, st.sampled_from([1, 2, 3, 5, 6]))
@@ -235,6 +236,44 @@ def test_one_occurrence_route_differential(lhs, rhs, m):
             assert exhaustive_check(lhs, rhs, [n]) is None, n
     for n in range(max(m, 5), 9):
         assert random_check(lhs, rhs, n, 3000, n) is None, n
+
+
+def _differs_naively(lhs, rhs, sizes):
+    names = sorted(variables(lhs) | variables(rhs))
+    for n in sizes:
+        if len(names) * n * n <= 12:
+            if any(naive_eval(lhs, n, env) != naive_eval(rhs, n, env)
+                   for env in _naive_structures(names, n)):
+                return True
+        elif exhaustive_check(lhs, rhs, [n]) is not None:
+            return True
+    return False
+
+
+@given(complemented_daggers, st.one_of(complemented_daggers, one_occurrence_terms),
+       st.sampled_from([1, 2, 3]))
+@example(parse_term("(a $ D)~"), parse_term("a~ ; I"), 1)
+@example(parse_term("(bot $ a)~"), parse_term("a~"), 1)
+@settings(max_examples=150, deadline=None)
+def test_one_occurrence_route_complement_above_dagger(lhs, rhs, m):
+    # the gate reads levels after complements are pushed down, so a
+    # complement above a dagger takes the exact route; the route
+    # evaluates the sides as given, and must agree with every structure
+    # of size m..3 and separate with its witness
+    assume(_in_gate(rhs) and vo(lhs) + vo(rhs) > 0)
+    assert _in_gate(lhs)
+    v = decide_terms(lhs, rhs, Mode(m), FAST)
+    assert isinstance(v, (Equivalent, Inequivalent))
+    if isinstance(v, Equivalent):
+        assert v.justification["kind"] in ("one-occurrence", "syntactic")
+        assert not _differs_naively(lhs, rhs, range(m, 4))
+        return
+    n = v.witness.size
+    assert n >= m
+    env = {name: set(rel.pairs()) for name, rel in v.witness.assignment.items()}
+    assert naive_eval(lhs, n, env) != naive_eval(rhs, n, env)
+    if n > 3:
+        assert not _differs_naively(lhs, rhs, range(m, 4))
 
 
 @given(one_occurrence_terms, one_occurrence_terms, st.sampled_from([9, 10, 13]))

@@ -3,12 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from relfrag.normalforms import (NormalFormError, UnionBlowup, collapse_constants,
-                                 complement_dual, complement_nf,
+from relfrag.normalforms import (NormalFormError, UnionBlowup, complement_nf,
                                  expand_projections, projection_nf, union_nf)
 from relfrag.semantics import exhaustive_check
-from relfrag.terms import (Compl, Proj, PROJ_SWAP, Union, Var, dotdagger_level,
-                           parse_term, print_term, subterms)
+from relfrag.terms import (Compl, FragmentInfo, Proj, PROJ_SWAP, Union, Var,
+                           dotdagger_level, parse_term, print_term, subterms)
 
 
 def _equiv_small(t1, t2, sizes=(1, 2, 3)):
@@ -23,17 +22,20 @@ def test_complement_nf_examples():
 
 
 def test_complement_nf_output_shape():
-    out = complement_nf(parse_term("((a | I)~ & (b^)~)~"))
-    for s in subterms(out):
-        if isinstance(s, Compl):
-            assert isinstance(s.arg, Var)
+    rng = np.random.default_rng(23)
+    for t in [parse_term("((a | I)~ & (b^)~)~")] + [_random_term(rng, 4) for _ in range(200)]:
+        for s in subterms(complement_nf(t)):
+            if isinstance(s, Compl):
+                assert isinstance(s.arg, Var)
 
 
-def test_complement_nf_rejects_high_levels():
-    with pytest.raises(NormalFormError):
-        complement_nf(parse_term("(a ; b)~"))
-    with pytest.raises(NormalFormError):
-        complement_nf(parse_term("a ; (b $ c)"))
+def test_complement_nf_total_examples():
+    # complement turns composition into dagger and back
+    assert complement_nf(parse_term("(a ; b)~")) == parse_term("a~ $ b~")
+    assert complement_nf(parse_term("(b $ I)~")) == parse_term("b~ ; D")
+    assert complement_nf(parse_term("a ; (b $ c)")) == parse_term("a ; (b $ c)")
+    assert complement_nf(parse_term("((a ; b^)~ | c)~")) == parse_term("(a ; b^) & c~")
+    assert complement_nf(parse_term("(a[1,1] ; top)~")) == parse_term("a~[1,1] $ bot")
 
 
 def _random_level0(rng, depth):
@@ -187,26 +189,21 @@ def test_union_nf_rejects_outside_signature():
         union_nf(parse_term("a $ b"))
 
 
-def test_collapse_constants():
-    t = parse_term("(D $ D) ; (a & (D ; D))")
-    out = collapse_constants(t)
-    assert out == parse_term("D ; (a & top)")
-
-
 def test_complement_dual_examples():
-    assert complement_dual(parse_term("a $ b")) == parse_term("a~ ; b~")
-    assert complement_dual(parse_term("I")) == parse_term("D")
-    assert complement_dual(parse_term("a~")) == Var("a")
+    # the complement normal form of ~t is the De Morgan dual of t
+    assert complement_nf(Compl(parse_term("a $ b"))) == parse_term("a~ ; b~")
+    assert complement_nf(Compl(parse_term("I"))) == parse_term("D")
+    assert complement_nf(Compl(parse_term("a~"))) == Var("a")
 
 
 def test_complement_dual_semantics():
+    # ~t, with its complements pushed down, equals ~t and has the
+    # levels of t swapped
     rng = np.random.default_rng(71)
     for _ in range(200):
         t = _random_term(rng, 3)
         info = dotdagger_level(t)
-        if info.pi_level is None:
-            continue
-        rho = complement_dual(t)
-        assert exhaustive_check(t, Compl(rho), [1, 2, 3]) is None
-        rho_info = dotdagger_level(rho)
-        assert rho_info.sigma_level <= max(info.pi_level, rho_info.sigma_level)
+        rho = complement_nf(Compl(t))
+        assert exhaustive_check(Compl(t), rho, [1, 2, 3]) is None
+        assert dotdagger_level(rho) == dotdagger_level(Compl(t))
+        assert dotdagger_level(Compl(t)) == FragmentInfo(info.vo, info.pi_level, info.sigma_level)

@@ -68,6 +68,21 @@ def test_eval_agrees_with_naive_oracle():
     assert checked == 1020
 
 
+@pytest.mark.parametrize("size", [9, 12])
+def test_scalar_operators_match_naive_beyond_packed_sizes(size):
+    # converse and composition read each row once; the naive evaluator
+    # spells every operator out pair by pair
+    rng = np.random.default_rng(size)
+    special = [Rel.empty(size), Rel.full(size), Rel.identity(size), Rel.difference(size)]
+    rels = special + [_random_structure(rng, ["a"], size).assignment["a"] for _ in range(4)]
+    for text in ["a^", "a ; b", "a $ b", "a[1,1]", "a[2,2]"]:
+        t = parse_term(text)
+        for r, s in zip(rels, rels[3:] + rels[:3]):
+            m = Structure(size, {"a": r, "b": s})
+            env = {"a": set(r.pairs()), "b": set(s.pairs())}
+            assert set(eval_term(t, m).pairs()) == naive_eval(t, size, env), (text, size)
+
+
 @given(terms)
 @settings(max_examples=60, deadline=None)
 def test_batch_eval_matches_scalar(t):

@@ -78,18 +78,21 @@ def test_levels_examples():
     assert (info.sigma_level, info.pi_level) == (0, 0)
     info = dotdagger_level(parse_term("a $ b"))
     assert (info.sigma_level, info.pi_level) == (2, 1)
-    # complement above a composition sits outside the hierarchy
+    # levels are read after complements are pushed to the variables:
+    # (a ; b)~ is a~ $ b~, (b $ I)~ is b~ ; D
     info = dotdagger_level(parse_term("(a ; b)~"))
-    assert info.sigma_level is None and info.pi_level is None
+    assert (info.sigma_level, info.pi_level) == (2, 1)
+    info = dotdagger_level(parse_term("(b $ I)~"))
+    assert (info.sigma_level, info.pi_level) == (1, 2)
+    info = dotdagger_level(parse_term("(a ; (b $ c)~)~"))
+    assert (info.vo, info.sigma_level, info.pi_level) == (3, 2, 1)
 
 
 @given(terms)
 @settings(max_examples=200)
 def test_levels_differ_by_at_most_one(t):
     info = dotdagger_level(t)
-    if info.sigma_level is not None:
-        assert info.pi_level is not None
-        assert abs(info.sigma_level - info.pi_level) <= 1
+    assert abs(info.sigma_level - info.pi_level) <= 1
 
 
 def test_projection_composition_table():

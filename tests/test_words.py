@@ -131,14 +131,14 @@ def _packed_right_slot(x: GeneralLetter, arr: np.ndarray, n: int) -> np.ndarray:
     if x.kind == "inter":
         return arr & rep_bits
     row_mask = (1 << n) - 1
-    cls = eval_term(x.filler, Structure(n, {}))
+    cls_rows = eval_term(x.filler, Structure(n, {})).rows()
     out = np.zeros_like(arr)
     for xx in range(n):
         row = (arr >> np.uint64(n * xx)) & np.uint64(row_mask)
         acc = np.zeros_like(arr)
         for z in range(n):
             has = (row >> np.uint64(z)) & np.uint64(1)
-            acc |= has * np.uint64(cls.row(z))
+            acc |= has * np.uint64(cls_rows[z])
         out |= acc << np.uint64(n * xx)
     return out
 
