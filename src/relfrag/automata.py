@@ -5,19 +5,21 @@ word contains a pattern iff its path from the root meets a state that
 matches one, so the leftover words (those containing no pattern) are
 the paths from the root through states that match none.
 ``leftover_paths`` finds in one depth-first pass a cycle among those
-states, or else how long and how numerous the leftover words are; that
-decides ``is_cofinite``, and rewriting counts and enumerates its
-irreducible words from the same pass.  Both are linear in the total
-pattern length.  ``build_pattern_dfa``, ``complement_and_trim``
-and partition-refinement ``minimize`` build the explicit automata that
-``export-dfa`` draws.
+states, returned as a lasso (an infinite leftover word), or else how
+long and how numerous the leftover words are; that decides
+``is_cofinite``, and rewriting counts and enumerates its irreducible
+words from the same pass.  Both are linear in the total pattern
+length.  A lasso stays a witness of infiniteness for any larger
+pattern set that it avoids, which ``Lasso.contains`` checks.
+``build_pattern_dfa``, ``complement_and_trim`` and partition-refinement
+``minimize`` build the explicit automata that ``export-dfa`` draws.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .words import LETTER_TOKENS, LETTERS, Letter, Word
 
@@ -62,10 +64,28 @@ class Dfa:
 
 
 @dataclass(frozen=True)
+class Lasso:
+    """The infinite word prefix·cycle·cycle·…, the cycle nonempty."""
+
+    prefix: Word
+    cycle: Word
+
+    def contains(self, w: Word) -> bool:
+        """Whether w occurs as a factor of the infinite word.  An
+        occurrence that starts after the prefix moves back by whole
+        cycles to start within the first one, so every occurrence ends
+        within prefix·cycle^(⌊|w|/|cycle|⌋+2)."""
+        reps = len(w) // len(self.cycle) + 2
+        return bytes(w) in bytes(self.prefix + self.cycle * reps)
+
+
+@dataclass(frozen=True)
 class CofinitenessReport:
     cofinite: bool
     max_complement_length: Optional[int] = None
     complement_count: Optional[int] = None
+    # when not cofinite: an infinite word containing no pattern
+    lasso: Optional[Lasso] = None
 
 
 def aho_corasick(patterns: Sequence[Word]) -> tuple[list[list[int]], list[list[int]]]:
@@ -170,28 +190,36 @@ def complement_and_trim(d: Dfa) -> Dfa:
     return Dfa(dead + 1, index[d.start], acc, tuple(delta), dead=dead)
 
 
-def leftover_paths(goto: Sequence[Sequence[int]],
-                   matches: Sequence[Sequence]) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+def leftover_paths(goto: Sequence[Sequence[int]], matches: Sequence[Sequence]
+                   ) -> Union[Lasso, tuple[dict[int, int], dict[int, int]]]:
     """One depth-first pass over the leftover states of an Aho-Corasick
     machine: those that match no pattern and are reachable from the
     root through such states.  They are the states of the trimmed
-    complement DFA, and each of them accepts.  None if they hold a
-    cycle (infinitely many leftover words); otherwise, per leftover
-    state, the length of the longest path from it and the number of
-    paths from it, the empty path included."""
+    complement DFA, and each of them accepts.  If they hold a cycle
+    (infinitely many leftover words), the first one met as a lasso: the
+    letters from the root to the cycle, then around it.  Otherwise, per
+    leftover state, the length of the longest path from it and the
+    number of paths from it, the empty path included."""
     longest: dict[int, int] = {}
     count: dict[int, int] = {}
     on_path = {0}
-    stack = [(0, iter(goto[0]))]
+    # (state, letter index into it, its remaining successors)
+    stack = [(0, -1, iter(enumerate(goto[0])))]
     while stack:
-        s, succ = stack[-1]
-        for t in succ:
+        s, _, succ = stack[-1]
+        for c, t in succ:
             if matches[t] or t in longest:
                 continue
             if t in on_path:
-                return None
+                # built as lists: tuple() of a generator allocates a
+                # guessed size and shrinks it, which piles tuples onto
+                # CPython's free lists (about 1 MB more peak memory
+                # over a few thousand searches)
+                word = [LETTERS[i] for _, i, _ in stack[1:]] + [LETTERS[c]]
+                start = [u for u, _, _ in stack].index(t)
+                return Lasso(tuple(word[:start]), tuple(word[start:]))
             on_path.add(t)
-            stack.append((t, iter(goto[t])))
+            stack.append((t, c, iter(enumerate(goto[t]))))
             break
         else:
             stack.pop()
@@ -205,15 +233,14 @@ def leftover_paths(goto: Sequence[Sequence[int]],
 def is_cofinite(patterns: Iterable[Word]) -> CofinitenessReport:
     """Whether all but finitely many words contain some pattern as a
     factor; when they do, the longest leftover length and the leftover
-    count.  Patterns must be nonempty words."""
+    count, and when they do not, a lasso avoiding every pattern.
+    Patterns must be nonempty words."""
     pats = [tuple(p) for p in patterns]
-    if not pats:
-        return CofinitenessReport(False)
     if any(len(p) == 0 for p in pats):
         raise AutomataError("the empty word is not a valid pattern")
     paths = leftover_paths(*aho_corasick(pats))
-    if paths is None:
-        return CofinitenessReport(False)
+    if isinstance(paths, Lasso):
+        return CofinitenessReport(False, lasso=paths)
     longest, count = paths
     return CofinitenessReport(True, longest[0], count[0])
 

@@ -188,7 +188,7 @@ def _leftover_paths(rs: RewriteSystem) -> tuple[dict[int, int], dict[int, int]]:
         raise InfiniteIrreducibleSet("with no rules every word is irreducible")
     goto, outputs, _ = rs._matcher
     paths = automata.leftover_paths(goto, outputs)
-    if paths is None:
+    if isinstance(paths, automata.Lasso):
         raise InfiniteIrreducibleSet("the irreducible language is infinite")
     return paths
 

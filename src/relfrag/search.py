@@ -21,6 +21,20 @@ rule; the loop stops as soon as the admitted large sides make the
 irreducible language finite, or when the budget or length bound runs
 out.  Each stopping cause is reported.
 
+Two things keep the loop incremental within one search.  A candidate
+v is drawn only when v[1:] survived, and letters preserve unions with
+the first letter acting last, so v's singleton images are the letter
+v[0] applied to those of v[1:]; each survivor keeps its images, and a
+key costs one letter application per key size.  Cofiniteness is
+re-decided only when the last infinite witness dies: while the
+admitted large sides leave infinitely many words, ``is_cofinite``
+returns a lasso, an infinite word prefix·cycle·cycle·… containing none
+of them.  A new large side that does not occur in it leaves that word
+irreducible, so the language stays infinite and the lasso stays a
+witness; admitting rules only shrinks the language, so the decision
+is never revisited.  Only a large side that occurs in the lasso
+rebuilds the automaton.
+
 ``verify_rules`` re-certifies any rule set exactly at the exhaustive
 size and at each sample size.
 """
@@ -28,7 +42,9 @@ size and at each sample size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import bitrel
 from .rewriting import RewriteSystem, Rule, make_system
@@ -36,13 +52,21 @@ from .semantics import OracleConfig
 from .words import LETTERS, Word
 
 
+def _key_sizes(cfg: OracleConfig) -> range:
+    return range(cfg.exhaustive_size, max(cfg.exhaustive_size, 5) + 1)
+
+
+def _key(images: Iterable[np.ndarray]) -> bytes:
+    return b"".join(a.tobytes() for a in images)
+
+
 def word_fingerprint(w: Word, cfg: OracleConfig) -> bytes:
     """Exact key of the word's map on universes of at least the
     exhaustive size m: its packed singleton images at every size from m
     to max(m, 5), concatenated.  Two words share a key iff they agree
-    on every relation of every size >= m."""
-    return b"".join(bitrel.singleton_images(w, n).tobytes()
-                    for n in range(cfg.exhaustive_size, max(cfg.exhaustive_size, 5) + 1))
+    on every relation of every size >= m.  ``run_search`` builds the
+    same bytes from the images of w[1:] with the one letter w[0]."""
+    return _key(bitrel.singleton_images(w, n) for n in _key_sizes(cfg))
 
 
 def word_equiv_oracle(w1: Word, w2: Word, cfg: OracleConfig) -> bool:
@@ -78,23 +102,25 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
     rules: list[Rule] = list(seed_rules.rules) if seed_rules else []
     larges = {r.large for r in rules}
 
-    # rechecked whenever a rule is admitted, so it always covers ``rules``
+    # recomputed whenever an admitted large side occurs in its lasso,
+    # so it always covers ``rules`` (see the module docstring)
     rep = is_cofinite([r.large for r in rules])
 
     def report(reason: str) -> SearchReport:
         return SearchReport(make_system([(r.small, r.large) for r in rules]),
                             rep.cofinite, examined, oracle_calls, reason,
                             rep.max_complement_length,
-                            survivors=len(survivors))
+                            survivors=len(images))
 
-    survivors: set[Word] = set()
+    sizes = _key_sizes(cfg)
+    images: dict[Word, list[np.ndarray]] = {}  # survivor -> singleton images per key size
     by_fp: dict[bytes, Word] = {}  # key -> the one survivor with that key
     by_len: dict[int, list[Word]] = {}
     examined = 0
     oracle_calls = 0
 
-    def keep(v: Word, fp: bytes) -> None:
-        survivors.add(v)
+    def keep(v: Word, imgs: list[np.ndarray], fp: bytes) -> None:
+        images[v] = imgs
         by_fp[fp] = v
         by_len.setdefault(len(v), []).append(v)
 
@@ -102,7 +128,8 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
         return report("cofinite")
 
     # the empty word always survives (nothing is below it)
-    keep((), word_fingerprint((), cfg))
+    empty = [bitrel.singleton_images((), n) for n in sizes]
+    keep((), empty, _key(empty))
 
     for length in range(1, max_len + 1):
         parents = by_len.get(length - 1, [])
@@ -111,22 +138,25 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
         for p in parents:
             for letter in LETTERS:
                 v = p + (letter,)
-                if v[1:] not in survivors or v in larges:
+                below = images.get(v[1:])
+                if below is None or v in larges:
                     continue
                 if examined >= budget:
                     return report("budget")
-                examined += len(survivors)
-                fp = word_fingerprint(v, cfg)
+                examined += len(images)
+                imgs = [bitrel.apply_letter(a, v[0], n) for a, n in zip(below, sizes)]
+                fp = _key(imgs)
                 u = by_fp.get(fp)
                 if u is None:
-                    keep(v, fp)
+                    keep(v, imgs, fp)
                     continue
                 oracle_calls += 1
                 rules.append(Rule(u, v, len(rules) + 1))
                 larges.add(v)
-                rep = is_cofinite([r.large for r in rules])
-                if rep.cofinite:
-                    return report("cofinite")
+                if rep.lasso.contains(v):
+                    rep = is_cofinite([r.large for r in rules])
+                    if rep.cofinite:
+                        return report("cofinite")
     return report("exhausted")
 
 

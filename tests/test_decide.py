@@ -216,6 +216,9 @@ def _in_gate(t):
 
 
 @given(one_occurrence_terms, one_occurrence_terms, st.sampled_from([1, 2, 3, 5, 6]))
+# antitone sides: from size 3 on, the only basis relations that
+# separate them are those with all pairs but one
+@example(parse_term("a~ ; D"), parse_term("a~ ; top"), 3)
 @settings(max_examples=150, deadline=None)
 def test_one_occurrence_route_differential(lhs, rhs, m):
     assume(_in_gate(lhs) and _in_gate(rhs) and vo(lhs) + vo(rhs) > 0)

@@ -6,8 +6,9 @@ import pytest
 
 import brute
 from relfrag import bitrel
-from relfrag.rewriting import figure1_rules, format_rules, load_rules, make_system
-from relfrag.search import (OracleConfig, run_search, verify_rules,
+from relfrag.automata import is_cofinite
+from relfrag.rewriting import Rule, figure1_rules, format_rules, load_rules, make_system
+from relfrag.search import (OracleConfig, SearchReport, run_search, verify_rules,
                             word_equiv_oracle, word_fingerprint)
 from relfrag.words import CONV, DOT_D, LETTERS, parse_word
 
@@ -212,6 +213,78 @@ def test_search_seeded_cofinite_short_circuit():
     assert again.cofinite
     assert len(again.rules.rules) == len(complete.rules)
     assert again.candidates_examined == 0
+
+
+def _reference_search(cfg, max_len, budget, seed_rules=None):
+    """The completion loop without its shortcuts: a full key per
+    candidate and the cofiniteness decision after every admission."""
+    rules = list(seed_rules.rules) if seed_rules else []
+    larges = {r.large for r in rules}
+    rep = is_cofinite([r.large for r in rules])
+    survivors, by_fp, by_len = set(), {}, {}
+    examined = oracle_calls = 0
+
+    def report(reason):
+        return SearchReport(make_system([(r.small, r.large) for r in rules]),
+                            rep.cofinite, examined, oracle_calls, reason,
+                            rep.max_complement_length, survivors=len(survivors))
+
+    def keep(v, fp):
+        survivors.add(v)
+        by_fp[fp] = v
+        by_len.setdefault(len(v), []).append(v)
+
+    if rep.cofinite:
+        return report("cofinite")
+    keep((), word_fingerprint((), cfg))
+    for length in range(1, max_len + 1):
+        parents = by_len.get(length - 1, [])
+        if not parents:
+            break
+        for v in (p + (x,) for p in parents for x in LETTERS):
+            if v[1:] not in survivors or v in larges:
+                continue
+            if examined >= budget:
+                return report("budget")
+            examined += len(survivors)
+            fp = word_fingerprint(v, cfg)
+            if fp not in by_fp:
+                keep(v, fp)
+                continue
+            oracle_calls += 1
+            rules.append(Rule(by_fp[fp], v, len(rules) + 1))
+            larges.add(v)
+            rep = is_cofinite([r.large for r in rules])
+            if rep.cofinite:
+                return report("cofinite")
+    return report("exhausted")
+
+
+_GRID = ((15, 10**6), (2, 10**6), (6, 10**6), (15, 500), (15, 20_000))
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_search_matches_reference_loop(m):
+    # keys built from one letter and cofiniteness re-decided only when
+    # the lasso dies give the same report
+    cfg = OracleConfig(exhaustive_size=m)
+    for max_len, budget in _GRID:
+        assert run_search(cfg, max_len, budget) == _reference_search(cfg, max_len, budget), \
+            (max_len, budget)
+
+
+def test_reference_grid_reaches_every_stop_reason():
+    reasons = {_reference_search(CFG, max_len, budget).stop_reason for max_len, budget in _GRID}
+    assert reasons == {"cofinite", "budget", "exhausted"}
+
+
+def test_search_matches_reference_loop_with_seed_rules():
+    seven = make_system([(r.small, r.large) for r in figure1_rules().rules[:7]])
+    for max_len, budget in ((2, 10**6), (15, 10**6), (15, 500)):
+        assert run_search(CFG, max_len, budget, seven) == _reference_search(CFG, max_len, budget, seven)
+    # a cofinite seed stops before any candidate
+    cofinite = figure1_rules()
+    assert run_search(CFG, 15, 10**6, cofinite) == _reference_search(CFG, 15, 10**6, cofinite)
 
 
 def test_verify_rules_passes_builtin_small():
