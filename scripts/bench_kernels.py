@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-operator timings of the packed-relation kernels.
 
-Times ``semantics.eval_term_batch`` for each operator and
+Times ``bitrel.eval_term_batch`` for each operator and
 ``bitrel.apply_word_packed`` for each context letter, at every size in
 ``--sizes``, on ``--relations`` seeded random relations.  Every figure
 is the median of ``--repeat`` runs in milliseconds (one untimed warm-up
@@ -27,7 +27,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from relfrag import bitrel  # noqa: E402
-from relfrag.semantics import eval_term_batch, full_mask  # noqa: E402
+from relfrag.semantics import full_mask  # noqa: E402
 from relfrag.terms import parse_term  # noqa: E402
 from relfrag.words import parse_word  # noqa: E402
 
@@ -64,7 +64,7 @@ def main() -> None:
         a, b = (rng.integers(0, 1 << 64, size=args.relations, dtype=np.uint64) & fm for _ in range(2))
         for op in OPERATORS:
             t = parse_term(op)
-            batch[op][str(n)] = _median_ms(lambda: eval_term_batch(t, {"a": a, "b": b}, n), args.repeat)
+            batch[op][str(n)] = _median_ms(lambda: bitrel.eval_term_batch(t, {"a": a, "b": b}, n), args.repeat)
         packed = a.astype(bitrel._dtype(n))
         for name in LETTERS:
             w = parse_word(name)

@@ -11,9 +11,10 @@ every subcommand to a stable machine-readable schema.
 
 Each command imports the modules it runs, at the top of its function,
 so a process loads only what its command uses: ``vo`` and ``level``
-load ``terms`` alone, and only ``equiv``, ``eval``, ``search`` and
-``verify-rules`` load the numpy kernel.  ``terms`` is imported here
-because every command parses with it.
+load ``terms`` alone, and only ``search``, ``verify-rules`` and the
+batch routes of ``equiv`` (one-occurrence, small-model, bounded) load
+the numpy kernel ``bitrel``.  ``terms`` is imported here because every
+command parses with it.
 """
 
 from __future__ import annotations

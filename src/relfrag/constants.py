@@ -148,7 +148,7 @@ def decide_0vo(t1: Term, t2: Term, min_size: int = 1) -> ZeroVoVerdict:
     variable-free structures of the remaining small sizes are evaluated
     exhaustively.
     """
-    from .semantics import Structure, eval_term  # numpy only when a verdict is needed
+    from .semantics import Structure, eval_term  # only when a verdict is needed; scalar, no numpy
 
     if vo(t1) != 0 or vo(t2) != 0:
         raise ConstError("decide_0vo needs variable-free terms on both sides")

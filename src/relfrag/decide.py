@@ -111,14 +111,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union as TUnion
 
-import numpy as np
-
 from .constants import decide_0vo
 from .fo import (FoAnd, FoAtom, FoEq, FoNot, ea_disjuncts, ea_profile, nnf,
                  standard_translations, universal_polarities)
 from .semantics import (MAX_SIZE, OracleConfig, Rel, SizeWindow, Structure, eval_term,
-                        exhaustive_check, first_separating, full_mask, random_check,
-                        structure_count)
+                        exhaustive_check, full_mask, random_check, structure_count)
 from .terms import Term, Var, dotdagger_level, variables, vo
 from .words import Word, apply_word
 
@@ -188,6 +185,8 @@ def _separate(t1: Term, t2: Term, batches, min_size: int) -> Optional[Inequivale
     """Run ``first_separating`` over (size, assignment batch) pairs in
     order.  The first witness, carried to ``min_size`` if it is smaller
     (see ``_lift``) and re-checked; None if no batch separates."""
+    from .bitrel import first_separating
+
     for n, assignment in batches:
         witness = first_separating(t1, t2, assignment, n)
         if witness is not None:
@@ -203,17 +202,19 @@ def _separate(t1: Term, t2: Term, batches, min_size: int) -> Optional[Inequivale
 
 
 @lru_cache(maxsize=None)
-def _basis(n: int) -> np.ndarray:
+def _basis(n: int) -> tuple[int, ...]:
     # empty, full, then every one-pair and every all-but-one-pair relation
     fm = full_mask(n)
     singles = [1 << p for p in range(n * n)]
-    return np.array([0, fm, *singles, *(fm ^ s for s in singles)], dtype=np.uint64)
+    return (0, fm, *singles, *(fm ^ s for s in singles))
 
 
-def _basis_batch(names: list[str], n: int) -> dict[str, np.ndarray]:
+def _basis_batch(names: list[str], n: int) -> dict:
     """Every assignment of basis relations at size n, first variable by
-    name slowest."""
-    grids = np.meshgrid(*[_basis(n)] * len(names), indexing="ij")
+    name slowest, as packed arrays."""
+    import numpy as np
+
+    grids = np.meshgrid(*[np.array(_basis(n), dtype=np.uint64)] * len(names), indexing="ij")
     return {name: g.ravel() for name, g in zip(names, grids)}
 
 
@@ -297,6 +298,8 @@ def _small_model(t1: Term, t2: Term, min_size: int) -> TUnion[str, Verdict]:
                     bits[atom.rel] = bits[atom.rel] | pair if lit is atom else bits[atom.rel] & ~pair
             else:
                 structures.setdefault(n, {})[tuple(bits[name] for name in names)] = None
+    import numpy as np
+
     batches = [(n, {name: np.array([s[i] for s in structures[n]], dtype=np.uint64)
                     for i, name in enumerate(names)})
                for n in sorted(structures)]

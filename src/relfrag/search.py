@@ -44,8 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import bitrel
 from .rewriting import RewriteSystem, Rule, make_system
 from .semantics import OracleConfig
@@ -56,7 +54,7 @@ def _key_sizes(cfg: OracleConfig) -> range:
     return range(cfg.exhaustive_size, max(cfg.exhaustive_size, 5) + 1)
 
 
-def _key(images: Iterable[np.ndarray]) -> bytes:
+def _key(images: Iterable) -> bytes:
     return b"".join(a.tobytes() for a in images)
 
 
@@ -113,13 +111,13 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
                             survivors=len(images))
 
     sizes = _key_sizes(cfg)
-    images: dict[Word, list[np.ndarray]] = {}  # survivor -> singleton images per key size
+    images: dict[Word, list] = {}  # survivor -> packed singleton images per key size
     by_fp: dict[bytes, Word] = {}  # key -> the one survivor with that key
     by_len: dict[int, list[Word]] = {}
     examined = 0
     oracle_calls = 0
 
-    def keep(v: Word, imgs: list[np.ndarray], fp: bytes) -> None:
+    def keep(v: Word, imgs: list, fp: bytes) -> None:
         images[v] = imgs
         by_fp[fp] = v
         by_len.setdefault(len(v), []).append(v)

@@ -340,6 +340,49 @@ def test_eval_loads_no_decision_route(tmp_path):
     assert {"relfrag.decide", "relfrag.search"}.isdisjoint(got["loaded"])
 
 
+# the README lines decided by the constant classes, which evaluate
+# with the scalar relations only
+README_CONSTANT_EQUIV = [
+    ["equiv", "--lhs", "D;D", "--rhs", "top", "--mode", "rel"],
+    ["equiv", "--lhs", "D;D", "--rhs", "top", "--mode", "rel>=3"],
+]
+
+
+def test_eval_and_constant_equiv_load_no_kernel(tmp_path):
+    (tmp_path / "m.json").write_text('{"size": 2, "relations": {"a": [[0, 1]]}}')
+    got = _loaded_by([["eval", "--term", "a ; a^", "--structure", "m.json"],
+                      *README_CONSTANT_EQUIV], tmp_path)
+    assert got["codes"] == [0, 1, 0]
+    assert {"numpy", "relfrag.bitrel"}.isdisjoint(got["loaded"])
+
+
+def test_batch_route_loads_the_kernel(tmp_path):
+    got = _loaded_by([["equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c"]], tmp_path)
+    assert got["codes"] == [0]
+    assert {"numpy", "relfrag.bitrel"} <= set(got["loaded"])
+
+
+def test_semantics_alone_loads_no_numpy():
+    proc = _fresh_python("-c", "import sys, relfrag.semantics; print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+@pytest.mark.parametrize("text", [
+    '{"size": 2, "relations": {"a": 5}}',
+    '{"size": 2, "relations": {"a": null}}',
+    '{"size": true, "relations": {}}',
+    '{"size": 2, "relations": {"a": [[0, true]]}}',
+])
+def test_malformed_structure_is_an_input_error(run, tmp_path, text):
+    # pair lists that are not lists, and booleans where integers belong
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run("eval", "--term", "a", "--structure", str(path))
+    assert (code, out) == (65, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unexpected_exception_exits_70(run, monkeypatch):
     import relfrag.cli as cli
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from relfrag.bitrel import _enumerated_batch, eval_term_batch
 from relfrag.semantics import (BudgetExceeded, Rel, SemanticsError, SizeWindow,
-                               Structure, _enumerated_batch, eval_term,
-                               eval_term_batch, exhaustive_check, random_check,
+                               Structure, eval_term, exhaustive_check, random_check,
                                structure_count, structure_from_json,
                                structure_to_json)
 from relfrag.terms import TOP, Var, parse_term, variables

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 
 from relfrag import bitrel
-from relfrag.semantics import Structure, eval_term, eval_term_batch
+from relfrag.bitrel import eval_term_batch
+from relfrag.semantics import Structure, eval_term
 from relfrag.terms import (BOT, DI, ID, TOP, Comp, PROJ_BOTH_1, PROJ_SWAP,
                            Var, parse_term, vo)
 from relfrag.words import (CAP_D, CAP_I, CONV, DOT_D, GeneralLetter, LETTERS,
