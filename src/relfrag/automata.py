@@ -18,9 +18,9 @@ pattern set that it avoids, which ``Lasso.contains`` checks.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
+from .terms import record
 from .words import LETTER_TOKENS, LETTERS, Letter, Word
 
 ALPHABET_SIZE = len(LETTERS)
@@ -30,7 +30,7 @@ class AutomataError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Dfa:
     """Total deterministic automaton; ``delta[state][letter]`` indexes
     by the letter's position in the alphabet order.  ``dead`` marks the
@@ -63,7 +63,7 @@ class Dfa:
         return state in self.accepting
 
 
-@dataclass(frozen=True)
+@record
 class Lasso:
     """The infinite word prefix·cycle·cycle·…, the cycle nonempty."""
 
@@ -79,7 +79,7 @@ class Lasso:
         return bytes(w) in bytes(self.prefix + self.cycle * reps)
 
 
-@dataclass(frozen=True)
+@record
 class CofinitenessReport:
     cofinite: bool
     max_complement_length: Optional[int] = None

@@ -17,12 +17,11 @@ and every entry is re-validated semantically in the test suite.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from .terms import (ALL_PROJECTIONS, BOT, DI, ID, TOP, Bot, Comp, Compl, Dagger, Di,
                     Id, Inter, Proj, Projection, PROJ_BOTH_1, PROJ_IDENTITY,
-                    PROJ_SWAP, Term, TermError, Top, Union, Var, vo)
+                    PROJ_SWAP, Term, TermError, Top, Union, Var, record, vo)
 
 
 class ConstClass(enum.Enum):
@@ -129,7 +128,7 @@ def classify_const(t: Term) -> ConstClass:
     raise ConstError(f"unexpected term {t!r}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
+@record
 class ZeroVoVerdict:
     """Outcome of the exact variable-free decision."""
 

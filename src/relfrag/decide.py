@@ -107,30 +107,29 @@ only when that search comes back ``Unknown``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union as TUnion
+from typing import TYPE_CHECKING, Optional, Union as TUnion
 
 from .constants import decide_0vo
-from .fo import (FoAnd, FoAtom, FoEq, FoNot, ea_disjuncts, ea_profile, nnf,
-                 standard_translations, universal_polarities)
 from .semantics import (MAX_SIZE, OracleConfig, Rel, SizeWindow, Structure, eval_term,
                         exhaustive_check, full_mask, random_check, structure_count)
-from .terms import Term, Var, dotdagger_level, variables, vo
-from .words import Word, apply_word
+from .terms import Term, Var, dotdagger_level, record, variables, vo
+
+if TYPE_CHECKING:
+    from .words import Word
 
 
-@dataclass(frozen=True)
+@record
 class Equivalent:
     justification: dict
 
 
-@dataclass(frozen=True)
+@record
 class Inequivalent:
     witness: Structure
 
 
-@dataclass(frozen=True)
+@record
 class Unknown:
     """No verdict.  ``checked`` is the window of sizes scanned
     exhaustively (None if there were none); ``samples`` structures were
@@ -147,7 +146,7 @@ class Unknown:
 Verdict = TUnion[Equivalent, Inequivalent, Unknown]
 
 
-@dataclass(frozen=True)
+@record
 class Mode:
     """Structure class: every size at least ``min_size`` (1 = all)."""
 
@@ -241,6 +240,8 @@ def decide_word_equiv(w1: Word, w2: Word, cfg: OracleConfig = OracleConfig()) ->
     """Exact verdict on universes of size at least 5 for the words
     filled with one variable: Equivalent, or Inequivalent with a size-5
     witness.  ``cfg`` is accepted for compatibility and ignored."""
+    from .words import apply_word
+
     a = Var("a")
     return _one_occurrence(apply_word(w1, a), apply_word(w2, a), 5)
 
@@ -265,6 +266,9 @@ def _partitions(k: int) -> tuple[tuple[int, ...], ...]:
 def _small_model(t1: Term, t2: Term, min_size: int) -> TUnion[str, Verdict]:
     """Exact verdict from the structures built in the module docstring,
     or the reason the route does not apply."""
+    from .fo import (FoAnd, FoAtom, FoEq, FoNot, ea_disjuncts, ea_profile, nnf,
+                     standard_translations, universal_polarities)
+
     f1, f2 = standard_translations((t1, t2))
     phis = [nnf(FoAnd(f1, FoNot(f2))), nnf(FoAnd(f2, FoNot(f1)))]
     profiles = [ea_profile(phi) for phi in phis]

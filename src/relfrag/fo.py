@@ -31,11 +31,10 @@ byte-stable.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union as TUnion
 
 from .terms import (Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term,
-                    TermError, Top, Union, Var, variables)
+                    TermError, Top, Union, Var, record, variables)
 from .words import Word, apply_word
 
 
@@ -43,59 +42,59 @@ class FoError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FoTrue:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FoFalse:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FoAtom:
     rel: str
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@record
 class FoEq:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@record
 class FoNot:
     arg: "FoFormula"
 
 
-@dataclass(frozen=True)
+@record
 class FoAnd:
     left: "FoFormula"
     right: "FoFormula"
 
 
-@dataclass(frozen=True)
+@record
 class FoOr:
     left: "FoFormula"
     right: "FoFormula"
 
 
-@dataclass(frozen=True)
+@record
 class FoIff:
     left: "FoFormula"
     right: "FoFormula"
 
 
-@dataclass(frozen=True)
+@record
 class FoExists:
     var: str
     body: "FoFormula"
 
 
-@dataclass(frozen=True)
+@record
 class FoForall:
     var: str
     body: "FoFormula"
@@ -246,8 +245,8 @@ def universal_polarities(f: FoFormula) -> Optional[tuple[frozenset[str], frozens
     return frozenset(), frozenset()
 
 
-# named tuples rather than dataclasses: each dataclass costs about 0.7 ms
-# at import, which every CLI process pays
+# named tuples: like the ``terms.record`` classes, each is built with one
+# ``exec``, so neither adds much to the import every CLI process pays
 class EaDisjunct(NamedTuple):
     """One disjunct of an ∃*∀* formula in NNF: its existential names, its
     quantifier-free literals and its maximal universal subformulas."""

@@ -17,11 +17,11 @@ syntax (e.g. ``iI = iI iI``); ``#`` starts a comment line.  The name
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from . import automata
+from .terms import record
 from .words import (Word, WordError, format_word, parse_word, shortlex_key,
                     LETTERS)
 
@@ -35,7 +35,7 @@ class InfiniteIrreducibleSet(RewriteError):
     language, so they cannot be enumerated or counted."""
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     small: Word
     large: Word
@@ -48,7 +48,7 @@ class Rule:
                 f"shortlex-below {format_word(self.large)!r}")
 
 
-@dataclass(frozen=True)
+@record
 class RewriteSystem:
     rules: tuple[Rule, ...]
 

@@ -41,12 +41,12 @@ size and at each sample size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import bitrel
 from .rewriting import RewriteSystem, Rule, make_system
 from .semantics import OracleConfig
+from .terms import record
 from .words import LETTERS, Word
 
 
@@ -73,7 +73,7 @@ def word_equiv_oracle(w1: Word, w2: Word, cfg: OracleConfig) -> bool:
     return word_fingerprint(w1, cfg) == word_fingerprint(w2, cfg)
 
 
-@dataclass(frozen=True)
+@record
 class SearchReport:
     rules: RewriteSystem
     cofinite: bool
@@ -162,7 +162,7 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
 # Rule certification
 
 
-@dataclass(frozen=True)
+@record
 class RuleCheck:
     index: int
     small: Word

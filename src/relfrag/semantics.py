@@ -19,11 +19,10 @@ return the first counterexample in a documented deterministic order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .terms import (Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term, TermError,
-                    Top, Union, Var, variables)
+                    Top, Union, Var, record, variables)
 
 
 class SemanticsError(ValueError):
@@ -50,7 +49,7 @@ def diag_mask(n: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
+@record
 class Rel:
     """A binary relation on [0, size) as a packed row-major bitset."""
 
@@ -153,7 +152,7 @@ class Rel:
         return loops.comp(full) if img1 == 1 else full.comp(loops)
 
 
-@dataclass(frozen=True)
+@record
 class Structure:
     """A finite universe plus one relation per variable."""
 
@@ -169,7 +168,7 @@ class Structure:
         object.__setattr__(self, "assignment", dict(self.assignment))
 
 
-@dataclass(frozen=True)
+@record
 class SizeWindow:
     """The universe sizes a bounded verdict actually covered."""
 
@@ -269,7 +268,7 @@ def structure_count(num_vars: int, size: int) -> int:
 # a relation on n points packs into one 64-bit word only up to n = 8
 MAX_SIZE = 8
 
-@dataclass(frozen=True)
+@record
 class OracleConfig:
     """Sizes and seeded samples for the bounded route in ``decide``;
     ``search`` reads only the exhaustive size.  Every size must pack."""

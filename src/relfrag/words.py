@@ -20,12 +20,11 @@ Word text format: whitespace-separated tokens iI / iD / cD / cv, with
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .constants import ConstClass, classify_const
 from .terms import (DI, ID, Comp, Compl, Dagger, Inter, Proj, Projection,
-                    PROJ_SWAP, Term, TermError, Union, vo)
+                    PROJ_SWAP, Term, TermError, Union, record, vo)
 
 
 class WordError(TermError):
@@ -80,7 +79,7 @@ def shortlex_compare(w1: Word, w2: Word) -> int:
     return -1 if k1 < k2 else (0 if k1 == k2 else 1)
 
 
-@dataclass(frozen=True)
+@record
 class GeneralLetter:
     """One constructor with one blank slot.
 

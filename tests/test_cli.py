@@ -353,7 +353,33 @@ def test_eval_and_constant_equiv_load_no_kernel(tmp_path):
     got = _loaded_by([["eval", "--term", "a ; a^", "--structure", "m.json"],
                       *README_CONSTANT_EQUIV], tmp_path)
     assert got["codes"] == [0, 1, 0]
-    assert {"numpy", "relfrag.bitrel"}.isdisjoint(got["loaded"])
+    assert {"numpy", "relfrag.bitrel", "relfrag.fo"}.isdisjoint(got["loaded"])
+
+
+def _imported_at_start(args, cwd):
+    """The modules a fresh interpreter imports, read from ``-X importtime``."""
+    proc = _fresh_python("-X", "importtime", *args, cwd=cwd)
+    lines = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    return proc.returncode, set(lines[1:])  # the first line is the header
+
+
+def test_quick_commands_start_without_dataclasses_or_inspect(tmp_path):
+    # the twelve quick README commands; a host whose interpreter start
+    # already imports one of the two cannot tell, so it is left out
+    _, bare = _imported_at_start(["-c", "pass"], tmp_path)
+    watched = {"dataclasses", "inspect"} - bare
+    if not watched:
+        pytest.skip("the bare interpreter start imports dataclasses and inspect")
+    (tmp_path / "m.json").write_text('{"size": 2, "relations": {"a": [[0, 1]]}}')
+    commands = [*README_CONSTANT_EQUIV, ["eval", "--term", "a ; a^", "--structure", "m.json"],
+                *README_WITHOUT_KERNEL]
+    assert len(commands) == 12
+    for argv in commands:
+        code, imported = _imported_at_start(["-m", "relfrag.cli", *argv], tmp_path)
+        assert code == (1 if argv[-1] == "rel" else 0), argv
+        assert "relfrag.terms" in imported
+        assert watched.isdisjoint(imported), argv
 
 
 def test_batch_route_loads_the_kernel(tmp_path):
