@@ -1,40 +1,58 @@
 """The packed-relation kernel, the one module that imports numpy on load.
 
-A relation on n points (n <= ``MAX_SIZE`` = 8) is one machine word, bit
-``x*n + y`` for the pair (x, y), and every kernel acts on whole numpy
-arrays of such words.  Maps that send each pair to a fixed set of pairs
-preserve unions, so they go through chunked lookup tables
-(``linear_tables``), each mapping a group of input bits to the union of
-their images: converse, the projections [1,1] and [2,2], the letter
-``cD`` and the bit reversal that turns an enumeration index into
-relations.
+A relation on n points (n <= ``MAX_SIZE`` = 8) is one machine word, and
+every kernel acts on whole numpy arrays of such words.  One array may
+hold relations of several universe sizes: the largest size m in the
+batch is the row stride, a relation on n <= m points keeps the pair
+(x, y) at bit ``x*m + y``, and its rows and columns from n on stay
+empty.  A batch of one size is the case m = n, bit ``x*n + y``.  The
+size argument ``n`` of the kernels is that one size, or the ``Sizes``
+of a batch with several; then each entry also carries its full mask
+(the n x n square at stride m), and the few maps that can reach past an
+entry's square AND with it: complement, ``top``, ``I``, ``D``, dagger,
+the projections [1,1] and [2,2], and the letter ``cD``.  Composition,
+converse, union, intersection, ``iI`` and ``iD`` keep the empty rows
+and columns empty.  With one size the mask is the whole word and is
+skipped.
+
+Maps that send each pair to a fixed set of pairs preserve unions, so
+they go through chunked lookup tables (``linear_tables``), each mapping
+a group of input bits to the union of their images: converse, the
+projections [1,1] and [2,2], the letter ``cD`` and the bit reversal
+that turns an enumeration index into relations.
 
 *Context words.*  ``iI`` / ``iD`` are single masks; ``cv`` is converse;
 ``{(x, y)} ; D`` is row x minus column y, so a row composed with the
 difference relation is full with two or more bits, full minus that
-column with exactly one, and empty when it is empty.  Every letter
-preserves unions and sends the empty relation to itself, so the n^2
-images of the one-pair relations ``1 << j`` (``singleton_images``) fix
-a word's map at size n exactly.  Two words differ at size n iff some
-image differs, and if j is the lowest such index then ``1 << j`` is the
-numerically first separating relation (a smaller relation has only
-bits below j, whose images agree).  The literal scan over all 2^(n^2)
-relations lives in the test suite as an independent oracle.
+column with exactly one, and empty when it is empty.  At stride m it is
+row x of width m minus (x, y), ANDed with the entry's full mask, so one
+table serves every size.  Every letter preserves unions and sends the
+empty relation to itself, so the n^2 images of the one-pair relations
+(``one_pair_relations``, ``singleton_images``) fix a word's map at size
+n exactly.  Two words differ at size n iff some image differs, and if j
+is the lowest such index, counted x*n + y, then ``1 << j`` is the
+numerically first separating relation of size n (a smaller relation has
+only bits below j, whose images agree).  ``rule_counterexamples``
+evaluates each word once over all the sizes asked for.  The literal
+scan over all 2^(n^2) relations lives in the test suite as an
+independent oracle.
 
 *Terms.*  ``eval_term_batch`` evaluates a term on a batch of
-structures, one array per variable.  Composition takes n vector steps,
+structures, one array per variable.  Composition takes m vector steps,
 one per middle point z: column z of the left side, shifted to bit 0 of
 each row, times row z of the right side copies that row into exactly
 the rows x with (x, z) on the left.  No product carries, since the set
-bits of one factor are n apart and the other is below 2^n (at n = 8 the
+bits of one factor are m apart and the other is below 2^m (at m = 8 the
 products fill all 64 bits).  Dagger is the De Morgan dual ~(~R ; ~S).
 ``first_separating`` finds the first structure of a batch that
-separates two terms; the oracles of ``semantics`` and the exact routes
-of ``decide`` hand it their batches.
+separates two terms, at that entry's own size; the oracles of
+``semantics`` hand it batches of one size, and the exact routes of
+``decide`` merge theirs into one batch (``merge_batches``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -115,59 +133,143 @@ def _check_size(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _rowd_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    # {(x, y)} ; D is row x minus column y
-    full_row = (1 << n) - 1
-    return linear_tables(((full_row ^ (1 << y)) << (x * n) for x in range(n) for y in range(n)),
-                         _dtype(n))
+def _full_masks(m: int) -> np.ndarray:
+    # entry n: the n x n square at stride m
+    out = np.array([sum(((1 << n) - 1) << (x * m) for x in range(n)) for n in range(m + 1)],
+                   dtype=np.uint64)
+    out.setflags(write=False)
+    return out
 
 
-def apply_letter(arr: np.ndarray, letter: Letter, n: int) -> np.ndarray:
-    dt = _dtype(n)
+class Sizes:
+    """The size argument of a batch whose entries have several universe
+    sizes: each entry's size, the stride (the largest size) and each
+    entry's full mask, built once per batch."""
+
+    __slots__ = ("each", "stride", "full")
+
+    def __init__(self, each: np.ndarray) -> None:
+        self.each = each
+        self.stride = int(each.max())
+        self.full = _full_masks(self.stride)[each]
+        self.full.setflags(write=False)
+
+
+def size_arg(sizes: Sequence[int], counts: Sequence[int]):
+    """The kernels' size argument for a batch of ``counts[i]`` entries
+    of size ``sizes[i]`` in turn: the one size, or their ``Sizes``."""
+    if len(set(sizes)) == 1:
+        return sizes[0]
+    return Sizes(np.repeat(sizes, counts))
+
+
+def _layout(n):
+    """Stride, and the full masks that the maps which reach past an
+    entry's square AND with: None for one size, whose square is the
+    whole word."""
+    return (n.stride, n.full) if isinstance(n, Sizes) else (n, None)
+
+
+@lru_cache(maxsize=None)
+def _rowd_tables(m: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    # {(x, y)} ; D is row x minus (x, y), ANDed with the entry's square
+    full_row = (1 << m) - 1
+    return linear_tables(((full_row ^ (1 << y)) << (x * m) for x in range(m) for y in range(m)),
+                         _dtype(m))
+
+
+def apply_letter(arr: np.ndarray, letter: Letter, n) -> np.ndarray:
+    """One letter on every entry; ``arr`` has the dtype ``_dtype`` of
+    the stride."""
+    m, mask = _layout(n)
+    dt = _dtype(m)
     if letter is CAP_I:
-        return arr & dt(diag_mask(n))
+        return arr & dt(diag_mask(m))
     if letter is CAP_D:
-        return arr & dt(full_mask(n) ^ diag_mask(n))
+        return arr & dt(full_mask(m) ^ diag_mask(m))
     if letter is CONV:
-        return map_bits(arr, _transpose_tables(n, dt))
+        return map_bits(arr, _transpose_tables(m, dt))
     if letter is DOT_D:
-        return map_bits(arr, _rowd_tables(n))
+        out = map_bits(arr, _rowd_tables(m))
+        if mask is not None:
+            out &= mask
+        return out
     raise ValueError(f"unknown letter {letter!r}")
 
 
-def apply_word_packed(arr: np.ndarray, w: Word, n: int) -> np.ndarray:
+def apply_word_packed(arr: np.ndarray, w: Word, n) -> np.ndarray:
     """Value of w filled with each relation of ``arr``; the last letter
     acts first (it is innermost)."""
-    _check_size(n)
+    if not isinstance(n, Sizes):
+        _check_size(n)
     for letter in reversed(w):
         arr = apply_letter(arr, letter, n)
     return arr
 
 
 # ---------------------------------------------------------------------------
-# Exact equality at one size
+# Exact equality
+
+
+@lru_cache(maxsize=None)
+def one_pair_relations(sizes: tuple[int, ...]):
+    """The one-pair relations of each size in turn, (x, y) at index
+    x*n + y of its size's segment, packed at the stride of the largest
+    size, and the kernels' size argument for them."""
+    for n in sizes:
+        _check_size(n)
+    m = max(sizes)
+    dt = _dtype(m)
+    arr = dt(1) << np.array([x * m + y for n in sizes for x in range(n) for y in range(n)], dtype=dt)
+    arr.setflags(write=False)
+    return arr, size_arg(sizes, [n * n for n in sizes])
 
 
 def singleton_images(w: Word, n: int) -> np.ndarray:
     """Packed images under w of the n^2 one-pair relations: entry j is
     w[1 << j].  These fix w's value on every relation of size n."""
-    _check_size(n)
-    dt = _dtype(n)
-    return apply_word_packed(dt(1) << np.arange(n * n, dtype=dt), w, n)
+    return apply_word_packed(one_pair_relations((n,))[0], w, n)
 
 
-def first_counterexample(w1: Word, w2: Word, n: int) -> Optional[int]:
-    """Numerically first packed relation R of size n with w1[R] != w2[R]
-    (always a one-pair relation), or None when the words agree on all
-    2^(n^2) relations."""
-    bad = np.nonzero(singleton_images(w1, n) != singleton_images(w2, n))[0]
-    return 1 << int(bad[0]) if bad.size else None
+def rule_counterexamples(pairs: Sequence[tuple[Word, Word]],
+                         sizes: Sequence[int]) -> dict[int, list[Optional[int]]]:
+    """Per size and per pair of words, the numerically first packed
+    relation R of that size with w1[R] != w2[R] (always a one-pair
+    relation ``1 << j``), or None when the words agree on all 2^(n^2)
+    relations.  Each word, and each suffix shared between words, is
+    evaluated once, on the one-pair relations of every size at once."""
+    for n in sizes:
+        _check_size(n)
+    sizes = tuple(sorted(set(sizes)))
+    base, arg = one_pair_relations(sizes)
+    # one row per suffix of a word, shortest first, so that the row of
+    # w[1:] is filled before the row of w (one array, rather than one
+    # per suffix, keeps repeated calls from fragmenting the heap)
+    suffixes = sorted({()} | {w[k:] for pair in pairs for w in pair for k in range(len(w))},
+                      key=len)
+    row = {w: i for i, w in enumerate(suffixes)}
+    images = np.empty((len(suffixes), len(base)), dtype=base.dtype)
+    images[0] = base
+    for i, w in enumerate(suffixes[1:], start=1):
+        # the last letter acts first, so w is w[0] applied to w[1:]
+        images[i] = apply_letter(images[row[w[1:]]], w[0], arg)
+
+    segments, lo = [], 0
+    for n in sizes:
+        segments.append((n, lo, lo + n * n))
+        lo += n * n
+    out: dict[int, list[Optional[int]]] = {n: [] for n in sizes}
+    for w1, w2 in pairs:
+        bad = np.flatnonzero(images[row[w1]] != images[row[w2]]).tolist()
+        for n, lo, hi in segments:
+            k = bisect_left(bad, lo)
+            out[n].append(1 << (bad[k] - lo) if k < len(bad) and bad[k] < hi else None)
+    return out
 
 
 def scan_rule_pairs(pairs: Sequence[tuple[Word, Word]], n: int) -> list[Optional[int]]:
-    """Per pair, ``first_counterexample`` at size n."""
-    _check_size(n)
-    return [first_counterexample(w1, w2, n) for w1, w2 in pairs]
+    """Per pair, its ``rule_counterexamples`` at size n."""
+    return rule_counterexamples(pairs, (n,))[n]
 
 
 def words_equal_all_relations(w1: Word, w2: Word, n: int) -> bool:
@@ -228,74 +330,78 @@ def sampled_counterexample(w1: Word, w2: Word, n: int, count: int,
 # Terms on batches of structures
 
 
-def _batch_comp(r: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
+def _batch_comp(r: np.ndarray, s: np.ndarray, m: int) -> np.ndarray:
     # one step per middle point z: column z of r, moved to bit 0 of each
     # row, times row z of s copies that row into exactly the rows x with
     # (x, z) in r.  No product carries: the set bits of one factor are
-    # n apart and the other factor is below 2^n.
-    rm = np.uint64((1 << n) - 1)
-    c = np.uint64(_first_col(n))
+    # m apart and the other factor is below 2^m.
+    rm = np.uint64((1 << m) - 1)
+    c = np.uint64(_first_col(m))
     out = (r & c) * (s & rm)
     col = np.empty_like(r)
     row = np.empty_like(r)
-    for z in range(1, n):
+    for z in range(1, m):
         np.right_shift(r, np.uint64(z), out=col)
         col &= c
-        np.right_shift(s, np.uint64(n * z), out=row)
+        np.right_shift(s, np.uint64(m * z), out=row)
         row &= rm
         col *= row
         out |= col
     return out
 
 
-def _batch_project(r: np.ndarray, img1: int, img2: int, n: int) -> np.ndarray:
+def _batch_project(r: np.ndarray, img1: int, img2: int, m: int, mask) -> np.ndarray:
     if (img1, img2) == (1, 2):
         return r
     if (img1, img2) == (2, 1):
-        return map_bits(r, _transpose_tables(n, np.uint64))
-    return map_bits(r, _diag_proj_tables(n, img1))
+        return map_bits(r, _transpose_tables(m, np.uint64))
+    # a loop spreads over its whole row or column at the stride
+    out = map_bits(r, _diag_proj_tables(m, img1))
+    if mask is not None:
+        out &= mask
+    return out
 
 
-def eval_term_batch(t: Term, assignment: Mapping[str, np.ndarray], n: int) -> np.ndarray:
+def eval_term_batch(t: Term, assignment: Mapping[str, np.ndarray], n) -> np.ndarray:
     """Evaluate a term on a whole batch of structures at once; each
-    variable maps to a uint64 array of packed relations.  Packing
-    limits the universe to ``MAX_SIZE`` points."""
-    if n > MAX_SIZE:
+    variable maps to a uint64 array of packed relations, and ``n`` is
+    their size or their ``Sizes``.  Packing limits the universe to
+    ``MAX_SIZE`` points."""
+    if not isinstance(n, Sizes) and n > MAX_SIZE:
         raise SemanticsError(f"batched evaluation packs relations into 64-bit words; size must be <= {MAX_SIZE}")
-    fm = np.uint64(full_mask(n))
-    if isinstance(t, Var):
-        try:
-            return assignment[t.name]
-        except KeyError:
-            raise SemanticsError(f"variable {t.name!r} is not assigned") from None
+    m, mask = _layout(n)
+    fm = np.uint64(full_mask(m)) if mask is None else mask
     some = next(iter(assignment.values()), None)
-    shape = some.shape if some is not None else (1,)
-    if isinstance(t, Bot):
-        return np.zeros(shape, dtype=np.uint64)
-    if isinstance(t, Top):
-        return np.full(shape, fm, dtype=np.uint64)
-    if isinstance(t, Id):
-        return np.full(shape, np.uint64(diag_mask(n)), dtype=np.uint64)
-    if isinstance(t, Di):
-        return np.full(shape, np.uint64(full_mask(n) ^ diag_mask(n)), dtype=np.uint64)
-    if isinstance(t, Union):
-        return eval_term_batch(t.left, assignment, n) | eval_term_batch(t.right, assignment, n)
-    if isinstance(t, Inter):
-        return eval_term_batch(t.left, assignment, n) & eval_term_batch(t.right, assignment, n)
-    if isinstance(t, Compl):
-        return eval_term_batch(t.arg, assignment, n) ^ fm
-    if isinstance(t, Comp):
-        return _batch_comp(eval_term_batch(t.left, assignment, n),
-                           eval_term_batch(t.right, assignment, n), n)
-    if isinstance(t, Dagger):
-        # De Morgan dual of composition: R $ S = ~(~R ; ~S)
-        out = _batch_comp(eval_term_batch(t.left, assignment, n) ^ fm,
-                          eval_term_batch(t.right, assignment, n) ^ fm, n)
-        out ^= fm
-        return out
-    if isinstance(t, Proj):
-        return _batch_project(eval_term_batch(t.arg, assignment, n), t.proj.img1, t.proj.img2, n)
-    raise TermError(f"unexpected term {t!r}")  # pragma: no cover
+    shape = some.shape if some is not None else n.each.shape if mask is not None else (1,)
+    ident = np.uint64(diag_mask(m)) & fm
+    leaves = {Bot: np.uint64(0), Top: fm, Id: ident, Di: fm ^ ident}
+
+    def ev(t: Term) -> np.ndarray:
+        if isinstance(t, Var):
+            try:
+                return assignment[t.name]
+            except KeyError:
+                raise SemanticsError(f"variable {t.name!r} is not assigned") from None
+        if type(t) in leaves:
+            return np.full(shape, leaves[type(t)], dtype=np.uint64)
+        if isinstance(t, Union):
+            return ev(t.left) | ev(t.right)
+        if isinstance(t, Inter):
+            return ev(t.left) & ev(t.right)
+        if isinstance(t, Compl):
+            return ev(t.arg) ^ fm
+        if isinstance(t, Comp):
+            return _batch_comp(ev(t.left), ev(t.right), m)
+        if isinstance(t, Dagger):
+            # De Morgan dual of composition: R $ S = ~(~R ; ~S)
+            out = _batch_comp(ev(t.left) ^ fm, ev(t.right) ^ fm, m)
+            out ^= fm
+            return out
+        if isinstance(t, Proj):
+            return _batch_project(ev(t.arg), t.proj.img1, t.proj.img2, m, mask)
+        raise TermError(f"unexpected term {t!r}")  # pragma: no cover
+
+    return ev(t)
 
 
 # small enough that a chunk's temporaries stay in cache and the first
@@ -303,14 +409,45 @@ def eval_term_batch(t: Term, assignment: Mapping[str, np.ndarray], n: int) -> np
 _CHUNK = 1 << 14
 
 
+def _unstride(bits: int, m: int, n: int) -> int:
+    """A relation on n points packed at stride m, repacked at stride n."""
+    row = (1 << n) - 1
+    return sum(((bits >> (x * m)) & row) << (x * n) for x in range(n))
+
+
 def first_separating(t1: Term, t2: Term, assignment: Mapping[str, np.ndarray],
-                     n: int) -> Optional[Structure]:
+                     n) -> Optional[Structure]:
     """The structure at the first index of the batch where the two terms
-    evaluate differently; None if they agree on the whole batch."""
-    diff = np.nonzero(eval_term_batch(t1, assignment, n) != eval_term_batch(t2, assignment, n))[0]
+    evaluate differently, at that entry's own size; None if they agree
+    on the whole batch."""
+    diff = np.flatnonzero(eval_term_batch(t1, assignment, n) != eval_term_batch(t2, assignment, n))
     if not diff.size:
         return None
-    return Structure(n, {name: Rel(n, int(vals[diff[0]])) for name, vals in assignment.items()})
+    i = int(diff[0])
+    m, mask = _layout(n)
+    k = n if mask is None else int(n.each[i])
+    return Structure(k, {name: Rel(k, _unstride(int(vals[i]), m, k))
+                         for name, vals in assignment.items()})
+
+
+@lru_cache(maxsize=None)
+def _stride_tables(n: int, m: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    return linear_tables((1 << (x * m + y) for x in range(n) for y in range(n)), np.uint64)
+
+
+def merge_batches(batches: Iterable[tuple[int, Mapping[str, np.ndarray]]]):
+    """One batch from (size, assignment) pairs whose arrays are packed
+    at their own size, in the order given, restrided to the largest
+    size; returns the merged assignment and its size argument.  A pair
+    with no variables stands for one structure."""
+    batches = list(batches)
+    m = max(n for n, _ in batches)
+    names = list(batches[0][1])
+    counts = [len(next(iter(a.values()))) if a else 1 for _, a in batches]
+    merged = {name: np.concatenate([a[name] if n == m else map_bits(a[name], _stride_tables(n, m))
+                                    for n, a in batches])
+              for name in names}
+    return merged, size_arg([n for n, _ in batches], counts)
 
 
 def _enumerated_batch(start: int, stop: int, names: list[str], size: int) -> dict[str, np.ndarray]:

@@ -18,9 +18,14 @@ and the bounded counterexample search otherwise.  Words
 (``decide_word_equiv``) take the one-occurrence route on the terms
 they make from one variable, on universes of size at least five.
 
-The exact routes hand (size, assignment batch) pairs to one loop,
-``_separate``, which stops at the first structure that separates the
-sides and re-checks it.
+The exact routes hand (size, assignment batch) pairs, sizes
+ascending, to ``_separate``.  It packs them into one batch at the
+stride of the largest size, each entry keeping its own size and full
+mask (``bitrel.merge_batches``), evaluates each side once, and takes
+the structure at the first index where the sides differ, at that
+entry's size, and re-checks it.  Sizes and entries keep their order,
+so that is the first separating structure of the first separating
+size.
 
 The one-occurrence route evaluates both sides on every assignment of
 *basis* relations to the variables: the empty relation, the full
@@ -181,19 +186,20 @@ def _checked_inequivalent(t1: Term, t2: Term, witness: Structure) -> Inequivalen
 
 
 def _separate(t1: Term, t2: Term, batches, min_size: int) -> Optional[Inequivalent]:
-    """Run ``first_separating`` over (size, assignment batch) pairs in
-    order.  The first witness, carried to ``min_size`` if it is smaller
-    (see ``_lift``) and re-checked; None if no batch separates."""
-    from .bitrel import first_separating
+    """``first_separating`` on the (size, assignment batch) pairs merged
+    into one batch in order.  The first witness, carried to ``min_size``
+    if it is smaller (see ``_lift``) and re-checked; None if no entry
+    separates."""
+    from .bitrel import first_separating, merge_batches
 
-    for n, assignment in batches:
-        witness = first_separating(t1, t2, assignment, n)
-        if witness is not None:
-            if n < min_size:
-                witness = Structure(min_size, {name: _lift(rel, min_size)
-                                               for name, rel in witness.assignment.items()})
-            return _checked_inequivalent(t1, t2, witness)
-    return None
+    batches = list(batches)
+    witness = first_separating(t1, t2, *merge_batches(batches)) if batches else None
+    if witness is None:
+        return None
+    if witness.size < min_size:
+        witness = Structure(min_size, {name: _lift(rel, min_size)
+                                       for name, rel in witness.assignment.items()})
+    return _checked_inequivalent(t1, t2, witness)
 
 
 # ---------------------------------------------------------------------------

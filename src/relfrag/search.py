@@ -8,8 +8,10 @@ read off these images stops changing from 5 points on (the images
 agree at one size from 5 on iff they agree at all of them; see
 ``decide``), so the images at the sizes from the exhaustive size to 5
 decide equality on every universe of at least the exhaustive size.
-That concatenation is the search's exact key (``word_fingerprint``);
-no seeded panel is evaluated anywhere in this module.
+Those images, one packed batch over all these sizes at the stride of
+the largest (``bitrel.one_pair_relations``), are the search's exact key
+(``word_fingerprint``); no seeded panel is evaluated anywhere in this
+module.
 
 ``run_search`` is the possibly non-terminating completion loop: it
 draws candidate pairs (u, v), with v ascending in shortlex order over
@@ -25,23 +27,24 @@ Two things keep the loop incremental within one search.  A candidate
 v is drawn only when v[1:] survived, and letters preserve unions with
 the first letter acting last, so v's singleton images are the letter
 v[0] applied to those of v[1:]; each survivor keeps its images, and a
-key costs one letter application per key size.  Cofiniteness is
-re-decided only when the last infinite witness dies: while the
-admitted large sides leave infinitely many words, ``is_cofinite``
-returns a lasso, an infinite word prefix·cycle·cycle·… containing none
-of them.  A new large side that does not occur in it leaves that word
-irreducible, so the language stays infinite and the lasso stays a
-witness; admitting rules only shrinks the language, so the decision
-is never revisited.  Only a large side that occurs in the lasso
-rebuilds the automaton.
+key costs one letter application on the one batch that spans every key
+size.  Cofiniteness is re-decided only when the last infinite witness
+dies: while the admitted large sides leave infinitely many words,
+``is_cofinite`` returns a lasso, an infinite word
+prefix·cycle·cycle·… containing none of them.  A new large side that
+does not occur in it leaves that word irreducible, so the language
+stays infinite and the lasso stays a witness; admitting rules only
+shrinks the language, so the decision is never revisited.  Only a
+large side that occurs in the lasso rebuilds the automaton.
 
 ``verify_rules`` re-certifies any rule set exactly at the exhaustive
-size and at each sample size.
+size and at each sample size, evaluating each word once over all of
+those sizes (``bitrel.rule_counterexamples``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import bitrel
 from .rewriting import RewriteSystem, Rule, make_system
@@ -50,21 +53,21 @@ from .terms import record
 from .words import LETTERS, Word
 
 
-def _key_sizes(cfg: OracleConfig) -> range:
-    return range(cfg.exhaustive_size, max(cfg.exhaustive_size, 5) + 1)
-
-
-def _key(images: Iterable) -> bytes:
-    return b"".join(a.tobytes() for a in images)
+def _key_base(cfg: OracleConfig):
+    """The one-pair relations of every key size, from the exhaustive
+    size to 5, in one batch, and its size argument."""
+    return bitrel.one_pair_relations(tuple(range(cfg.exhaustive_size,
+                                                 max(cfg.exhaustive_size, 5) + 1)))
 
 
 def word_fingerprint(w: Word, cfg: OracleConfig) -> bytes:
     """Exact key of the word's map on universes of at least the
     exhaustive size m: its packed singleton images at every size from m
-    to max(m, 5), concatenated.  Two words share a key iff they agree
+    to max(m, 5), in one batch.  Two words share a key iff they agree
     on every relation of every size >= m.  ``run_search`` builds the
     same bytes from the images of w[1:] with the one letter w[0]."""
-    return _key(bitrel.singleton_images(w, n) for n in _key_sizes(cfg))
+    base, n = _key_base(cfg)
+    return bitrel.apply_word_packed(base, w, n).tobytes()
 
 
 def word_equiv_oracle(w1: Word, w2: Word, cfg: OracleConfig) -> bool:
@@ -110,14 +113,14 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
                             rep.max_complement_length,
                             survivors=len(images))
 
-    sizes = _key_sizes(cfg)
-    images: dict[Word, list] = {}  # survivor -> packed singleton images per key size
+    base, n = _key_base(cfg)
+    images: dict = {}  # survivor -> its packed singleton images
     by_fp: dict[bytes, Word] = {}  # key -> the one survivor with that key
     by_len: dict[int, list[Word]] = {}
     examined = 0
     oracle_calls = 0
 
-    def keep(v: Word, imgs: list, fp: bytes) -> None:
+    def keep(v: Word, imgs, fp: bytes) -> None:
         images[v] = imgs
         by_fp[fp] = v
         by_len.setdefault(len(v), []).append(v)
@@ -126,8 +129,7 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
         return report("cofinite")
 
     # the empty word always survives (nothing is below it)
-    empty = [bitrel.singleton_images((), n) for n in sizes]
-    keep((), empty, _key(empty))
+    keep((), base, base.tobytes())
 
     for length in range(1, max_len + 1):
         parents = by_len.get(length - 1, [])
@@ -142,8 +144,8 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
                 if examined >= budget:
                     return report("budget")
                 examined += len(images)
-                imgs = [bitrel.apply_letter(a, v[0], n) for a, n in zip(below, sizes)]
-                fp = _key(imgs)
+                imgs = bitrel.apply_letter(below, v[0], n)
+                fp = imgs.tobytes()
                 u = by_fp.get(fp)
                 if u is None:
                     keep(v, imgs, fp)
@@ -181,15 +183,15 @@ def verify_rules(rs: RewriteSystem, exhaustive_size: int = 5,
     """Certify every rule exactly, from the singleton images, on all
     2^(n^2) relations at the exhaustive size and at each sample size.
     A failure at a sample size is reported as (size, 1 << j) for the
-    lowest differing image j.  ``samples_per_size``, ``seed`` and
-    ``threads`` are accepted for compatibility and ignored: no panel is
-    drawn."""
-    pairs = [(r.small, r.large) for r in rs.rules]
-    exhaustive = bitrel.scan_rule_pairs(pairs, exhaustive_size)
-    by_size = [(n, bitrel.scan_rule_pairs(pairs, n)) for n in sample_sizes]
+    lowest differing image j of that size.  ``samples_per_size``,
+    ``seed`` and ``threads`` are accepted for compatibility and
+    ignored: no panel is drawn."""
+    found = bitrel.rule_counterexamples([(r.small, r.large) for r in rs.rules],
+                                        (exhaustive_size, *sample_sizes))
     out = []
-    for i, (rule, bad) in enumerate(zip(rs.rules, exhaustive)):
-        failures = tuple((n, hits[i]) for n, hits in by_size if hits[i] is not None)
+    for i, rule in enumerate(rs.rules):
+        bad = found[exhaustive_size][i]
+        failures = tuple((n, found[n][i]) for n in sample_sizes if found[n][i] is not None)
         out.append(RuleCheck(rule.index, rule.small, rule.large,
                              exhaustive_size, bad is None, bad,
                              not failures, failures))

@@ -91,8 +91,9 @@ class Rel:
         return bool(self.bits >> (x * self.size + y) & 1)
 
     def pairs(self) -> list[tuple[int, int]]:
-        n = self.size
-        return [(x, y) for x in range(n) for y in range(n) if self.contains(x, y)]
+        # each row once, its bits read lowest first from the binary digits
+        return [(x, y) for x, r in enumerate(self.rows())
+                for y, bit in enumerate(bin(r)[:1:-1]) if bit == "1"]
 
     def rows(self) -> list[int]:
         n = self.size

@@ -17,12 +17,14 @@ from relfrag import bitrel
 CHUNK = 1 << 16
 
 
-def first_counterexamples(pairs, n, chunk=CHUNK):
+def first_counterexamples(pairs, n, chunk=CHUNK, limit=None):
     """Per pair of words, the numerically first packed relation of size
     n on which the two sides differ, or None.  Stops after the first
-    chunk in which every pair has one."""
+    chunk in which every pair has one.  With ``limit`` only the
+    relations below it are scanned, and None means none of them
+    separates."""
     dt = np.uint32 if n * n <= 32 else np.uint64
-    count = 1 << (n * n)
+    count = 1 << (n * n) if limit is None else min(limit, 1 << (n * n))
     results = [None] * len(pairs)
     for start in range(0, count, chunk):
         todo = [i for i, hit in enumerate(results) if hit is None]

@@ -10,7 +10,7 @@ from relfrag.automata import is_cofinite
 from relfrag.rewriting import Rule, figure1_rules, format_rules, load_rules, make_system
 from relfrag.search import (OracleConfig, SearchReport, run_search, verify_rules,
                             word_equiv_oracle, word_fingerprint)
-from relfrag.words import CONV, DOT_D, LETTERS, parse_word
+from relfrag.words import CONV, DOT_D, LETTERS, parse_word, shortlex_key
 
 CFG = OracleConfig()
 PLANTED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "planted_false_rules.txt"
@@ -77,6 +77,33 @@ def test_scan_rule_pairs_matches_brute_first_counterexample():
     planted = [(r.small, r.large) for r in load_rules(str(PLANTED)).rules]
     assert brute.first_counterexamples(planted, 5) == [1, 2, 1]
     assert bitrel.scan_rule_pairs(planted, 5) == [1, 2, 1]
+
+
+def test_verify_rules_matches_brute_scan_at_each_size():
+    # one batch spans sizes 5, 6 and 7; at each size the answer is the
+    # literal scan's.  The full size-5 scan of Figure 1 is criterion 1;
+    # at 6 and 7 the scan covers the first 2^16 relations.
+    rng = np.random.default_rng(400)
+    figure1 = [(r.small, r.large) for r in figure1_rules().rules]
+    planted = [(r.small, r.large) for r in load_rules(str(PLANTED)).rules]
+    randoms = []
+    while len(randoms) < 24:
+        w1, w2 = sorted((_random_word(rng, 6), _random_word(rng, 6)), key=shortlex_key)
+        if w1 != w2:
+            randoms.append((w1, w2))
+    pairs = figure1 + planted + randoms
+    checks = verify_rules(make_system(pairs), exhaustive_size=5, sample_sizes=(6, 7))
+    got = {5: [c.exhaustive_counterexample for c in checks]}
+    for n in (6, 7):
+        got[n] = [dict(c.sampled_failures).get(n) for c in checks]
+    assert all(c.sampled_ok == (got[6][i] is None and got[7][i] is None)
+               for i, c in enumerate(checks))
+    assert brute.first_counterexamples(planted + randoms, 5) == got[5][len(figure1):]
+    limit = 1 << 16
+    for n in (6, 7):
+        expected = brute.first_counterexamples(pairs, n, limit=limit)
+        assert expected == [c if c is not None and c < limit else None for c in got[n]], n
+    assert any(c is not None for c in got[7][len(figure1):])
 
 
 def test_word_matrix_columns_and_products():

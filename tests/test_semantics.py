@@ -44,6 +44,20 @@ def test_batch_eval_size_limit():
         random_check(Var("a"), parse_term("a~"), 9, 10, 0)
 
 
+def test_pairs_match_definition_and_round_trip():
+    # pairs() reads each row once; the order stays x, then y
+    rng = np.random.default_rng(9)
+    for n in range(1, 10):
+        for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+            for _ in range(5):
+                r = Rel.from_pairs(n, [(x, y) for x in range(n) for y in range(n)
+                                       if rng.random() < p])
+                expected = [(x, y) for x in range(n) for y in range(n)
+                            if r.bits >> (x * n + y) & 1]
+                assert r.pairs() == expected
+                assert Rel.from_pairs(n, r.pairs()) == r
+
+
 def test_eval_unassigned_variable_is_reported():
     with pytest.raises(SemanticsError, match="'b'"):
         eval_term(parse_term("a ; b"), Structure(2, {"a": Rel.empty(2)}))
