@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Per-operator timings of the packed-relation kernels.
+"""Per-operator timings of the bit-sliced kernel.
 
 Times ``bitrel.eval_term_batch`` for each operator and
 ``bitrel.apply_word_packed`` for each context letter, at every size in
-``--sizes``, on ``--relations`` seeded random relations.  Every figure
-is the median of ``--repeat`` runs in milliseconds (one untimed warm-up
-run first builds any lookup tables).  Prints JSON with the machine
-(nproc, Python and numpy versions); ``--out DIR`` also writes it to
-``DIR/BENCH_kernels_<label>.json``.
+``--sizes``, on one batch of ``--relations`` seeded random relations
+(each pair present with probability 1/2, so each pair integer is
+``--relations`` random bits).  Every figure is the median of
+``--repeat`` runs in milliseconds, after one untimed warm-up run.
+Prints JSON with the machine (nproc and Python version); ``--out DIR``
+also writes it to ``DIR/BENCH_kernels_<label>.json``.
 
 Example:
     PYTHONPATH=src python3 scripts/bench_kernels.py --label current --out .
@@ -17,17 +18,15 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from relfrag import bitrel  # noqa: E402
-from relfrag.semantics import full_mask  # noqa: E402
 from relfrag.terms import parse_term  # noqa: E402
 from relfrag.words import parse_word  # noqa: E402
 
@@ -59,21 +58,21 @@ def main() -> None:
     batch: dict[str, dict[str, float]] = {op: {} for op in OPERATORS}
     letters: dict[str, dict[str, float]] = {name: {} for name in LETTERS}
     for n in args.sizes:
-        rng = np.random.default_rng([args.seed, n])
-        fm = np.uint64(full_mask(n))
-        a, b = (rng.integers(0, 1 << 64, size=args.relations, dtype=np.uint64) & fm for _ in range(2))
+        rng = random.Random(f"{args.seed}/{n}")
+        a, b = ([rng.getrandbits(args.relations) for _ in range(n * n)] for _ in range(2))
+        masks = bitrel.batch_masks([(n, args.relations)])
         for op in OPERATORS:
             t = parse_term(op)
-            batch[op][str(n)] = _median_ms(lambda: bitrel.eval_term_batch(t, {"a": a, "b": b}, n), args.repeat)
-        packed = a.astype(bitrel._dtype(n))
+            batch[op][str(n)] = _median_ms(lambda: bitrel.eval_term_batch(t, {"a": a, "b": b}, masks),
+                                           args.repeat)
         for name in LETTERS:
             w = parse_word(name)
-            letters[name][str(n)] = _median_ms(lambda: bitrel.apply_word_packed(packed, w, n), args.repeat)
+            letters[name][str(n)] = _median_ms(lambda: bitrel.apply_word_packed(a, w, masks), args.repeat)
 
     result = {
         "label": args.label,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "platform": platform.platform()},
+                    "platform": platform.platform()},
         "params": {"relations": args.relations, "sizes": list(args.sizes),
                    "repeat": args.repeat, "seed": args.seed, "unit": "ms (median)"},
         "eval_term_batch": batch,

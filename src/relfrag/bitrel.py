@@ -1,210 +1,127 @@
-"""The packed-relation kernel, the one module that imports numpy on load.
+"""The bit-sliced kernel: a batch of relations as Python integers.
 
-A relation on n points (n <= ``MAX_SIZE`` = 8) is one machine word, and
-every kernel acts on whole numpy arrays of such words.  One array may
-hold relations of several universe sizes: the largest size m in the
-batch is the row stride, a relation on n <= m points keeps the pair
-(x, y) at bit ``x*m + y``, and its rows and columns from n on stay
-empty.  A batch of one size is the case m = n, bit ``x*n + y``.  The
-size argument ``n`` of the kernels is that one size, or the ``Sizes``
-of a batch with several; then each entry also carries its full mask
-(the n x n square at stride m), and the few maps that can reach past an
-entry's square AND with it: complement, ``top``, ``I``, ``D``, dagger,
-the projections [1,1] and [2,2], and the letter ``cD``.  Composition,
-converse, union, intersection, ``iI`` and ``iD`` keep the empty rows
-and columns empty.  With one size the mask is the whole word and is
-skipped.
+A batch of B structures at stride m holds, per variable, m^2 Python
+integers, one per pair (x, y) at index ``x*m + y``: bit i says whether
+entry i has the pair.  Entries may have different universe sizes up to
+m, the entries of one size consecutive.  Each pair also has a mask
+(``batch_masks``): the entries whose size covers the pair, which is all
+B bits when the batch has one size.  The operators are then plain
+integer operations.  Union, intersection and complement (XOR with the
+mask) are one operation per pair; converse is a permutation of the
+list; composition is the OR over z of ``R[x][z] & S[z][y]`` and dagger
+is its De Morgan dual ~(~R ; ~S).  The maps that can reach past an
+entry's square AND with the mask: complement, ``top``, ``I``, ``D``,
+dagger, the projections [1,1] and [2,2], which copy the diagonal along
+each row or column, and the letter ``cD``.  Composition, converse,
+union, intersection, ``iI`` and ``iD`` keep the pairs outside an
+entry's square empty.  No kernel limits the size.
 
-Maps that send each pair to a fixed set of pairs preserve unions, so
-they go through chunked lookup tables (``linear_tables``), each mapping
-a group of input bits to the union of their images: converse, the
-projections [1,1] and [2,2], the letter ``cD`` and the bit reversal
-that turns an enumeration index into relations.
-
-*Context words.*  ``iI`` / ``iD`` are single masks; ``cv`` is converse;
-``{(x, y)} ; D`` is row x minus column y, so a row composed with the
-difference relation is full with two or more bits, full minus that
-column with exactly one, and empty when it is empty.  At stride m it is
-row x of width m minus (x, y), ANDed with the entry's full mask, so one
-table serves every size.  Every letter preserves unions and sends the
-empty relation to itself, so the n^2 images of the one-pair relations
+*Context words.*  ``iI`` / ``iD`` keep or clear the diagonal; ``cv`` is
+converse; ``{(x, y)} ; D`` is row x minus (x, y), so ``cD`` sets (x, y)
+where row x has some other pair: where it has two pairs, or one that is
+not (x, y), masked.  Every letter preserves unions and sends the empty relation
+to itself, so the n^2 images of the one-pair relations
 (``one_pair_relations``, ``singleton_images``) fix a word's map at size
-n exactly.  Two words differ at size n iff some image differs, and if j
-is the lowest such index, counted x*n + y, then ``1 << j`` is the
-numerically first separating relation of size n (a smaller relation has
-only bits below j, whose images agree).  ``rule_counterexamples``
-evaluates each word once over all the sizes asked for.  The literal
-scan over all 2^(n^2) relations lives in the test suite as an
-independent oracle.
+n exactly.  Entry j of that batch is the one-pair relation ``1 << j``
+(j = x*n + y), so the images are the word's transfer matrix: bit j of
+pair i's integer says whether pair j feeds pair i.  Two words differ at
+size n iff some image differs, and if j is the lowest such entry then
+``1 << j`` is the numerically first separating relation of size n (a
+smaller relation has only bits below j, whose images agree).
+``rule_counterexamples`` evaluates each word once over all the sizes
+asked for.  The literal scan over all 2^(n^2) relations lives in the
+test suite as an independent oracle.
 
 *Terms.*  ``eval_term_batch`` evaluates a term on a batch of
-structures, one array per variable.  Composition takes m vector steps,
-one per middle point z: column z of the left side, shifted to bit 0 of
-each row, times row z of the right side copies that row into exactly
-the rows x with (x, z) on the left.  No product carries, since the set
-bits of one factor are m apart and the other is below 2^m (at m = 8 the
-products fill all 64 bits).  Dagger is the De Morgan dual ~(~R ; ~S).
-``first_separating`` finds the first structure of a batch that
-separates two terms, at that entry's own size; the oracles of
+structures.  ``first_separating`` takes the lowest set bit of the OR of
+the pairwise XORs of the two sides, the first entry that separates
+them, and reads that structure back at its own size.  The oracles of
 ``semantics`` hand it batches of one size, and the exact routes of
-``decide`` merge theirs into one batch (``merge_batches``).
+``decide`` merge theirs into one batch (``merge_batches``).  Nothing
+here imports numpy at load; only the seeded sampler ``sample_panel``
+(and ``semantics.random_check``) imports it, to draw.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import isqrt
+from operator import and_, or_, xor
 from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from .semantics import MAX_SIZE, Rel, SemanticsError, Structure, diag_mask, full_mask
 from .terms import Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term, TermError, Top, Union, Var
 from .words import CAP_D, CAP_I, CONV, DOT_D, Letter, Word
 
 
-def _first_col(n: int) -> int:
-    # bit 0 of every row
-    return sum(1 << (x * n) for x in range(n))
-
-
-def linear_tables(images: Iterable[int], dtype) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """A map of packed words that sends 0 to 0 and preserves OR, given
-    by the images of the single bits (bit p goes to ``images[p]``), as
-    read-only lookup tables, one per group of <= 13 input bits."""
-    images = list(images)
-    tables = []
-    for lo in range(0, len(images), 13):
-        width = min(13, len(images) - lo)
-        vals = np.arange(1 << width, dtype=dtype)
-        out = np.zeros_like(vals)
-        for p in range(width):
-            if images[lo + p]:
-                out |= ((vals >> dtype(p)) & dtype(1)) * dtype(images[lo + p])
-        out.setflags(write=False)
-        tables.append((lo, width, out))
-    return tuple(tables)
-
-
-def map_bits(arr: np.ndarray, tables) -> np.ndarray:
-    """Apply a ``linear_tables`` map to every entry; the result is a new
-    array of the tables' dtype."""
-    dt = arr.dtype.type
-    idx = np.empty(arr.shape, dtype=np.uint64)
-    out = part = None
-    for lo, width, table in tables:
-        np.right_shift(arr, dt(lo), out=idx)
-        idx &= np.uint64((1 << width) - 1)
-        # indices are below 2^width by construction; "clip" skips the
-        # bounds check and lets take write into ``part`` unbuffered
-        if out is None:
-            out = table.take(idx.view(np.int64), mode="clip")
-        else:
-            part = table.take(idx.view(np.int64), out=part, mode="clip")
-            out |= part
+def batch_masks(layout: Iterable[tuple[int, int]]) -> list[int]:
+    """The masks of a batch of ``count`` entries of ``size`` for each
+    (size, count) in turn, at the stride of the largest size."""
+    layout = list(layout)
+    m = max(n for n, _ in layout)
+    out = [0] * (m * m)
+    offset = 0
+    for n, count in layout:
+        block = ((1 << count) - 1) << offset
+        for x in range(n):
+            for y in range(n):
+                out[x * m + y] |= block
+        offset += count
     return out
 
 
-@lru_cache(maxsize=None)
-def _transpose_tables(n: int, dtype) -> tuple[tuple[int, int, np.ndarray], ...]:
-    return linear_tables((1 << (y * n + x) for x in range(n) for y in range(n)), dtype)
+def pair_integers(relations: Sequence[int], n: int) -> list[int]:
+    """The pair integers of a sequence of relations of size n, each a
+    row-major bitset (``Rel.bits``): bit i of pair p's integer is bit p
+    of relation i."""
+    nn = n * n
+    # the relations' binary digits, last relation first, so that the
+    # digits of one pair, read every nn characters, form its integer
+    text = "".join([format(r, f"0{nn}b") for r in reversed(relations)])
+    return [int(text[nn - 1 - p::nn], 2) for p in range(nn)]
 
 
 @lru_cache(maxsize=None)
-def _bitrev_tables(nbits: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    # maps a big-endian bit block to the packed little-endian relation
-    return linear_tables((1 << (nbits - 1 - p) for p in range(nbits)), np.uint64)
+def _converse_order(m: int) -> tuple[int, ...]:
+    # pair (x, y) of the converse is pair (y, x)
+    return tuple(y * m + x for x in range(m) for y in range(m))
 
 
-@lru_cache(maxsize=None)
-def _diag_proj_tables(n: int, img: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    # [1,1] sends a loop (x,x) to all of row x, [2,2] to all of column x
-    spread = [((1 << n) - 1) << (x * n) if img == 1 else _first_col(n) << x for x in range(n)]
-    return linear_tables((spread[x] if x == y else 0 for x in range(n) for y in range(n)), np.uint64)
-
-
-def _dtype(n: int):
-    return np.uint32 if n * n <= 32 else np.uint64
-
-
-def _check_size(n: int) -> None:
-    if not 1 <= n <= MAX_SIZE:
-        raise ValueError(f"packed relations support sizes 1..{MAX_SIZE}, got {n}")
-
-
-@lru_cache(maxsize=None)
-def _full_masks(m: int) -> np.ndarray:
-    # entry n: the n x n square at stride m
-    out = np.array([sum(((1 << n) - 1) << (x * m) for x in range(n)) for n in range(m + 1)],
-                   dtype=np.uint64)
-    out.setflags(write=False)
-    return out
-
-
-class Sizes:
-    """The size argument of a batch whose entries have several universe
-    sizes: each entry's size, the stride (the largest size) and each
-    entry's full mask, built once per batch."""
-
-    __slots__ = ("each", "stride", "full")
-
-    def __init__(self, each: np.ndarray) -> None:
-        self.each = each
-        self.stride = int(each.max())
-        self.full = _full_masks(self.stride)[each]
-        self.full.setflags(write=False)
-
-
-def size_arg(sizes: Sequence[int], counts: Sequence[int]):
-    """The kernels' size argument for a batch of ``counts[i]`` entries
-    of size ``sizes[i]`` in turn: the one size, or their ``Sizes``."""
-    if len(set(sizes)) == 1:
-        return sizes[0]
-    return Sizes(np.repeat(sizes, counts))
-
-
-def _layout(n):
-    """Stride, and the full masks that the maps which reach past an
-    entry's square AND with: None for one size, whose square is the
-    whole word."""
-    return (n.stride, n.full) if isinstance(n, Sizes) else (n, None)
-
-
-@lru_cache(maxsize=None)
-def _rowd_tables(m: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    # {(x, y)} ; D is row x minus (x, y), ANDed with the entry's square
-    full_row = (1 << m) - 1
-    return linear_tables(((full_row ^ (1 << y)) << (x * m) for x in range(m) for y in range(m)),
-                         _dtype(m))
-
-
-def apply_letter(arr: np.ndarray, letter: Letter, n) -> np.ndarray:
-    """One letter on every entry; ``arr`` has the dtype ``_dtype`` of
-    the stride."""
-    m, mask = _layout(n)
-    dt = _dtype(m)
+def apply_letter(rels: Sequence[int], letter: Letter, masks: Sequence[int]) -> list[int]:
+    """One letter on every entry of a batch."""
+    m = isqrt(len(masks))
     if letter is CAP_I:
-        return arr & dt(diag_mask(m))
+        out = [0] * len(rels)
+        out[::m + 1] = rels[::m + 1]  # the diagonal, every m+1 pairs
+        return out
     if letter is CAP_D:
-        return arr & dt(full_mask(m) ^ diag_mask(m))
+        out = list(rels)
+        out[::m + 1] = [0] * m
+        return out
     if letter is CONV:
-        return map_bits(arr, _transpose_tables(m, dt))
+        return [rels[i] for i in _converse_order(m)]
     if letter is DOT_D:
-        out = map_bits(arr, _rowd_tables(m))
-        if mask is not None:
-            out &= mask
+        # (x, y) is set where row x has a pair other than (x, y): where
+        # the row has two pairs, or one pair and (x, y) is not it
+        out = []
+        for x in range(0, m * m, m):
+            row = rels[x:x + m]
+            one = two = 0
+            for v in row:
+                two |= one & v
+                one |= v
+            out += [(two | (one ^ v)) & mask for v, mask in zip(row, masks[x:x + m])]
         return out
     raise ValueError(f"unknown letter {letter!r}")
 
 
-def apply_word_packed(arr: np.ndarray, w: Word, n) -> np.ndarray:
-    """Value of w filled with each relation of ``arr``; the last letter
-    acts first (it is innermost)."""
-    if not isinstance(n, Sizes):
-        _check_size(n)
+def apply_word_packed(rels: Sequence[int], w: Word, masks: Sequence[int]) -> list[int]:
+    """Value of w filled with each relation of the batch; the last
+    letter acts first (it is innermost)."""
+    rels = list(rels)
     for letter in reversed(w):
-        arr = apply_letter(arr, letter, n)
-    return arr
+        rels = apply_letter(rels, letter, masks)
+    return rels
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +129,27 @@ def apply_word_packed(arr: np.ndarray, w: Word, n) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def one_pair_relations(sizes: tuple[int, ...]):
-    """The one-pair relations of each size in turn, (x, y) at index
-    x*n + y of its size's segment, packed at the stride of the largest
-    size, and the kernels' size argument for them."""
-    for n in sizes:
-        _check_size(n)
+def one_pair_relations(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The one-pair relations of each size in turn, (x, y) of size n as
+    entry x*n + y of that size's segment, at the stride of the largest
+    size, and the batch's masks."""
     m = max(sizes)
-    dt = _dtype(m)
-    arr = dt(1) << np.array([x * m + y for n in sizes for x in range(n) for y in range(n)], dtype=dt)
-    arr.setflags(write=False)
-    return arr, size_arg(sizes, [n * n for n in sizes])
+    base = [0] * (m * m)
+    offset = 0
+    for n in sizes:
+        for x in range(n):
+            for y in range(n):
+                base[x * m + y] |= 1 << (offset + x * n + y)
+        offset += n * n
+    return tuple(base), tuple(batch_masks((n, n * n) for n in sizes))
 
 
-def singleton_images(w: Word, n: int) -> np.ndarray:
-    """Packed images under w of the n^2 one-pair relations: entry j is
-    w[1 << j].  These fix w's value on every relation of size n."""
-    return apply_word_packed(one_pair_relations((n,))[0], w, n)
+def singleton_images(w: Word, n: int) -> list[int]:
+    """Images under w of the n^2 one-pair relations: bit j of pair i's
+    integer says whether pair i is in w[1 << j].  These fix w's value on
+    every relation of size n."""
+    base, masks = one_pair_relations((n,))
+    return apply_word_packed(base, w, masks)
 
 
 def rule_counterexamples(pairs: Sequence[tuple[Word, Word]],
@@ -238,32 +159,20 @@ def rule_counterexamples(pairs: Sequence[tuple[Word, Word]],
     relation ``1 << j``), or None when the words agree on all 2^(n^2)
     relations.  Each word, and each suffix shared between words, is
     evaluated once, on the one-pair relations of every size at once."""
-    for n in sizes:
-        _check_size(n)
     sizes = tuple(sorted(set(sizes)))
-    base, arg = one_pair_relations(sizes)
-    # one row per suffix of a word, shortest first, so that the row of
-    # w[1:] is filled before the row of w (one array, rather than one
-    # per suffix, keeps repeated calls from fragmenting the heap)
-    suffixes = sorted({()} | {w[k:] for pair in pairs for w in pair for k in range(len(w))},
-                      key=len)
-    row = {w: i for i, w in enumerate(suffixes)}
-    images = np.empty((len(suffixes), len(base)), dtype=base.dtype)
-    images[0] = base
-    for i, w in enumerate(suffixes[1:], start=1):
-        # the last letter acts first, so w is w[0] applied to w[1:]
-        images[i] = apply_letter(images[row[w[1:]]], w[0], arg)
-
-    segments, lo = [], 0
-    for n in sizes:
-        segments.append((n, lo, lo + n * n))
-        lo += n * n
+    base, masks = one_pair_relations(sizes)
+    images = {(): base}
+    # shortest first, so that w[1:] is evaluated before w; the last
+    # letter acts first, so w is w[0] applied to w[1:]
+    for w in sorted({w[k:] for pair in pairs for w in pair for k in range(len(w))}, key=len):
+        images[w] = apply_letter(images[w[1:]], w[0], masks)
     out: dict[int, list[Optional[int]]] = {n: [] for n in sizes}
     for w1, w2 in pairs:
-        bad = np.flatnonzero(images[row[w1]] != images[row[w2]]).tolist()
-        for n, lo, hi in segments:
-            k = bisect_left(bad, lo)
-            out[n].append(1 << (bad[k] - lo) if k < len(bad) and bad[k] < hi else None)
+        bad = reduce(or_, map(xor, images[w1], images[w2]))
+        for n in sizes:
+            segment = bad & ((1 << (n * n)) - 1)
+            out[n].append(segment & -segment or None)
+            bad >>= n * n
     return out
 
 
@@ -274,16 +183,14 @@ def scan_rule_pairs(pairs: Sequence[tuple[Word, Word]], n: int) -> list[Optional
 
 def words_equal_all_relations(w1: Word, w2: Word, n: int) -> bool:
     """Whether the words agree on every relation of size n."""
-    return bool(np.array_equal(singleton_images(w1, n), singleton_images(w2, n)))
+    return singleton_images(w1, n) == singleton_images(w2, n)
 
 
-def word_matrix(w: Word, n: int) -> np.ndarray:
-    """Boolean transfer matrix of the word: bit j of the input feeds
-    bit i of the output iff entry (i, j) is set, so column j is the
-    image of ``1 << j``."""
-    images = singleton_images(w, n).astype(np.uint64)
-    shifts = np.arange(n * n, dtype=np.uint64)[:, None]
-    return ((images[None, :] >> shifts) & np.uint64(1)).astype(np.uint8)
+def word_matrix(w: Word, n: int) -> list[list[int]]:
+    """Boolean transfer matrix of the word, as rows of 0/1: bit j of the
+    input feeds bit i of the output iff entry (i, j) is 1, so column j
+    is the image of ``1 << j``."""
+    return [[row >> j & 1 for j in range(n * n)] for row in singleton_images(w, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -293,23 +200,22 @@ def word_matrix(w: Word, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def sample_panel(n: int, count: int, seed: int) -> np.ndarray:
-    """Deterministic panel of packed relations: each pair present with
-    probability 1/2, with empty, full, identity and difference forced
-    into the first four slots."""
-    _check_size(n)
+def sample_panel(n: int, count: int, seed: int) -> tuple[int, ...]:
+    """Deterministic panel of max(count, 4) relations of size n, as pair
+    integers: each pair present with probability 1/2, with empty, full,
+    identity and difference forced into the first four entries."""
+    if not 1 <= n <= MAX_SIZE:
+        raise SemanticsError(f"sample_panel draws each relation as one 64-bit word; "
+                             f"size must be in 1..{MAX_SIZE}")
+    import numpy as np
+
     rng = np.random.default_rng([seed, n])
     total = max(count, 4)
     lo = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
     hi = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
     vals = (lo | (hi << np.uint64(32))) & np.uint64(full_mask(n))
-    vals[0] = 0
-    vals[1] = full_mask(n)
-    vals[2] = diag_mask(n)
-    vals[3] = full_mask(n) ^ diag_mask(n)
-    arr = vals.astype(_dtype(n))
-    arr.setflags(write=False)
-    return arr
+    vals[:4] = 0, full_mask(n), diag_mask(n), full_mask(n) ^ diag_mask(n)
+    return tuple(pair_integers(vals.tolist(), n))
 
 
 def sampled_counterexample(w1: Word, w2: Word, n: int, count: int,
@@ -320,144 +226,141 @@ def sampled_counterexample(w1: Word, w2: Word, n: int, count: int,
     if words_equal_all_relations(w1, w2, n):
         return None
     panel = sample_panel(n, count, seed)
-    a = apply_word_packed(panel, w1, n)
-    b = apply_word_packed(panel, w2, n)
-    bad = np.nonzero(a != b)[0]
-    return int(panel[int(bad[0])]) if bad.size else None
+    masks = batch_masks([(n, max(count, 4))])
+    bad = reduce(or_, map(xor, apply_word_packed(panel, w1, masks),
+                          apply_word_packed(panel, w2, masks)))
+    if not bad:
+        return None
+    i = (bad & -bad).bit_length() - 1
+    return sum((r >> i & 1) << p for p, r in enumerate(panel))
 
 
 # ---------------------------------------------------------------------------
 # Terms on batches of structures
 
 
-def _batch_comp(r: np.ndarray, s: np.ndarray, m: int) -> np.ndarray:
-    # one step per middle point z: column z of r, moved to bit 0 of each
-    # row, times row z of s copies that row into exactly the rows x with
-    # (x, z) in r.  No product carries: the set bits of one factor are
-    # m apart and the other factor is below 2^m.
-    rm = np.uint64((1 << m) - 1)
-    c = np.uint64(_first_col(m))
-    out = (r & c) * (s & rm)
-    col = np.empty_like(r)
-    row = np.empty_like(r)
-    for z in range(1, m):
-        np.right_shift(r, np.uint64(z), out=col)
-        col &= c
-        np.right_shift(s, np.uint64(m * z), out=row)
-        row &= rm
-        col *= row
-        out |= col
-    return out
+def _comp(r: Sequence[int], s: Sequence[int], m: int) -> list[int]:
+    # (x, y) is in R ; S for the entries with (x, z) in R and (z, y) in
+    # S for some z
+    rows = [r[x:x + m] for x in range(0, m * m, m)]
+    cols = [s[y::m] for y in range(m)]
+    return [reduce(or_, map(and_, row, col)) for row in rows for col in cols]
 
 
-def _batch_project(r: np.ndarray, img1: int, img2: int, m: int, mask) -> np.ndarray:
+def _project(r: list[int], img1: int, img2: int, masks: Sequence[int], m: int) -> list[int]:
     if (img1, img2) == (1, 2):
         return r
     if (img1, img2) == (2, 1):
-        return map_bits(r, _transpose_tables(m, np.uint64))
-    # a loop spreads over its whole row or column at the stride
-    out = map_bits(r, _diag_proj_tables(m, img1))
-    if mask is not None:
-        out &= mask
-    return out
+        return [r[i] for i in _converse_order(m)]
+    # [1,1] copies the loop (x, x) along row x, [2,2] along column x
+    loops = r[::m + 1]
+    spread = [loop for loop in loops for _ in range(m)] if img1 == 1 else loops * m
+    return list(map(and_, spread, masks))
 
 
-def eval_term_batch(t: Term, assignment: Mapping[str, np.ndarray], n) -> np.ndarray:
+def eval_term_batch(t: Term, assignment: Mapping[str, Sequence[int]],
+                    masks: Sequence[int]) -> list[int]:
     """Evaluate a term on a whole batch of structures at once; each
-    variable maps to a uint64 array of packed relations, and ``n`` is
-    their size or their ``Sizes``.  Packing limits the universe to
-    ``MAX_SIZE`` points."""
-    if not isinstance(n, Sizes) and n > MAX_SIZE:
-        raise SemanticsError(f"batched evaluation packs relations into 64-bit words; size must be <= {MAX_SIZE}")
-    m, mask = _layout(n)
-    fm = np.uint64(full_mask(m)) if mask is None else mask
-    some = next(iter(assignment.values()), None)
-    shape = some.shape if some is not None else n.each.shape if mask is not None else (1,)
-    ident = np.uint64(diag_mask(m)) & fm
-    leaves = {Bot: np.uint64(0), Top: fm, Id: ident, Di: fm ^ ident}
+    variable maps to its pair integers, and ``masks`` are the batch's."""
+    m = isqrt(len(masks))
 
-    def ev(t: Term) -> np.ndarray:
+    def compl(r: Sequence[int]) -> list[int]:
+        return list(map(xor, r, masks))
+
+    def ev(t: Term) -> list[int]:
         if isinstance(t, Var):
             try:
-                return assignment[t.name]
+                return list(assignment[t.name])
             except KeyError:
                 raise SemanticsError(f"variable {t.name!r} is not assigned") from None
-        if type(t) in leaves:
-            return np.full(shape, leaves[type(t)], dtype=np.uint64)
+        if isinstance(t, Bot):
+            return [0] * len(masks)
+        if isinstance(t, Top):
+            return list(masks)
+        if isinstance(t, Id):
+            return apply_letter(masks, CAP_I, masks)
+        if isinstance(t, Di):
+            return apply_letter(masks, CAP_D, masks)
         if isinstance(t, Union):
-            return ev(t.left) | ev(t.right)
+            return list(map(or_, ev(t.left), ev(t.right)))
         if isinstance(t, Inter):
-            return ev(t.left) & ev(t.right)
+            return list(map(and_, ev(t.left), ev(t.right)))
         if isinstance(t, Compl):
-            return ev(t.arg) ^ fm
+            return compl(ev(t.arg))
         if isinstance(t, Comp):
-            return _batch_comp(ev(t.left), ev(t.right), m)
+            return _comp(ev(t.left), ev(t.right), m)
         if isinstance(t, Dagger):
             # De Morgan dual of composition: R $ S = ~(~R ; ~S)
-            out = _batch_comp(ev(t.left) ^ fm, ev(t.right) ^ fm, m)
-            out ^= fm
-            return out
+            return compl(_comp(compl(ev(t.left)), compl(ev(t.right)), m))
         if isinstance(t, Proj):
-            return _batch_project(ev(t.arg), t.proj.img1, t.proj.img2, m, mask)
+            return _project(ev(t.arg), t.proj.img1, t.proj.img2, masks, m)
         raise TermError(f"unexpected term {t!r}")  # pragma: no cover
 
     return ev(t)
 
 
-# small enough that a chunk's temporaries stay in cache and the first
-# separating chunk ends the scan early
+# small enough that the first separating chunk ends a scan early
 _CHUNK = 1 << 14
 
 
-def _unstride(bits: int, m: int, n: int) -> int:
-    """A relation on n points packed at stride m, repacked at stride n."""
-    row = (1 << n) - 1
-    return sum(((bits >> (x * m)) & row) << (x * n) for x in range(n))
-
-
-def first_separating(t1: Term, t2: Term, assignment: Mapping[str, np.ndarray],
-                     n) -> Optional[Structure]:
-    """The structure at the first index of the batch where the two terms
+def first_separating(t1: Term, t2: Term, assignment: Mapping[str, Sequence[int]],
+                     masks: Sequence[int]) -> Optional[Structure]:
+    """The structure at the first entry of the batch where the two terms
     evaluate differently, at that entry's own size; None if they agree
     on the whole batch."""
-    diff = np.flatnonzero(eval_term_batch(t1, assignment, n) != eval_term_batch(t2, assignment, n))
-    if not diff.size:
+    bad = reduce(or_, map(xor, eval_term_batch(t1, assignment, masks),
+                          eval_term_batch(t2, assignment, masks)))
+    if not bad:
         return None
-    i = int(diff[0])
-    m, mask = _layout(n)
-    k = n if mask is None else int(n.each[i])
-    return Structure(k, {name: Rel(k, _unstride(int(vals[i]), m, k))
-                         for name, vals in assignment.items()})
+    i = (bad & -bad).bit_length() - 1
+    m = isqrt(len(masks))
+    k = sum(masks[x * m + x] >> i & 1 for x in range(m))  # the entry's size
+    return Structure(k, {name: Rel(k, sum((rels[x * m + y] >> i & 1) << (x * k + y)
+                                          for x in range(k) for y in range(k)))
+                         for name, rels in assignment.items()})
+
+
+def merge_batches(batches: Iterable[tuple[int, int, Mapping[str, Sequence[int]]]]):
+    """One batch from (size, count, assignment) triples, each sliced at
+    its own size, in the order given: the entries of each triple follow
+    those of the triples before it.  Returns the merged assignment and
+    its masks."""
+    batches = list(batches)
+    m = max(n for n, _, _ in batches)
+    merged = {name: [0] * (m * m) for name in batches[0][2]}
+    offset = 0
+    for n, count, assignment in batches:
+        for name, rels in assignment.items():
+            out = merged[name]
+            for x in range(n):
+                for y in range(n):
+                    out[x * m + y] |= rels[x * n + y] << offset
+        offset += count
+    return merged, batch_masks((n, count) for n, count, _ in batches)
 
 
 @lru_cache(maxsize=None)
-def _stride_tables(n: int, m: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    return linear_tables((1 << (x * m + y) for x in range(n) for y in range(n)), np.uint64)
+def _periodic(b: int, width: int) -> int:
+    # bit i is bit b of i, for i < width: runs of 2^b zeros and ones
+    period = 2 << b
+    run = ((1 << (1 << b)) - 1) << (1 << b)
+    return run * (((1 << width) - 1) // ((1 << period) - 1))
 
 
-def merge_batches(batches: Iterable[tuple[int, Mapping[str, np.ndarray]]]):
-    """One batch from (size, assignment) pairs whose arrays are packed
-    at their own size, in the order given, restrided to the largest
-    size; returns the merged assignment and its size argument.  A pair
-    with no variables stands for one structure."""
-    batches = list(batches)
-    m = max(n for n, _ in batches)
-    names = list(batches[0][1])
-    counts = [len(next(iter(a.values()))) if a else 1 for _, a in batches]
-    merged = {name: np.concatenate([a[name] if n == m else map_bits(a[name], _stride_tables(n, m))
-                                    for n, a in batches])
-              for name in names}
-    return merged, size_arg([n for n, _ in batches], counts)
+def _enumerated_batch(start: int, stop: int, names: list[str], size: int):
+    """The structures with enumeration indices start..stop-1, and the
+    batch's masks; stop - start is a power of two that divides start.
+    Pair p of the variable in slot s is bit ``nn*(k-1-s) + nn-1-p`` of
+    the index (each variable's block of the index is its row-major
+    relation read big-endian).  Bit b of start + i is a periodic
+    pattern in i below the width and bit b of start above it."""
+    nn, k, width = size * size, len(names), stop - start
 
+    def index_bit(b: int) -> int:
+        if 1 << b < width:
+            return _periodic(b, width)
+        return (1 << width) - 1 if start >> b & 1 else 0
 
-def _enumerated_batch(start: int, stop: int, names: list[str], size: int) -> dict[str, np.ndarray]:
-    """The structures with enumeration indices start..stop-1, as one
-    array of packed relations per variable: each variable's block of the
-    index is bit-reversed into a row-major relation."""
-    nn = size * size
-    rev = _bitrev_tables(nn)
-    block_mask = np.uint64((1 << nn) - 1)
-    idx = np.arange(start, stop, dtype=np.uint64)
-    k = len(names)
-    return {name: map_bits((idx >> np.uint64(nn * (k - 1 - slot))) & block_mask, rev)
-            for slot, name in enumerate(names)}
+    return ({name: [index_bit(nn * (k - 1 - slot) + nn - 1 - p) for p in range(nn)]
+             for slot, name in enumerate(names)},
+            batch_masks([(size, width)]))

@@ -13,7 +13,8 @@ Each command imports the modules it runs, at the top of its function,
 so a process loads only what its command uses: ``vo`` and ``level``
 load ``terms`` alone, and only ``search``, ``verify-rules`` and the
 batch routes of ``equiv`` (one-occurrence, small-model, bounded) load
-the numpy kernel ``bitrel``; the constant route of ``equiv`` loads
+the bit-sliced kernel ``bitrel``.  Only the seeded sampling of the
+bounded route imports numpy; the constant route of ``equiv`` loads
 neither ``fo`` nor ``words``.  ``terms`` is imported here because every
 command parses with it.  No module imports the standard library's
 data-class module, nor ``inspect``: the value classes are

@@ -18,14 +18,13 @@ and the bounded counterexample search otherwise.  Words
 (``decide_word_equiv``) take the one-occurrence route on the terms
 they make from one variable, on universes of size at least five.
 
-The exact routes hand (size, assignment batch) pairs, sizes
-ascending, to ``_separate``.  It packs them into one batch at the
-stride of the largest size, each entry keeping its own size and full
-mask (``bitrel.merge_batches``), evaluates each side once, and takes
-the structure at the first index where the sides differ, at that
-entry's size, and re-checks it.  Sizes and entries keep their order,
-so that is the first separating structure of the first separating
-size.
+The exact routes hand (size, count, assignment batch) triples, sizes
+ascending, to ``_separate``.  It merges them into one bit-sliced batch
+at the stride of the largest size, each entry keeping its own size
+(``bitrel.merge_batches``), evaluates each side once, and takes the
+structure at the first entry where the sides differ, at that entry's
+size, and re-checks it.  Sizes and entries keep their order, so that
+is the first separating structure of the first separating size.
 
 The one-occurrence route evaluates both sides on every assignment of
 *basis* relations to the variables: the empty relation, the full
@@ -51,9 +50,10 @@ exact:
   At every quantifier it has at most 4 free variables, so each
   quantifier is eliminated in the same way on every universe with at
   least 5 points, and the images agree at one size from 5 on iff they
-  agree at all of them.  Past size 8 no kernel packs the basis, so a
-  size-5 witness is carried to the mode's minimum with the same named
-  points: the pair it separates keeps its equality type with them.
+  agree at all of them.  The route evaluates at sizes up to
+  ``MAX_SIZE`` (8) only, so in a larger mode a size-5 witness is
+  carried to the mode's minimum with the same named points: the pair
+  it separates keeps its equality type with them.
 * Sides in different variables, or in one variable with opposite
   polarities, are equal only when both are constant: one is monotone
   and the other antitone or independent of it.  The basis holds the
@@ -102,7 +102,8 @@ The sides are equivalent iff no C separates them:
 The route does not apply, and the pair goes to the bounded search,
 when an existential sits below a universal, when a variable has both
 polarities in the universal parts of one disjunct, when a structure
-would have more than 8 points (no kernel packs it), or when there
+would have more than ``MAX_SIZE`` (8) points (the exact routes keep the
+oracles' size bound until its own proof lifts it), or when there
 would be more than ``_CANDIDATE_CAP`` structures.  All four are read
 from ``fo.ea_profile`` before any disjunct is expanded.  When a built
 structure separates the sides, the bounded search runs all the same,
@@ -113,6 +114,7 @@ only when that search comes back ``Unknown``.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import TYPE_CHECKING, Optional, Union as TUnion
 
 from .constants import decide_0vo
@@ -186,7 +188,7 @@ def _checked_inequivalent(t1: Term, t2: Term, witness: Structure) -> Inequivalen
 
 
 def _separate(t1: Term, t2: Term, batches, min_size: int) -> Optional[Inequivalent]:
-    """``first_separating`` on the (size, assignment batch) pairs merged
+    """``first_separating`` on the (size, count, assignment) triples merged
     into one batch in order.  The first witness, carried to ``min_size``
     if it is smaller (see ``_lift``) and re-checked; None if no entry
     separates."""
@@ -214,13 +216,22 @@ def _basis(n: int) -> tuple[int, ...]:
     return (0, fm, *singles, *(fm ^ s for s in singles))
 
 
-def _basis_batch(names: list[str], n: int) -> dict:
-    """Every assignment of basis relations at size n, first variable by
-    name slowest, as packed arrays."""
-    import numpy as np
+@lru_cache(maxsize=None)
+def _basis_slots(k: int, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The number of assignments of basis relations at size n to k
+    variables, and each variable's pair integers over them, the first
+    variable slowest."""
+    from .bitrel import pair_integers
 
-    grids = np.meshgrid(*[np.array(_basis(n), dtype=np.uint64)] * len(names), indexing="ij")
-    return {name: g.ravel() for name, g in zip(names, grids)}
+    assignments = list(product(_basis(n), repeat=k))
+    return len(assignments), tuple(tuple(pair_integers(rels, n)) for rels in zip(*assignments))
+
+
+def _basis_batch(names: list[str], n: int) -> tuple[int, int, dict]:
+    """Every assignment of basis relations at size n, first variable by
+    name slowest, as a (size, count, assignment) triple."""
+    count, slots = _basis_slots(len(names), n)
+    return n, count, dict(zip(names, slots))
 
 
 def _lift(rel: Rel, n: int) -> Rel:
@@ -238,7 +249,7 @@ def _one_occurrence(t1: Term, t2: Term, min_size: int) -> Verdict:
     names = sorted(variables(t1) | variables(t2))
     small = list(range(min_size, 5))
     large = max(min_size, 5) if min_size <= MAX_SIZE else 5
-    found = _separate(t1, t2, ((n, _basis_batch(names, n)) for n in (*small, large)), min_size)
+    found = _separate(t1, t2, (_basis_batch(names, n) for n in (*small, large)), min_size)
     return found or Equivalent({"kind": "one-occurrence", "exhausted_sizes": small})
 
 
@@ -308,10 +319,10 @@ def _small_model(t1: Term, t2: Term, min_size: int) -> TUnion[str, Verdict]:
                     bits[atom.rel] = bits[atom.rel] | pair if lit is atom else bits[atom.rel] & ~pair
             else:
                 structures.setdefault(n, {})[tuple(bits[name] for name in names)] = None
-    import numpy as np
+    from .bitrel import pair_integers
 
-    batches = [(n, {name: np.array([s[i] for s in structures[n]], dtype=np.uint64)
-                    for i, name in enumerate(names)})
+    batches = [(n, len(structures[n]), dict(zip(names, (pair_integers(rels, n)
+                                                         for rels in zip(*structures[n])))))
                for n in sorted(structures)]
     found = _separate(t1, t2, batches, min_size)
     return found or Equivalent({"kind": "small-model", "sizes": sorted(structures),

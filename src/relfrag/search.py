@@ -8,10 +8,10 @@ read off these images stops changing from 5 points on (the images
 agree at one size from 5 on iff they agree at all of them; see
 ``decide``), so the images at the sizes from the exhaustive size to 5
 decide equality on every universe of at least the exhaustive size.
-Those images, one packed batch over all these sizes at the stride of
-the largest (``bitrel.one_pair_relations``), are the search's exact key
-(``word_fingerprint``); no seeded panel is evaluated anywhere in this
-module.
+Those images, one batch over all these sizes at the stride of the
+largest (``bitrel.one_pair_relations``), as the tuple of its pair
+integers, are the search's exact key (``word_fingerprint``); no seeded
+panel is evaluated anywhere in this module.
 
 ``run_search`` is the possibly non-terminating completion loop: it
 draws candidate pairs (u, v), with v ascending in shortlex order over
@@ -48,26 +48,26 @@ from typing import Optional, Sequence
 
 from . import bitrel
 from .rewriting import RewriteSystem, Rule, make_system
-from .semantics import OracleConfig
+from .semantics import MAX_SIZE, OracleConfig
 from .terms import record
 from .words import LETTERS, Word
 
 
 def _key_base(cfg: OracleConfig):
     """The one-pair relations of every key size, from the exhaustive
-    size to 5, in one batch, and its size argument."""
+    size to 5, in one batch, and its masks."""
     return bitrel.one_pair_relations(tuple(range(cfg.exhaustive_size,
                                                  max(cfg.exhaustive_size, 5) + 1)))
 
 
-def word_fingerprint(w: Word, cfg: OracleConfig) -> bytes:
+def word_fingerprint(w: Word, cfg: OracleConfig) -> tuple[int, ...]:
     """Exact key of the word's map on universes of at least the
-    exhaustive size m: its packed singleton images at every size from m
-    to max(m, 5), in one batch.  Two words share a key iff they agree
-    on every relation of every size >= m.  ``run_search`` builds the
-    same bytes from the images of w[1:] with the one letter w[0]."""
-    base, n = _key_base(cfg)
-    return bitrel.apply_word_packed(base, w, n).tobytes()
+    exhaustive size m: its singleton images at every size from m to
+    max(m, 5), in one batch.  Two words share a key iff they agree on
+    every relation of every size >= m.  ``run_search`` builds the same
+    key from the images of w[1:] with the one letter w[0]."""
+    base, masks = _key_base(cfg)
+    return tuple(bitrel.apply_word_packed(base, w, masks))
 
 
 def word_equiv_oracle(w1: Word, w2: Word, cfg: OracleConfig) -> bool:
@@ -113,23 +113,24 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
                             rep.max_complement_length,
                             survivors=len(images))
 
-    base, n = _key_base(cfg)
-    images: dict = {}  # survivor -> its packed singleton images
-    by_fp: dict[bytes, Word] = {}  # key -> the one survivor with that key
+    base, masks = _key_base(cfg)
+    # survivor -> its singleton images, which are also its key
+    images: dict[Word, tuple[int, ...]] = {}
+    by_fp: dict[tuple[int, ...], Word] = {}  # key -> the one survivor with that key
     by_len: dict[int, list[Word]] = {}
     examined = 0
     oracle_calls = 0
 
-    def keep(v: Word, imgs, fp: bytes) -> None:
+    def keep(v: Word, imgs: tuple[int, ...]) -> None:
         images[v] = imgs
-        by_fp[fp] = v
+        by_fp[imgs] = v
         by_len.setdefault(len(v), []).append(v)
 
     if rep.cofinite:
         return report("cofinite")
 
     # the empty word always survives (nothing is below it)
-    keep((), base, base.tobytes())
+    keep((), base)
 
     for length in range(1, max_len + 1):
         parents = by_len.get(length - 1, [])
@@ -144,11 +145,10 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
                 if examined >= budget:
                     return report("budget")
                 examined += len(images)
-                imgs = bitrel.apply_letter(below, v[0], n)
-                fp = imgs.tobytes()
-                u = by_fp.get(fp)
+                imgs = tuple(bitrel.apply_letter(below, v[0], masks))
+                u = by_fp.get(imgs)
                 if u is None:
-                    keep(v, imgs, fp)
+                    keep(v, imgs)
                     continue
                 oracle_calls += 1
                 rules.append(Rule(u, v, len(rules) + 1))
@@ -173,7 +173,7 @@ class RuleCheck:
     exhaustive_ok: bool
     exhaustive_counterexample: Optional[int]
     sampled_ok: bool
-    sampled_failures: tuple[tuple[int, int], ...]  # (size, packed relation)
+    sampled_failures: tuple[tuple[int, int], ...]  # (size, relation bits)
 
 
 def verify_rules(rs: RewriteSystem, exhaustive_size: int = 5,
@@ -185,7 +185,11 @@ def verify_rules(rs: RewriteSystem, exhaustive_size: int = 5,
     A failure at a sample size is reported as (size, 1 << j) for the
     lowest differing image j of that size.  ``samples_per_size``,
     ``seed`` and ``threads`` are accepted for compatibility and
-    ignored: no panel is drawn."""
+    ignored: no panel is drawn.  Every size must be in 1..``MAX_SIZE``,
+    the sizes the oracles take."""
+    for n in (exhaustive_size, *sample_sizes):
+        if not 1 <= n <= MAX_SIZE:
+            raise ValueError(f"rule certification sizes must be in 1..{MAX_SIZE}, got {n}")
     found = bitrel.rule_counterexamples([(r.small, r.large) for r in rs.rules],
                                         (exhaustive_size, *sample_sizes))
     out = []

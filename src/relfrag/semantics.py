@@ -11,9 +11,10 @@ operators and complement act inside the full square.
 Equivalence oracles come in two flavours: ``exhaustive_check`` scans
 every labeled structure at the given sizes (with a structure-count
 budget) and ``random_check`` samples seeded random structures.  Only
-they use the packed kernel (``bitrel``, hence numpy), loaded when
-called; both stop at the first batch that separates the terms and
-return the first counterexample in a documented deterministic order.
+they use the bit-sliced kernel (``bitrel``), loaded when called, and
+only ``random_check`` imports numpy, for its seeded draws; both stop at
+the first batch that separates the terms and return the first
+counterexample in a documented deterministic order.
 """
 
 from __future__ import annotations
@@ -266,13 +267,16 @@ def structure_count(num_vars: int, size: int) -> int:
 # ---------------------------------------------------------------------------
 # Equivalence oracles
 
-# a relation on n points packs into one 64-bit word only up to n = 8
+# the largest universe the oracles take: ``random_check`` draws each
+# relation as one 64-bit word, and the exact routes keep this bound
+# until a proof of their own lifts it
 MAX_SIZE = 8
 
 @record
 class OracleConfig:
     """Sizes and seeded samples for the bounded route in ``decide``;
-    ``search`` reads only the exhaustive size.  Every size must pack."""
+    ``search`` reads only the exhaustive size.  Every size is at most
+    ``MAX_SIZE``."""
 
     exhaustive_size: int = 5
     sample_sizes: tuple[int, ...] = (3, 4, 6)
@@ -302,7 +306,7 @@ def exhaustive_check(t1: Term, t2: Term, sizes: Iterable[int],
             raise BudgetExceeded(count, budget)
         for start in range(0, count, _CHUNK):
             witness = first_separating(
-                t1, t2, _enumerated_batch(start, min(start + _CHUNK, count), names, size), size)
+                t1, t2, *_enumerated_batch(start, min(start + _CHUNK, count), names, size))
             if witness is not None:
                 return witness
     return None
@@ -314,29 +318,34 @@ def random_check(t1: Term, t2: Term, size: int, samples: int,
     present independently with probability 1/2, with the empty, full,
     identity and difference assignments forced into every batch."""
     if size > MAX_SIZE:
-        raise SemanticsError(f"random_check packs relations into 64-bit words; size must be <= {MAX_SIZE}")
+        raise SemanticsError(f"random_check draws each relation as one 64-bit word; size must be <= {MAX_SIZE}")
     import numpy as np
-    from .bitrel import _CHUNK, first_separating
+    from .bitrel import _CHUNK, batch_masks, first_separating
 
     names = sorted(variables(t1) | variables(t2))
     if not names:
-        names = ["a"]  # constant terms still need one dummy slot for batching
+        names = ["a"]  # constant terms keep one dummy variable, drawn and reported
     rng = np.random.default_rng(seed)
-    fm = np.uint64(full_mask(size))
-    forced = [np.uint64(0), fm, np.uint64(diag_mask(size)), np.uint64(full_mask(size) ^ diag_mask(size))]
+    fm = full_mask(size)
+    forced = [0, fm, diag_mask(size), fm ^ diag_mask(size)]
     total = max(samples, len(forced))
-    assignment = {}
+    draws = {}
     for name in names:
         lo = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
         vals = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
         vals <<= np.uint64(32)
         vals |= lo
-        vals &= fm
+        vals &= np.uint64(fm)
         vals[: len(forced)] = forced
-        assignment[name] = vals
+        # pair p's integer over all the draws: bit i is bit p of draw i
+        draws[name] = []
+        for p in range(size * size):
+            bit = (vals >> np.uint64(p) & np.uint64(1)).astype(np.uint8)
+            draws[name].append(int.from_bytes(np.packbits(bit, bitorder="little").tobytes(), "little"))
     for start in range(0, total, _CHUNK):
-        witness = first_separating(t1, t2, {name: vals[start:start + _CHUNK]
-                                            for name, vals in assignment.items()}, size)
+        count = min(_CHUNK, total - start)
+        chunk = {name: [r >> start & ((1 << count) - 1) for r in rels] for name, rels in draws.items()}
+        witness = first_separating(t1, t2, chunk, batch_masks([(size, count)]))
         if witness is not None:
             return witness
     return None

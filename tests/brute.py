@@ -1,50 +1,89 @@
 """Literal scan over every relation of one size, the independent oracle
-for word equality.
+for word equality, and conversions between packed relations and the
+bit-sliced batches of ``bitrel``.
 
 ``bitrel`` decides equality at size n from the images of the n^2
 one-pair relations, which is only sound because every letter preserves
 unions.  This scan does not use that fact: it evaluates both sides of
-each pair on all 2^(n^2) packed relations, in increasing numeric order,
-one chunk at a time.  It shares only the per-letter kernel
+each pair on all 2^(n^2) relations, in increasing numeric order, one
+chunk at a time.  It shares only the per-letter kernel
 (``bitrel.apply_letter``), which ``test_words`` checks against the
 generic term evaluator.
 """
 
-import numpy as np
+from math import isqrt
 
 from relfrag import bitrel
 
-CHUNK = 1 << 16
+# small enough that a chunk's integers stay in cache
+CHUNK = 1 << 13
+
+
+def consecutive(start, count, n):
+    """The relations start..start+count-1 of size n as a bit-sliced
+    batch (count a power of two that divides start): pair p is bit p of
+    each relation, which runs in blocks of 2^p below the width and is
+    constant above it."""
+    out = []
+    for p in range(n * n):
+        if 1 << p < count:
+            period = 2 << p
+            run = ((1 << (1 << p)) - 1) << (1 << p)
+            out.append(run * (((1 << count) - 1) // ((1 << period) - 1)))
+        else:
+            out.append((1 << count) - 1 if start >> p & 1 else 0)
+    return out
+
+
+def sliced(relations, n):
+    """A bit-sliced batch of one size from packed relations (ints or a
+    numpy array), and its masks."""
+    relations = [int(r) for r in relations]
+    return bitrel.pair_integers(relations, n), bitrel.batch_masks([(n, len(relations))])
+
+
+def entries(rels, masks):
+    """Each entry of a bit-sliced batch as a packed relation at its own
+    size, in order.  No entry may hold a pair outside its square."""
+    assert all(r & ~mask == 0 for r, mask in zip(rels, masks)), "a pair outside an entry's square"
+    m = isqrt(len(masks))
+    out = []
+    for i in range(max(mask.bit_length() for mask in masks)):
+        k = sum(masks[x * m + x] >> i & 1 for x in range(m))
+        out.append(sum((rels[x * m + y] >> i & 1) << (x * k + y) for x in range(k) for y in range(k)))
+    return out
 
 
 def first_counterexamples(pairs, n, chunk=CHUNK, limit=None):
     """Per pair of words, the numerically first packed relation of size
     n on which the two sides differ, or None.  Stops after the first
-    chunk in which every pair has one.  With ``limit`` only the
-    relations below it are scanned, and None means none of them
-    separates."""
-    dt = np.uint32 if n * n <= 32 else np.uint64
+    chunk in which every pair has one.  With ``limit`` (a multiple of
+    the chunk, or below it) only the relations below it are scanned,
+    and None means none of them separates."""
     count = 1 << (n * n) if limit is None else min(limit, 1 << (n * n))
+    chunk = min(chunk, count)
     results = [None] * len(pairs)
     for start in range(0, count, chunk):
         todo = [i for i, hit in enumerate(results) if hit is None]
         if not todo:
             break
-        arr = np.arange(start, min(start + chunk, count), dtype=dt)
-        values = {(): arr}
+        masks = bitrel.batch_masks([(n, chunk)])
+        values = {(): consecutive(start, chunk, n)}
 
         def value(w):
             # the last letter acts first, so w is its first letter
             # applied to the value of the rest; suffixes are shared
             if w not in values:
-                values[w] = bitrel.apply_letter(value(w[1:]), w[0], n)
+                values[w] = bitrel.apply_letter(value(w[1:]), w[0], masks)
             return values[w]
 
         for i in todo:
             w1, w2 = pairs[i]
-            bad = np.nonzero(value(w1) != value(w2))[0]
-            if bad.size:
-                results[i] = start + int(bad[0])
+            bad = 0
+            for a, b in zip(value(w1), value(w2)):
+                bad |= a ^ b
+            if bad:
+                results[i] = start + (bad & -bad).bit_length() - 1
     return results
 
 

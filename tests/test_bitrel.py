@@ -1,24 +1,28 @@
-"""Batches that span several universe sizes at one stride.
+"""Bit-sliced batches that span several universe sizes.
 
 Each entry of a merged batch must hold exactly what the scalar
-evaluator gives at that entry's own size, restrided: the bits outside
-its square stay clear.  The pinned examples put a smaller size under
-every map that ANDs with the entry's full mask.
+evaluator gives at that entry's own size: the pairs outside its square
+stay clear.  The kernel has no size limit, so the sizes run past 8.
+The pinned examples put a smaller size under every map that ANDs with
+the masks.
 """
 
-import numpy as np
+import random
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relfrag.bitrel import (apply_word_packed, eval_term_batch, first_separating, merge_batches,
-                            one_pair_relations, rule_counterexamples, scan_rule_pairs)
+from brute import entries
+from relfrag.bitrel import (apply_word_packed, batch_masks, eval_term_batch, first_separating,
+                            merge_batches, one_pair_relations, pair_integers,
+                            rule_counterexamples, scan_rule_pairs, singleton_images)
 from relfrag.semantics import Rel, Structure, eval_term
 from relfrag.terms import Var, parse_term, variables
 from relfrag.words import DOT_D, apply_word, parse_word
 
 from strategies import near_pairs, terms, words
 
-size_sets = st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True).map(sorted)
+size_sets = st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted)
 seeds = st.integers(0, 2**32 - 1)
 
 # a smaller size under each masked map: top, D, I, complement, dagger,
@@ -26,20 +30,16 @@ seeds = st.integers(0, 2**32 - 1)
 _MASKED = ["top", "D", "I", "a~", "a $ b", "a[1,1]", "a[2,2]", "(a ; top)~ $ I"]
 
 
-def _at_stride(rel: Rel, m: int) -> int:
-    return sum(1 << (x * m + y) for x, y in rel.pairs())
-
-
 def _random_batch(rng, names, n, count):
     """``count`` random structures of size n, the first all-empty and
-    the second all-full, and their packed batch."""
+    the second all-full, and their (size, count, assignment) triple."""
     ms = []
     for i in range(count):
         p = (0.0, 1.0)[i] if i < 2 else rng.choice([0.2, 0.5, 0.8])
         ms.append(Structure(n, {name: Rel.from_pairs(
             n, [(x, y) for x in range(n) for y in range(n) if rng.random() < p]) for name in names}))
-    return ms, {name: np.array([m.assignment[name].bits for m in ms], dtype=np.uint64)
-                for name in names}
+    return ms, (n, count, {name: pair_integers([m.assignment[name].bits for m in ms], n)
+                           for name in names})
 
 
 def _example_terms(*texts):
@@ -47,6 +47,7 @@ def _example_terms(*texts):
         for text in texts:
             f = example(parse_term(text), [2, 5], 0)(f)
             f = example(parse_term(text), [1, 3, 8], 1)(f)
+            f = example(parse_term(text), [4, 11], 2)(f)
         return f
     return wrap
 
@@ -55,54 +56,68 @@ def _example_terms(*texts):
 @_example_terms(*_MASKED)
 @settings(max_examples=80, deadline=None)
 def test_merged_eval_matches_scalar_at_each_size(t, sizes, seed):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     names = sorted(variables(t) | {"a"})
     structures, batches = [], []
     for n in sizes:
         ms, batch = _random_batch(rng, names, n, 4)
         structures += ms
-        batches.append((n, batch))
-    assignment, arg = merge_batches(batches)
-    out = eval_term_batch(t, assignment, arg)
-    m = max(sizes)
-    assert [int(v) for v in out] == [_at_stride(eval_term(t, s), m) for s in structures]
+        batches.append(batch)
+    assignment, masks = merge_batches(batches)
+    out = eval_term_batch(t, assignment, masks)
+    assert entries(out, masks) == [eval_term(t, s).bits for s in structures]
 
 
 @given(near_pairs(), size_sets, seeds)
 @example((parse_term("a ; D"), parse_term("a")), [1, 2, 4], 0)
 @example((parse_term("a[1,1] $ b"), parse_term("b ; a[2,2]")), [3, 6], 0)
+@example((parse_term("a[1,1] $ b"), parse_term("b ; a[2,2]")), [9, 12], 0)
 @settings(max_examples=60, deadline=None)
 def test_merged_first_separating_matches_per_size_loop(pair, sizes, seed):
     t1, t2 = pair
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     names = sorted(variables(t1) | variables(t2) | {"a"})
-    batches = [(n, _random_batch(rng, names, n, 6)[1]) for n in sizes]
-    expected = next((w for w in (first_separating(t1, t2, a, n) for n, a in batches)
+    batches = [_random_batch(rng, names, n, 6)[1] for n in sizes]
+    expected = next((w for w in (first_separating(t1, t2, *merge_batches([b])) for b in batches)
                      if w is not None), None)
     assert first_separating(t1, t2, *merge_batches(batches)) == expected
 
 
 def test_merge_keeps_one_size_unmasked():
-    # a batch of one size is today's layout: the size itself, no mask
-    batch = {"a": np.array([1, 2], dtype=np.uint64)}
-    assignment, arg = merge_batches([(3, batch), (3, batch)])
-    assert arg == 3 and assignment["a"].tolist() == [1, 2, 1, 2]
-    base, arg = one_pair_relations((4,))
-    assert arg == 4 and base.tolist() == [1 << j for j in range(16)]
+    # a batch of one size masks every entry on every pair, and merging
+    # it with itself appends the entries
+    batch = (3, 2, {"a": [1, 2] + [0] * 7})
+    assignment, masks = merge_batches([batch, batch])
+    assert masks == [0b1111] * 9 and assignment["a"] == [1 | 1 << 2, 2 | 2 << 2] + [0] * 7
+    base, masks = one_pair_relations((4,))
+    assert masks == tuple(batch_masks([(4, 16)])) == ((1 << 16) - 1,) * 16
+    assert base == tuple(1 << j for j in range(16))
 
 
 @given(words, size_sets)
 @example((DOT_D,), [2, 5])
 @example(parse_word("cD cv cD"), [1, 4, 7])
+@example(parse_word("cD cv cD"), [3, 10])
 @settings(max_examples=60, deadline=None)
 def test_merged_word_images_match_scalar_at_each_size(w, sizes):
-    base, arg = one_pair_relations(tuple(sizes))
-    out = [int(v) for v in apply_word_packed(base, w, arg)]
-    a, m = Var("a"), max(sizes)
-    t = apply_word(w, a)
-    expected = [_at_stride(eval_term(t, Structure(n, {"a": Rel(n, 1 << j)})), m)
+    base, masks = one_pair_relations(tuple(sizes))
+    out = entries(apply_word_packed(base, w, masks), masks)
+    t = apply_word(w, Var("a"))
+    expected = [eval_term(t, Structure(n, {"a": Rel(n, 1 << j)})).bits
                 for n in sizes for j in range(n * n)]
     assert out == expected
+
+
+@given(words, st.integers(9, 12))
+@example(parse_word("cD cv iD cD"), 12)
+@settings(max_examples=20, deadline=None)
+def test_singleton_images_match_scalar_past_8_points(w, n):
+    # bit j of pair i's integer: pair i is in w applied to {pair j}
+    images = singleton_images(w, n)
+    t = apply_word(w, Var("a"))
+    for j in range(n * n):
+        image = eval_term(t, Structure(n, {"a": Rel(n, 1 << j)})).bits
+        assert sum((images[i] >> j & 1) << i for i in range(n * n)) == image, (j, n)
 
 
 @given(st.lists(st.tuples(words, words), min_size=1, max_size=6), size_sets)

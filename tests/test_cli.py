@@ -239,6 +239,10 @@ def test_usage_errors(run):
 def test_input_errors(run):
     code, _, err = run("equiv", "--lhs", "a &", "--rhs", "a")
     assert code == 65
+    code, _, err = run("verify-rules", "builtin:figure1", "--sample-sizes", "9")
+    assert (code, err) == (65, "input error: rule certification sizes must be in 1..8, got 9\n")
+    code, _, err = run("search", "--max-len", "2", "--exhaustive-size", "9")
+    assert (code, err) == (65, "input error: exhaustive_size must be in 1..8\n")
     code, _, err = run("equiv", "--lhs", "a", "--rhs", "a", "--mode", "sometimes")
     assert code == 65
     code, _, err = run("normalize", "--word", "iI", "--rules", "builtin:nope")
@@ -325,7 +329,7 @@ def _loaded_by(commands, cwd):
 
 def test_commands_without_the_kernel_load_no_numpy(tmp_path):
     # nine README commands run without numpy and without the modules
-    # that decide, search or evaluate on packed relations
+    # that decide, search or evaluate relations
     got = _loaded_by(README_WITHOUT_KERNEL, tmp_path)
     assert got["codes"] == [0] * len(README_WITHOUT_KERNEL)
     assert {"numpy", "relfrag.semantics", "relfrag.decide", "relfrag.search"}.isdisjoint(got["loaded"])
@@ -385,7 +389,30 @@ def test_quick_commands_start_without_dataclasses_or_inspect(tmp_path):
 def test_batch_route_loads_the_kernel(tmp_path):
     got = _loaded_by([["equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c"]], tmp_path)
     assert got["codes"] == [0]
-    assert {"numpy", "relfrag.bitrel"} <= set(got["loaded"])
+    assert "relfrag.bitrel" in got["loaded"] and "numpy" not in got["loaded"]
+
+
+# every exact route runs on the bit-sliced kernel alone
+EXACT_WITHOUT_NUMPY = [
+    ["equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c"],
+    ["equiv", "--lhs", "a ; D", "--rhs", "a", "--mode", "rel>=3"],
+    ["verify-rules", "builtin:figure1"],
+    ["search", "--max-len", "15", "--budget", "1000000"],
+]
+
+
+def test_exact_routes_load_no_numpy(tmp_path):
+    got = _loaded_by(EXACT_WITHOUT_NUMPY, tmp_path)
+    assert got["codes"] == [0, 1, 0, 0]
+    assert "relfrag.bitrel" in got["loaded"] and "numpy" not in got["loaded"]
+
+
+def test_bounded_sampling_loads_numpy(tmp_path):
+    # the seeded draws of random_check are numpy's
+    got = _loaded_by([["equiv", "--lhs", "(a;(b$c))^", "--rhs", "(c^$b^);a^",
+                       "--samples", "64"]], tmp_path)
+    assert got["codes"] == [2]
+    assert "numpy" in got["loaded"]
 
 
 def test_semantics_alone_loads_no_numpy():
@@ -430,8 +457,8 @@ def test_determinism_byte_identical(run):
 
 
 def test_unknown_beyond_packed_sizes_claims_no_coverage(run):
-    # a level-2 pair takes the bounded route, and no kernel packs a
-    # size-9 structure: nothing is exhausted and nothing is sampled
+    # a level-2 pair takes the bounded route, and the oracles stop at
+    # 8 points: nothing is exhausted and nothing is sampled
     code, out, err = run("equiv", "--lhs", "a;(b$c)", "--rhs", "(a;b)$c", "--mode", "rel>=9")
     assert code == 2
     assert out == "unknown (exhausted no size, 0 samples)\n"

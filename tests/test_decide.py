@@ -188,7 +188,7 @@ def test_one_occurrence_mixed_variables_and_polarities():
 def _partition(words, n):
     classes = {}
     for w in words:
-        classes.setdefault(bitrel.singleton_images(w, n).tobytes(), set()).add(w)
+        classes.setdefault(tuple(bitrel.singleton_images(w, n)), set()).add(w)
     return {frozenset(c) for c in classes.values()}
 
 

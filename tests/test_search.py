@@ -111,13 +111,24 @@ def test_word_matrix_columns_and_products():
     for n in (2, 3, 5):
         for _ in range(20):
             w1, w2 = _random_word(rng, 5), _random_word(rng, 5)
-            m1, m2 = bitrel.word_matrix(w1, n), bitrel.word_matrix(w2, n)
+            m1, m2 = np.array(bitrel.word_matrix(w1, n)), np.array(bitrel.word_matrix(w2, n))
             # the matrix of a concatenation is the Boolean product
-            assert np.array_equal((m1.astype(int) @ m2 > 0).astype(np.uint8),
-                                  bitrel.word_matrix(w1 + w2, n))
+            assert np.array_equal((m1 @ m2 > 0).astype(int), bitrel.word_matrix(w1 + w2, n))
             for j in range(n * n):
-                column = bitrel.apply_word_packed(np.array([1 << j], dtype=np.uint64), w1, n)[0]
-                assert int(sum(int(b) << i for i, b in enumerate(m1[:, j]))) == int(column)
+                rels, masks = brute.sliced([1 << j], n)
+                column = brute.entries(bitrel.apply_word_packed(rels, w1, masks), masks)[0]
+                assert sum(int(b) << i for i, b in enumerate(m1[:, j])) == column
+
+
+def _panel_draws(n, count, seed):
+    # the seeded stream of sample_panel, drawn as packed 64-bit words
+    rng = np.random.default_rng([seed, n])
+    total = max(count, 4)
+    lo = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
+    hi = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
+    vals = ((lo | (hi << np.uint64(32))) & np.uint64((1 << (n * n)) - 1)).tolist()
+    full, diag = (1 << (n * n)) - 1, sum(1 << (x * n + x) for x in range(n))
+    return [0, full, diag, full ^ diag] + vals[4:]
 
 
 def test_sampled_counterexample_matches_direct_panel():
@@ -126,12 +137,14 @@ def test_sampled_counterexample_matches_direct_panel():
     separated = 0
     for n in (3, 4, 5, 6, 7):
         panel = bitrel.sample_panel(n, 500, 11)
+        masks = bitrel.batch_masks([(n, 500)])
+        relations = brute.entries(panel, masks)
+        assert relations == _panel_draws(n, 500, 11)
         for _ in range(40):
             w1, w2 = _random_word(rng, 6), _random_word(rng, 6)
-            a = bitrel.apply_word_packed(panel, w1, n)
-            b = bitrel.apply_word_packed(panel, w2, n)
-            bad = np.nonzero(a != b)[0]
-            direct = int(panel[int(bad[0])]) if bad.size else None
+            a = brute.entries(bitrel.apply_word_packed(panel, w1, masks), masks)
+            b = brute.entries(bitrel.apply_word_packed(panel, w2, masks), masks)
+            direct = next((r for r, x, y in zip(relations, a, b) if x != y), None)
             assert bitrel.sampled_counterexample(w1, w2, n, 500, 11) == direct, (w1, w2, n)
             separated += direct is not None
     assert separated >= 100

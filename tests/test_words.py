@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from brute import consecutive
 from relfrag import bitrel
 from relfrag.bitrel import eval_term_batch
 from relfrag.semantics import Structure, eval_term
@@ -120,48 +120,46 @@ def test_reduce_letter_sound_exhaustive_small_sizes():
         t_letter = apply_word([x], Var("a"))
         t_word = apply_word(reduce_letter(x), Var("a"))
         for n in (3, 4):
-            arr = np.arange(1 << (n * n), dtype=np.uint64)
-            lhs = eval_term_batch(t_letter, {"a": arr}, n)
-            rhs = bitrel.apply_word_packed(arr.astype(np.uint32), reduce_letter(x), n).astype(np.uint64)
-            assert np.array_equal(lhs, rhs), (x, n)
+            count = 1 << (n * n)
+            rels, masks = consecutive(0, count, n), bitrel.batch_masks([(n, count)])
+            lhs = eval_term_batch(t_letter, {"a": rels}, masks)
+            rhs = bitrel.apply_word_packed(rels, reduce_letter(x), masks)
+            assert lhs == rhs, (x, n)
 
 
-def _packed_right_slot(x: GeneralLetter, arr: np.ndarray, n: int) -> np.ndarray:
-    # independent packed implementation of a right-slot letter
-    rep_bits = np.uint64(eval_term(x.filler, Structure(n, {})).bits)
+def _sliced_right_slot(x: GeneralLetter, rels: list, n: int) -> list:
+    # independent bit-sliced implementation of a right-slot letter
+    filler = eval_term(x.filler, Structure(n, {})).bits
     if x.kind == "inter":
-        return arr & rep_bits
-    row_mask = (1 << n) - 1
-    cls_rows = eval_term(x.filler, Structure(n, {})).rows()
-    out = np.zeros_like(arr)
+        return [r if filler >> p & 1 else 0 for p, r in enumerate(rels)]
+    # a ; c has (x, y) where a has (x, z) and c has (z, y)
+    out = []
     for xx in range(n):
-        row = (arr >> np.uint64(n * xx)) & np.uint64(row_mask)
-        acc = np.zeros_like(arr)
-        for z in range(n):
-            has = (row >> np.uint64(z)) & np.uint64(1)
-            acc |= has * np.uint64(cls_rows[z])
-        out |= acc << np.uint64(n * xx)
+        for y in range(n):
+            acc = 0
+            for z in range(n):
+                if filler >> (z * n + y) & 1:
+                    acc |= rels[xx * n + z]
+            out.append(acc)
     return out
 
 
 def test_reduce_letter_sound_exhaustive_size_5():
     # full scan over all 2^25 single-relation structures; right-slot
-    # letters use an inline packed reference, left-slot letters the
+    # letters use an inline bit-sliced reference, left-slot letters the
     # generic batch evaluator, neither shared with the word kernels
-    # (small chunks keep numpy's temporaries in reused pages: a fresh
-    # 16 MB array costs more in page faults than the arithmetic)
-    n, chunk = 5, 1 << 14
+    n, chunk = 5, 1 << 13
+    masks = bitrel.batch_masks([(n, chunk)])
     for x in _all_test_letters():
         word = reduce_letter(x)
         term = apply_word([x], Var("a"))
         for start in range(0, 1 << 25, chunk):
-            arr = np.arange(start, start + chunk, dtype=np.uint64)
+            rels = consecutive(start, chunk, n)
             if x.kind != "proj" and x.hole == 1:
-                expected = _packed_right_slot(x, arr, n)
+                expected = _sliced_right_slot(x, rels, n)
             else:
-                expected = eval_term_batch(term, {"a": arr}, n)
-            got = bitrel.apply_word_packed(arr.astype(np.uint32), word, n).astype(np.uint64)
-            assert np.array_equal(expected, got), (x, start)
+                expected = eval_term_batch(term, {"a": rels}, masks)
+            assert bitrel.apply_word_packed(rels, word, masks) == expected, (x, start)
 
 
 def test_shortlex_examples():
