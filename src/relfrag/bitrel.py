@@ -37,19 +37,22 @@ structures.  ``first_separating`` takes the lowest set bit of the OR of
 the pairwise XORs of the two sides, the first entry that separates
 them, and reads that structure back at its own size.  The oracles of
 ``semantics`` hand it batches of one size, and the exact routes of
-``decide`` merge theirs into one batch (``merge_batches``).  Nothing
-here imports numpy at load; only the seeded sampler ``sample_panel``
-(and ``semantics.random_check``) imports it, to draw.
+``decide`` merge theirs into one batch (``merge_batches``).
+
+*Samples.*  ``sampled_batches`` draws seeded random structures straight
+into batches, one ``random.getrandbits`` integer per pair and variable;
+``semantics.random_check`` and ``sample_panel`` both draw with it.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache, reduce
 from math import isqrt
 from operator import and_, or_, xor
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .semantics import MAX_SIZE, Rel, SemanticsError, Structure, diag_mask, full_mask
+from .semantics import Rel, SemanticsError, Structure
 from .terms import Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term, TermError, Top, Union, Var
 from .words import CAP_D, CAP_I, CONV, DOT_D, Letter, Word
 
@@ -194,48 +197,6 @@ def word_matrix(w: Word, n: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Seeded panels: kept only because the perfbench tracer wraps
-# ``sampled_counterexample``; every word question in the program is
-# answered from the singleton images above.
-
-
-@lru_cache(maxsize=32)
-def sample_panel(n: int, count: int, seed: int) -> tuple[int, ...]:
-    """Deterministic panel of max(count, 4) relations of size n, as pair
-    integers: each pair present with probability 1/2, with empty, full,
-    identity and difference forced into the first four entries."""
-    if not 1 <= n <= MAX_SIZE:
-        raise SemanticsError(f"sample_panel draws each relation as one 64-bit word; "
-                             f"size must be in 1..{MAX_SIZE}")
-    import numpy as np
-
-    rng = np.random.default_rng([seed, n])
-    total = max(count, 4)
-    lo = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
-    hi = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
-    vals = (lo | (hi << np.uint64(32))) & np.uint64(full_mask(n))
-    vals[:4] = 0, full_mask(n), diag_mask(n), full_mask(n) ^ diag_mask(n)
-    return tuple(pair_integers(vals.tolist(), n))
-
-
-def sampled_counterexample(w1: Word, w2: Word, n: int, count: int,
-                           seed: int) -> Optional[int]:
-    """First panel relation separating the two words, or None.  When
-    the words agree on every relation of size n no panel entry can
-    separate them, and the panel is neither built nor evaluated."""
-    if words_equal_all_relations(w1, w2, n):
-        return None
-    panel = sample_panel(n, count, seed)
-    masks = batch_masks([(n, max(count, 4))])
-    bad = reduce(or_, map(xor, apply_word_packed(panel, w1, masks),
-                          apply_word_packed(panel, w2, masks)))
-    if not bad:
-        return None
-    i = (bad & -bad).bit_length() - 1
-    return sum((r >> i & 1) << p for p, r in enumerate(panel))
-
-
-# ---------------------------------------------------------------------------
 # Terms on batches of structures
 
 
@@ -364,3 +325,63 @@ def _enumerated_batch(start: int, stop: int, names: list[str], size: int):
     return ({name: [index_bit(nn * (k - 1 - slot) + nn - 1 - p) for p in range(nn)]
              for slot, name in enumerate(names)},
             batch_masks([(size, width)]))
+
+
+# ---------------------------------------------------------------------------
+# Seeded samples
+
+
+def sampled_batches(names: Iterable[str], size: int, total: int,
+                    seed: int | str) -> Iterator[tuple[dict[str, list[int]], list[int]]]:
+    """max(total, 4) seeded random structures of one size, as batches
+    of up to ``_CHUNK`` entries with their masks, drawn one batch at a
+    time.  Each pair of each variable is present with probability 1/2,
+    except that entries 0-3 of the first batch hold the empty, full,
+    identity and difference relations in every variable.
+
+    Order of draws on ``random.Random(seed)``: per batch, per variable
+    sorted by name, per pair (x, y) in row-major order, one
+    ``getrandbits(count)`` for the batch's count entries, bit i for
+    entry i.  The four fixed entries overwrite bits that were drawn."""
+    rng = random.Random(seed)
+    total = max(total, 4)
+    for start in range(0, total, _CHUNK):
+        count = min(_CHUNK, total - start)
+        batch = {name: [rng.getrandbits(count) for _ in range(size * size)]
+                 for name in sorted(names)}
+        if start == 0:
+            # bit 0 empty, bit 1 full, bit 2 on the diagonal, bit 3 off it
+            for rels in batch.values():
+                for p in range(size * size):
+                    diagonal = p % (size + 1) == 0  # (x, x) is pair x*(size+1)
+                    rels[p] = rels[p] & ~0b1111 | (0b0110 if diagonal else 0b1010)
+        yield batch, batch_masks([(size, count)])
+
+
+def sample_panel(n: int, count: int, seed: int) -> tuple[int, ...]:
+    """Deterministic panel of max(count, 4) relations of size n, as pair
+    integers: the ``sampled_batches`` of one variable on the stream
+    seeded with the string ``f"{seed}/{n}"``, one after the other."""
+    rels = [0] * (n * n)
+    for k, (batch, _) in enumerate(sampled_batches(["a"], n, count, f"{seed}/{n}")):
+        rels = [r | c << k * _CHUNK for r, c in zip(rels, batch["a"])]
+    return tuple(rels)
+
+
+def sampled_counterexample(w1: Word, w2: Word, n: int, count: int,
+                           seed: int) -> Optional[int]:
+    """First panel relation separating the two words, or None.  When
+    the words agree on every relation of size n no panel entry can
+    separate them, and the panel is neither built nor evaluated.  Kept
+    only because the perfbench tracer wraps it; every word question in
+    the program is answered from the singleton images."""
+    if words_equal_all_relations(w1, w2, n):
+        return None
+    panel = sample_panel(n, count, seed)
+    masks = batch_masks([(n, max(count, 4))])
+    bad = reduce(or_, map(xor, apply_word_packed(panel, w1, masks),
+                          apply_word_packed(panel, w2, masks)))
+    if not bad:
+        return None
+    i = (bad & -bad).bit_length() - 1
+    return sum((r >> i & 1) << p for p, r in enumerate(panel))

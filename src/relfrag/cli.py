@@ -13,9 +13,9 @@ Each command imports the modules it runs, at the top of its function,
 so a process loads only what its command uses: ``vo`` and ``level``
 load ``terms`` alone, and only ``search``, ``verify-rules`` and the
 batch routes of ``equiv`` (one-occurrence, small-model, bounded) load
-the bit-sliced kernel ``bitrel``.  Only the seeded sampling of the
-bounded route imports numpy; the constant route of ``equiv`` loads
-neither ``fo`` nor ``words``.  ``terms`` is imported here because every
+the bit-sliced kernel ``bitrel``.  No command needs a package outside
+the standard library; the constant route of ``equiv`` loads neither
+``fo`` nor ``words``.  ``terms`` is imported here because every
 command parses with it.  No module imports the standard library's
 data-class module, nor ``inspect``: the value classes are
 ``terms.record`` classes, each built with one ``exec`` at import.

@@ -75,31 +75,6 @@ class ConstError(TermError):
     pass
 
 
-def cayley(op: str, x: ConstClass, y: Optional[ConstClass] = None,
-           proj: Optional[Projection] = None) -> ConstClass:
-    """Table lookup for one operator application on classes.
-
-    ``op`` is one of inter, union, comp, dagger (binary; y required),
-    compl, conv (unary), or proj (unary; proj required).
-    """
-    binary = {"inter": _INTER, "union": _UNION, "comp": _COMP, "dagger": _DAGGER}
-    if op in binary:
-        if y is None:
-            raise ConstError(f"operator {op!r} needs two arguments")
-        return binary[op][(x, y)]
-    if y is not None:
-        raise ConstError(f"operator {op!r} takes one argument")
-    if op == "compl":
-        return _COMPL[x]
-    if op == "conv":
-        return _CONV[x]
-    if op == "proj":
-        if proj is None:
-            raise ConstError("op 'proj' needs a projection")
-        return _PROJ_TABLES[proj][x]
-    raise ConstError(f"unknown operator {op!r}")
-
-
 def classify_const(t: Term) -> ConstClass:
     """Equivalence class of a variable-free term on universes of size
     at least three, computed bottom-up."""
@@ -147,7 +122,7 @@ def decide_0vo(t1: Term, t2: Term, min_size: int = 1) -> ZeroVoVerdict:
     variable-free structures of the remaining small sizes are evaluated
     exhaustively.
     """
-    from .semantics import Structure, eval_term  # only when a verdict is needed; scalar, no numpy
+    from .semantics import Structure, eval_term  # only when a verdict is needed; scalar, no kernel
 
     if vo(t1) != 0 or vo(t2) != 0:
         raise ConstError("decide_0vo needs variable-free terms on both sides")

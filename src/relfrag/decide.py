@@ -102,8 +102,8 @@ The sides are equivalent iff no C separates them:
 The route does not apply, and the pair goes to the bounded search,
 when an existential sits below a universal, when a variable has both
 polarities in the universal parts of one disjunct, when a structure
-would have more than ``MAX_SIZE`` (8) points (the exact routes keep the
-oracles' size bound until its own proof lifts it), or when there
+would have more than ``MAX_SIZE`` (8) points (no kernel limits the
+size; the bound stays until a proof of its own lifts it), or when there
 would be more than ``_CANDIDATE_CAP`` structures.  All four are read
 from ``fo.ea_profile`` before any disjunct is expanded.  When a built
 structure separates the sides, the bounded search runs all the same,

@@ -35,7 +35,6 @@ from typing import NamedTuple, Optional, Union as TUnion
 
 from .terms import (Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term,
                     TermError, Top, Union, Var, record, variables)
-from .words import Word, apply_word
 
 
 class FoError(ValueError):
@@ -159,10 +158,6 @@ def _translate(t: Term, x: str, y: str, pool: _Pool) -> FoFormula:
         args = (x, y)
         return _translate(t.arg, args[t.proj.img1 - 1], args[t.proj.img2 - 1], pool)
     raise TermError(f"unexpected term {t!r}")  # pragma: no cover
-
-
-def word_translation(w: Word, var: str = "a") -> FoFormula:
-    return standard_translation(apply_word(w, Var(var)))
 
 
 def alpha_equivalent(f: FoFormula, g: FoFormula) -> bool:

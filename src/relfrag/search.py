@@ -186,7 +186,7 @@ def verify_rules(rs: RewriteSystem, exhaustive_size: int = 5,
     lowest differing image j of that size.  ``samples_per_size``,
     ``seed`` and ``threads`` are accepted for compatibility and
     ignored: no panel is drawn.  Every size must be in 1..``MAX_SIZE``,
-    the sizes the oracles take."""
+    the sizes the decision routes take."""
     for n in (exhaustive_size, *sample_sizes):
         if not 1 <= n <= MAX_SIZE:
             raise ValueError(f"rule certification sizes must be in 1..{MAX_SIZE}, got {n}")

@@ -11,9 +11,8 @@ operators and complement act inside the full square.
 Equivalence oracles come in two flavours: ``exhaustive_check`` scans
 every labeled structure at the given sizes (with a structure-count
 budget) and ``random_check`` samples seeded random structures.  Only
-they use the bit-sliced kernel (``bitrel``), loaded when called, and
-only ``random_check`` imports numpy, for its seeded draws; both stop at
-the first batch that separates the terms and return the first
+they use the bit-sliced kernel (``bitrel``), loaded when called; both
+stop at the first batch that separates the terms and return the first
 counterexample in a documented deterministic order.
 """
 
@@ -267,9 +266,9 @@ def structure_count(num_vars: int, size: int) -> int:
 # ---------------------------------------------------------------------------
 # Equivalence oracles
 
-# the largest universe the oracles take: ``random_check`` draws each
-# relation as one 64-bit word, and the exact routes keep this bound
-# until a proof of their own lifts it
+# the largest universe the decision routes take.  No kernel or sampler
+# limits the size; the bound stays, so that no verdict moves, until a
+# proof that a small structure settles the larger ones lifts it
 MAX_SIZE = 8
 
 @record
@@ -314,38 +313,20 @@ def exhaustive_check(t1: Term, t2: Term, sizes: Iterable[int],
 
 def random_check(t1: Term, t2: Term, size: int, samples: int,
                  seed: int) -> Optional[Structure]:
-    """Seeded random search for a separating structure: each pair is
-    present independently with probability 1/2, with the empty, full,
-    identity and difference assignments forced into every batch."""
-    if size > MAX_SIZE:
-        raise SemanticsError(f"random_check draws each relation as one 64-bit word; size must be <= {MAX_SIZE}")
-    import numpy as np
-    from .bitrel import _CHUNK, batch_masks, first_separating
+    """Seeded random search for a separating structure: the
+    ``bitrel.sampled_batches`` of the terms' variables (constant terms
+    keep one dummy variable ``a``, drawn and reported), max(samples, 4)
+    of them at ``size`` on ``random.Random(seed)``, drawn one batch at a
+    time and stopping at the first batch that separates the terms."""
+    if seed < 0:
+        # refused before any draw, with the message the command line
+        # has always printed for it
+        raise ValueError("expected non-negative integer")
+    from .bitrel import first_separating, sampled_batches
 
-    names = sorted(variables(t1) | variables(t2))
-    if not names:
-        names = ["a"]  # constant terms keep one dummy variable, drawn and reported
-    rng = np.random.default_rng(seed)
-    fm = full_mask(size)
-    forced = [0, fm, diag_mask(size), fm ^ diag_mask(size)]
-    total = max(samples, len(forced))
-    draws = {}
-    for name in names:
-        lo = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
-        vals = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
-        vals <<= np.uint64(32)
-        vals |= lo
-        vals &= np.uint64(fm)
-        vals[: len(forced)] = forced
-        # pair p's integer over all the draws: bit i is bit p of draw i
-        draws[name] = []
-        for p in range(size * size):
-            bit = (vals >> np.uint64(p) & np.uint64(1)).astype(np.uint8)
-            draws[name].append(int.from_bytes(np.packbits(bit, bitorder="little").tobytes(), "little"))
-    for start in range(0, total, _CHUNK):
-        count = min(_CHUNK, total - start)
-        chunk = {name: [r >> start & ((1 << count) - 1) for r in rels] for name, rels in draws.items()}
-        witness = first_separating(t1, t2, chunk, batch_masks([(size, count)]))
+    names = variables(t1) | variables(t2) or {"a"}
+    for batch in sampled_batches(names, size, samples, seed):
+        witness = first_separating(t1, t2, *batch)
         if witness is not None:
             return witness
     return None

@@ -16,11 +16,11 @@ import numpy as np
 from relfrag import bitrel
 from relfrag.automata import build_pattern_dfa, is_cofinite
 from relfrag.cli import main as cli_main
-from relfrag.constants import ConstClass, REPRESENTATIVES, cayley
+from relfrag.constants import ConstClass, REPRESENTATIVES, classify_const
 from relfrag.decide import Equivalent, Inequivalent, Mode, REL, decide_terms
 from relfrag.fo import (FoAnd, FoAtom, FoEq, FoExists, FoNot, alpha_equivalent,
                         export_equation_smt2, export_equation_tptp,
-                        word_translation)
+                        standard_translation)
 from relfrag.rewriting import (count_irreducibles, enumerate_irreducibles,
                                figure1_rules, is_irreducible, normalize)
 from relfrag.search import OracleConfig, run_search, verify_rules
@@ -88,17 +88,17 @@ def test_criterion_3_cayley_tables(capsys):
         for x in ConstClass:
             for y in ConstClass:
                 composite = build(REPRESENTATIVES[x], REPRESENTATIVES[y])
-                rep = REPRESENTATIVES[cayley(op, x, y)]
+                rep = REPRESENTATIVES[classify_const(composite)]
                 assert all(eval_term(composite, m) == eval_term(rep, m)
                            for m in structures), (op, x, y)
                 cells += 1
     for x in ConstClass:
-        rep = REPRESENTATIVES[cayley("compl", x)]
+        rep = REPRESENTATIVES[classify_const(Compl(REPRESENTATIVES[x]))]
         assert all(eval_term(Compl(REPRESENTATIVES[x]), m) == eval_term(rep, m)
                    for m in structures)
         cells += 1
         for proj in ALL_PROJECTIONS:
-            rep = REPRESENTATIVES[cayley("proj", x, proj=proj)]
+            rep = REPRESENTATIVES[classify_const(Proj(REPRESENTATIVES[x], proj))]
             assert all(eval_term(Proj(REPRESENTATIVES[x], proj), m) == eval_term(rep, m)
                        for m in structures)
             cells += 1
@@ -251,7 +251,8 @@ def test_criterion_9_fo_export(capsys):
     target = FoExists("y1", FoAnd(
         FoExists("y2", FoAnd(FoAtom("a", "x0", "y2"), FoNot(FoEq("y2", "y1")))),
         FoNot(FoEq("y1", "y0"))))
-    assert alpha_equivalent(word_translation(parse_word("cD cD")), target)
+    assert alpha_equivalent(standard_translation(apply_word(parse_word("cD cD"), Var("a"))),
+                            target)
 
     for rule in RS.rules:
         lhs = apply_word(rule.small, Var("a"))

@@ -392,27 +392,32 @@ def test_batch_route_loads_the_kernel(tmp_path):
     assert "relfrag.bitrel" in got["loaded"] and "numpy" not in got["loaded"]
 
 
-# every exact route runs on the bit-sliced kernel alone
-EXACT_WITHOUT_NUMPY = [
+# every route runs on the bit-sliced kernel and the standard library's
+# seeded stream alone
+KERNEL_WITHOUT_NUMPY = [
     ["equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c"],
     ["equiv", "--lhs", "a ; D", "--rhs", "a", "--mode", "rel>=3"],
     ["verify-rules", "builtin:figure1"],
     ["search", "--max-len", "15", "--budget", "1000000"],
+    ["equiv", "--lhs", "(a;(b$c))^", "--rhs", "(c^$b^);a^", "--samples", "64"],
 ]
 
 
-def test_exact_routes_load_no_numpy(tmp_path):
-    got = _loaded_by(EXACT_WITHOUT_NUMPY, tmp_path)
-    assert got["codes"] == [0, 1, 0, 0]
+def test_no_command_loads_numpy(tmp_path):
+    got = _loaded_by(KERNEL_WITHOUT_NUMPY, tmp_path)
+    assert got["codes"] == [0, 1, 0, 0, 2]
     assert "relfrag.bitrel" in got["loaded"] and "numpy" not in got["loaded"]
 
 
-def test_bounded_sampling_loads_numpy(tmp_path):
-    # the seeded draws of random_check are numpy's
-    got = _loaded_by([["equiv", "--lhs", "(a;(b$c))^", "--rhs", "(c^$b^);a^",
-                       "--samples", "64"]], tmp_path)
-    assert got["codes"] == [2]
-    assert "numpy" in got["loaded"]
+def test_negative_seed_is_an_input_error_once_sampling_starts(run):
+    # the bounded route refuses the seed before its first draw
+    code, out, err = run("equiv", "--lhs", "(a;(b$c))^", "--rhs", "(c^$b^);a^",
+                         "--samples", "10", "--seed", "-1")
+    assert (code, out, err) == (65, "", "input error: expected non-negative integer\n")
+    # a pair separated before any sampling never reads the seed
+    code, out, err = run("equiv", "--lhs", "a;b", "--rhs", "b;a", "--seed", "-1")
+    assert (code, err) == (1, "")
+    assert out == 'inequivalent; witness: {"size": 2, "relations": {"a": [[1, 1]], "b": [[1, 0]]}}\n'
 
 
 def test_semantics_alone_loads_no_numpy():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from relfrag.constants import (ConstClass, ConstError, REPRESENTATIVES, cayley,
-                               classify_const, decide_0vo)
+from relfrag.constants import (ConstClass, ConstError, REPRESENTATIVES, classify_const,
+                               decide_0vo)
 from relfrag.normalforms import complement_nf
 from relfrag.semantics import Structure, eval_term
 from relfrag.terms import (ALL_PROJECTIONS, BOT, DI, ID, TOP, Comp, Compl,
@@ -18,36 +18,27 @@ def _agrees(t, cls):
 
 
 def test_transcribed_entries():
-    assert cayley("comp", D, D) is T
-    assert cayley("compl", I) is D
-    assert cayley("inter", I, D) is B
-    assert cayley("conv", D) is D
+    assert classify_const(parse_term("D ; D")) is T
+    assert classify_const(parse_term("I~")) is D
+    assert classify_const(parse_term("I & D")) is B
+    assert classify_const(parse_term("D^")) is D
 
 
 def test_every_cayley_entry_validated_semantically():
-    # binary tables against evaluation on the variable-free structures
-    # of sizes 3, 4 and 5
+    # each table cell is the class of the composite of representatives;
+    # checked by evaluation on the variable-free structures of sizes 3,
+    # 4 and 5
     ctor = {"inter": Inter, "union": Union, "comp": Comp, "dagger": Dagger}
     for op, build in ctor.items():
         for x in ConstClass:
             for y in ConstClass:
                 composite = build(REPRESENTATIVES[x], REPRESENTATIVES[y])
-                assert _agrees(composite, cayley(op, x, y)), (op, x, y)
+                assert _agrees(composite, classify_const(composite)), (op, x, y)
     for x in ConstClass:
-        assert _agrees(Compl(REPRESENTATIVES[x]), cayley("compl", x))
+        assert _agrees(Compl(REPRESENTATIVES[x]), classify_const(Compl(REPRESENTATIVES[x])))
         for proj in ALL_PROJECTIONS:
-            assert _agrees(Proj(REPRESENTATIVES[x], proj), cayley("proj", x, proj=proj))
-
-
-def test_cayley_arity_errors():
-    with pytest.raises(ConstError):
-        cayley("inter", T)
-    with pytest.raises(ConstError):
-        cayley("compl", T, B)
-    with pytest.raises(ConstError):
-        cayley("proj", T)
-    with pytest.raises(ConstError):
-        cayley("what", T)
+            composite = Proj(REPRESENTATIVES[x], proj)
+            assert _agrees(composite, classify_const(composite))
 
 
 def test_classify_examples():

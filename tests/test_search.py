@@ -1,4 +1,5 @@
 import hashlib
+import random
 from pathlib import Path
 
 import numpy as np
@@ -121,12 +122,15 @@ def test_word_matrix_columns_and_products():
 
 
 def _panel_draws(n, count, seed):
-    # the seeded stream of sample_panel, drawn as packed 64-bit words
-    rng = np.random.default_rng([seed, n])
-    total = max(count, 4)
-    lo = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
-    hi = rng.integers(0, 1 << 32, size=total, dtype=np.uint64)
-    vals = ((lo | (hi << np.uint64(32))) & np.uint64((1 << (n * n)) - 1)).tolist()
+    # the seeded stream of sample_panel: per batch of up to
+    # bitrel._CHUNK relations, one getrandbits per pair on the stream
+    # seeded with "seed/n", bit i for relation i of the batch
+    rng = random.Random(f"{seed}/{n}")
+    total, vals = max(count, 4), []
+    for start in range(0, total, bitrel._CHUNK):
+        width = min(bitrel._CHUNK, total - start)
+        pairs = [rng.getrandbits(width) for _ in range(n * n)]
+        vals += [sum((r >> i & 1) << p for p, r in enumerate(pairs)) for i in range(width)]
     full, diag = (1 << (n * n)) - 1, sum(1 << (x * n + x) for x in range(n))
     return [0, full, diag, full ^ diag] + vals[4:]
 
@@ -148,6 +152,12 @@ def test_sampled_counterexample_matches_direct_panel():
             assert bitrel.sampled_counterexample(w1, w2, n, 500, 11) == direct, (w1, w2, n)
             separated += direct is not None
     assert separated >= 100
+
+
+def test_sample_panel_joins_its_batches():
+    count = bitrel._CHUNK + 5
+    masks = bitrel.batch_masks([(2, count)])
+    assert brute.entries(bitrel.sample_panel(2, count, 11), masks) == _panel_draws(2, count, 11)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])

@@ -1,10 +1,11 @@
 import json
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from relfrag.bitrel import _enumerated_batch, eval_term_batch
+from relfrag.bitrel import _CHUNK, _enumerated_batch, eval_term_batch, sampled_batches
 from relfrag.semantics import (BudgetExceeded, Rel, SemanticsError, SizeWindow,
                                Structure, eval_term, exhaustive_check, random_check,
                                structure_count, structure_from_json,
@@ -38,11 +39,6 @@ def test_eval_projection_identity_example():
         for _ in range(50):
             m = _random_structure(rng, ["a"], int(rng.integers(1, 5)))
             assert eval_term(lhs, m) == eval_term(rhs, m)
-
-
-def test_batch_eval_size_limit():
-    with pytest.raises(SemanticsError):
-        random_check(Var("a"), parse_term("a~"), 9, 10, 0)
 
 
 def test_pairs_match_definition_and_round_trip():
@@ -144,24 +140,25 @@ def test_batch_kernels_match_naive_every_packed_size(size):
     assert (a, b) == (a0, b0)
 
 
-# First witnesses as the per-bit batch kernels (n^2 steps per
-# composition) returned them; a faster kernel must not move the
-# oracles' documented order.  Sizes 5-7 cover enumeration indices
-# whose variable blocks reach past the chunk width, where an index bit
-# is constant across the chunk.
+# First witnesses in the oracles' documented orders, pinned so that no
+# kernel or sampler change moves them unnoticed.  The random ones
+# follow the draw order of ``bitrel.sampled_batches``.  Sizes 5-7 of
+# the exhaustive ones cover enumeration indices whose variable blocks
+# reach past the chunk width, where an index bit is constant across
+# the chunk.
 _PINNED_RANDOM = [
     ('a ; b', 'b ; a', 3, 11,
-     '{"size": 3, "relations": {"a": [[0, 2], [1, 0], [1, 1], [1, 2], [2, 0]], "b": [[0, 2], [1, 0], [1, 1], [2, 0], [2, 2]]}}'),
+     '{"size": 3, "relations": {"a": [[0, 1], [1, 0], [1, 1], [1, 2], [2, 1], [2, 2]], "b": [[1, 1], [2, 1], [2, 2]]}}'),
     ('a $ b', 'b $ a', 4, 12,
-     '{"size": 4, "relations": {"a": [[0, 1], [1, 0], [1, 1], [1, 2], [3, 2], [3, 3]], "b": [[0, 0], [0, 1], [0, 3], [1, 1], [1, 3], [2, 0]]}}'),
+     '{"size": 4, "relations": {"a": [[0, 0], [0, 1], [0, 2], [0, 3], [1, 0], [1, 1], [2, 0], [2, 1], [2, 2], [3, 0]], "b": [[1, 2], [1, 3], [2, 3], [3, 1]]}}'),
     ('(a ; a^) & D', '(a^ ; a) & D', 5, 13,
-     '{"size": 5, "relations": {"a": [[0, 0], [0, 3], [0, 4], [1, 0], [1, 2], [2, 0], [2, 1], [2, 4], [3, 0], [3, 1], [3, 2], [3, 4], [4, 2], [4, 3], [4, 4]]}}'),
+     '{"size": 5, "relations": {"a": [[0, 0], [0, 3], [0, 4], [2, 0], [2, 1], [2, 2], [2, 4], [3, 1], [3, 2], [3, 3], [3, 4], [4, 0], [4, 4]]}}'),
     ('(a $ b) ; a^', 'a^ ; (b $ a)', 6, 14,
-     '{"size": 6, "relations": {"a": [[0, 3], [0, 5], [1, 0], [1, 1], [1, 2], [1, 5], [2, 0], [2, 1], [2, 2], [2, 4], [2, 5], [3, 2], [3, 3], [3, 5], [4, 1], [4, 2], [4, 4], [5, 4]], "b": [[0, 0], [0, 4], [1, 1], [1, 3], [1, 4], [2, 0], [2, 2], [2, 4], [2, 5], [3, 2], [3, 3], [3, 4], [4, 0], [4, 1], [4, 5], [5, 1], [5, 2]]}}'),
+     '{"size": 6, "relations": {"a": [[0, 0], [0, 4], [0, 5], [1, 3], [2, 4], [3, 0], [3, 1], [3, 2], [3, 5], [4, 5], [5, 0], [5, 1], [5, 2], [5, 4], [5, 5]], "b": [[0, 4], [0, 5], [1, 4], [2, 2], [2, 4], [2, 5], [3, 3], [3, 4], [3, 5], [4, 1], [4, 2], [4, 4], [5, 2], [5, 3], [5, 4]]}}'),
     ('a ; (b $ a)', '(a $ b) ; a', 7, 15,
-     '{"size": 7, "relations": {"a": [[0, 0], [0, 4], [0, 5], [1, 0], [1, 1], [1, 6], [2, 0], [2, 1], [3, 0], [3, 1], [3, 2], [3, 3], [3, 5], [3, 6], [4, 0], [4, 1], [4, 5], [4, 6], [5, 0], [5, 2], [5, 4], [6, 0]], "b": [[0, 0], [0, 5], [0, 6], [1, 3], [1, 4], [2, 0], [2, 2], [2, 4], [3, 0], [3, 1], [3, 5], [3, 6], [4, 3], [4, 4], [4, 5], [4, 6], [5, 0], [5, 3], [5, 6], [6, 0], [6, 1], [6, 2], [6, 5]]}}'),
+     '{"size": 7, "relations": {"a": [[0, 0], [0, 3], [0, 4], [0, 5], [0, 6], [1, 2], [1, 4], [1, 5], [2, 0], [2, 2], [2, 4], [3, 2], [4, 1], [4, 2], [4, 4], [4, 6], [5, 1], [5, 5], [5, 6], [6, 1], [6, 3], [6, 5]], "b": [[0, 2], [0, 3], [0, 4], [0, 5], [0, 6], [1, 0], [1, 2], [1, 3], [1, 4], [1, 5], [2, 1], [2, 3], [2, 5], [2, 6], [3, 1], [3, 2], [3, 5], [4, 1], [4, 2], [4, 4], [5, 0], [5, 1], [5, 2], [5, 3], [5, 4], [6, 0], [6, 1], [6, 2], [6, 5], [6, 6]]}}'),
     ('(a $ b)^ & a[2,2]', '(b^ $ a^) & b[2,2]', 8, 16,
-     '{"size": 8, "relations": {"a": [[0, 0], [0, 3], [0, 5], [0, 6], [1, 4], [1, 5], [1, 6], [1, 7], [2, 4], [2, 6], [3, 2], [3, 6], [3, 7], [4, 4], [4, 5], [4, 6], [5, 0], [5, 2], [5, 3], [5, 5], [6, 0], [6, 4], [7, 1], [7, 5], [7, 7]], "b": [[0, 2], [0, 4], [0, 5], [0, 6], [0, 7], [1, 1], [1, 7], [2, 2], [2, 3], [2, 4], [2, 5], [2, 6], [3, 0], [3, 1], [3, 2], [3, 4], [3, 6], [3, 7], [4, 0], [4, 2], [4, 5], [4, 6], [4, 7], [5, 0], [5, 1], [5, 2], [5, 3], [5, 4], [5, 5], [5, 7], [6, 4], [6, 5], [6, 6], [6, 7], [7, 4], [7, 6]]}}'),
+     '{"size": 8, "relations": {"a": [[0, 2], [0, 3], [0, 4], [1, 0], [1, 1], [1, 2], [1, 3], [1, 5], [1, 6], [1, 7], [2, 1], [2, 3], [2, 7], [3, 1], [3, 5], [4, 2], [4, 4], [4, 6], [5, 2], [5, 3], [6, 0], [6, 1], [6, 2], [6, 3], [7, 0], [7, 4], [7, 6], [7, 7]], "b": [[0, 0], [0, 2], [0, 3], [0, 5], [0, 7], [1, 0], [1, 2], [1, 3], [1, 4], [1, 5], [1, 6], [1, 7], [2, 1], [2, 2], [2, 4], [2, 5], [3, 0], [3, 1], [3, 3], [3, 4], [3, 5], [3, 6], [3, 7], [4, 0], [4, 1], [4, 2], [4, 3], [4, 7], [5, 1], [5, 2], [5, 4], [5, 6], [5, 7], [6, 0], [6, 1], [6, 2], [6, 3], [6, 4], [6, 6], [6, 7], [7, 1], [7, 2], [7, 3], [7, 5], [7, 6], [7, 7]]}}'),
 ]
 _PINNED_EXHAUSTIVE = [
     ('a ; b', 'b ; a', 3,
@@ -183,6 +180,8 @@ _PINNED_EXHAUSTIVE = [
 def test_random_check_first_witness_pinned(lhs, rhs, size, seed, expected):
     m = random_check(parse_term(lhs), parse_term(rhs), size, 4000, seed)
     assert m is not None and structure_to_json(m) == expected
+    env = {name: set(rel.pairs()) for name, rel in m.assignment.items()}
+    assert naive_eval(parse_term(lhs), size, env) != naive_eval(parse_term(rhs), size, env)
 
 
 @pytest.mark.parametrize("lhs,rhs,size,expected", _PINNED_EXHAUSTIVE)
@@ -252,6 +251,64 @@ def test_random_check_deterministic():
     m1 = random_check(a, b, 3, 200, 9)
     m2 = random_check(a, b, 3, 200, 9)
     assert m1 == m2
+
+
+def _redraw(names, size, total, seed):
+    """The structures ``random_check`` draws, in order, as {name: packed
+    relation} per entry: the draw order that ``bitrel.sampled_batches``
+    documents, redrawn from ``random.Random`` here."""
+    rng = random.Random(seed)
+    nn = size * size
+    out = []
+    for start in range(0, max(total, 4), _CHUNK):
+        count = min(_CHUNK, max(total, 4) - start)
+        draws = {name: [rng.getrandbits(count) for _ in range(nn)] for name in sorted(names)}
+        out += [{name: sum((d[p] >> i & 1) << p for p in range(nn)) for name, d in draws.items()}
+                for i in range(count)]
+    full, diag = (1 << nn) - 1, sum(1 << (x * size + x) for x in range(size))
+    for i, bits in enumerate([0, full, diag, full ^ diag]):
+        out[i] = {name: bits for name in names}
+    return out
+
+
+# pairs in one to three variables; most agree on the four fixed entries,
+# so that the drawn ones decide, and three never separate
+_SAMPLED_PAIRS = [
+    ("a ; b", "b ; a"), ("(a ; a^) & D", "(a^ ; a) & D"), ("a & b", "a & c"),
+    ("a ; (b ; c)", "c ; (b ; a)"), ("(a & I) & (b | c)~", "bot"),
+    ("a ; top", "top"), ("I", "D"),
+    ("a ; (b ; c)", "(a ; b) ; c"), ("a $ b", "(a~ ; b~)~"), ("a[1,1]", "(a & I) ; top"),
+]
+
+
+@pytest.mark.parametrize("size", range(1, 13))
+def test_random_check_returns_first_separating_redraw(size):
+    # the naive evaluator, run entry by entry on the redrawn stream, is
+    # the independent oracle; no size is refused
+    for k, (lhs, rhs) in enumerate(_SAMPLED_PAIRS):
+        t1, t2 = parse_term(lhs), parse_term(rhs)
+        seed = 31 * size + k
+        names = sorted(variables(t1) | variables(t2)) or ["a"]
+        expected = None
+        for entry in _redraw(names, size, 40, seed):
+            env = {name: set(Rel(size, bits).pairs()) for name, bits in entry.items()}
+            if naive_eval(t1, size, env) != naive_eval(t2, size, env):
+                expected = Structure(size, {name: Rel(size, bits) for name, bits in entry.items()})
+                break
+        assert random_check(t1, t2, size, 40, seed) == expected, (lhs, rhs, size)
+
+
+def test_sampled_batches_two_chunks_match_redraw():
+    batches = list(sampled_batches(["b", "a"], 2, _CHUNK + 5, 77))
+    assert [masks[0].bit_length() for _, masks in batches] == [_CHUNK, 5]
+    got = [dict(zip(("a", "b"), pair)) for batch, masks in batches
+           for pair in zip(entries(batch["a"], masks), entries(batch["b"], masks))]
+    assert got == _redraw(["a", "b"], 2, _CHUNK + 5, 77)
+
+
+def test_random_check_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        random_check(Var("a"), parse_term("a~"), 3, 10, -1)
 
 
 def test_structure_json_roundtrip():
