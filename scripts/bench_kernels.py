@@ -5,7 +5,10 @@ Times ``bitrel.eval_term_batch`` for each operator and
 ``bitrel.apply_word_packed`` for each context letter, at every size in
 ``--sizes``, on one batch of ``--relations`` seeded random relations
 (each pair present with probability 1/2, so each pair integer is
-``--relations`` random bits).  Every figure is the median of
+``--relations`` random bits).  Each letter is also timed on one merged
+batch of ``--relations`` relations at each of the sizes 5, 6 and 7,
+under the key ``5,6,7``: ``cD`` masks there and skips its mask on one
+size, so both of its paths are timed.  Every figure is the median of
 ``--repeat`` runs in milliseconds, after one untimed warm-up run.
 Prints JSON with the machine (nproc and Python version); ``--out DIR``
 also writes it to ``DIR/BENCH_kernels_<label>.json``.
@@ -32,6 +35,12 @@ from relfrag.words import parse_word  # noqa: E402
 
 OPERATORS = ("a ; b", "a $ b", "a^", "a[1,1]", "a[2,2]", "a~", "a | b", "a & b")
 LETTERS = ("iI", "iD", "cD", "cv")
+MERGED_SIZES = (5, 6, 7)
+
+
+def _random_pairs(rng: random.Random, n: int, count: int) -> list[int]:
+    # the pair integers of count random relations of size n
+    return [rng.getrandbits(count) for _ in range(n * n)]
 
 
 def _median_ms(fn, repeat: int) -> float:
@@ -59,7 +68,7 @@ def main() -> None:
     letters: dict[str, dict[str, float]] = {name: {} for name in LETTERS}
     for n in args.sizes:
         rng = random.Random(f"{args.seed}/{n}")
-        a, b = ([rng.getrandbits(args.relations) for _ in range(n * n)] for _ in range(2))
+        a, b = _random_pairs(rng, n, args.relations), _random_pairs(rng, n, args.relations)
         masks = bitrel.batch_masks([(n, args.relations)])
         for op in OPERATORS:
             t = parse_term(op)
@@ -68,12 +77,21 @@ def main() -> None:
         for name in LETTERS:
             w = parse_word(name)
             letters[name][str(n)] = _median_ms(lambda: bitrel.apply_word_packed(a, w, masks), args.repeat)
+    rng = random.Random(f"{args.seed}/merged")
+    merged, masks = bitrel.merge_batches(
+        (n, args.relations, {"a": _random_pairs(rng, n, args.relations)}) for n in MERGED_SIZES)
+    label = ",".join(map(str, MERGED_SIZES))
+    for name in LETTERS:
+        w = parse_word(name)
+        letters[name][label] = _median_ms(lambda: bitrel.apply_word_packed(merged["a"], w, masks),
+                                          args.repeat)
 
     result = {
         "label": args.label,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
         "params": {"relations": args.relations, "sizes": list(args.sizes),
+                   "merged_sizes": list(MERGED_SIZES),
                    "repeat": args.repeat, "seed": args.seed, "unit": "ms (median)"},
         "eval_term_batch": batch,
         "apply_word_packed": letters,

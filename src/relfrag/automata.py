@@ -10,7 +10,10 @@ long and how numerous the leftover words are; that decides
 ``is_cofinite``, and rewriting counts and enumerates its irreducible
 words from the same pass.  Both are linear in the total pattern
 length.  A lasso stays a witness of infiniteness for any larger
-pattern set that it avoids, which ``Lasso.contains`` checks.
+pattern set that it avoids, which ``Lasso.contains`` checks.  The pass
+tries each state's successors from the last letter to the first, so
+that its lasso is made of the letters whose words the completion search
+draws last at each length (see ``leftover_paths``).
 ``build_pattern_dfa``, ``complement_and_trim`` and partition-refinement
 ``minimize`` build the explicit automata that ``export-dfa`` draws.
 """
@@ -24,6 +27,8 @@ from .terms import record
 from .words import LETTER_TOKENS, LETTERS, Letter, Word
 
 ALPHABET_SIZE = len(LETTERS)
+# the letter indices in the order ``leftover_paths`` visits successors
+_LAST_FIRST = tuple(range(ALPHABET_SIZE - 1, -1, -1))
 
 
 class AutomataError(ValueError):
@@ -199,12 +204,21 @@ def leftover_paths(goto: Sequence[Sequence[int]], matches: Sequence[Sequence]
     (infinitely many leftover words), the first one met as a lasso: the
     letters from the root to the cycle, then around it.  Otherwise, per
     leftover state, the length of the longest path from it and the
-    number of paths from it, the empty path included."""
+    number of paths from it, the empty path included.
+
+    Successors are tried from the last letter (``cv``) to the first
+    (``iI``), so the first cycle met is made of the letters that sort
+    last in shortlex order wherever the patterns allow.  ``run_search``
+    draws the words of each length in shortlex order and rebuilds the
+    machine only when an admitted large side occurs in the lasso; the
+    factors of this lasso come last in each length, so the lasso dies
+    late.  The lengths and counts do not depend on the order."""
     longest: dict[int, int] = {}
     count: dict[int, int] = {}
     on_path = {0}
-    # (state, letter index into it, its remaining successors)
-    stack = [(0, -1, iter(enumerate(goto[0])))]
+    # (state, letter index into it, its remaining successors, from the
+    # last letter to the first)
+    stack = [(0, -1, zip(_LAST_FIRST, reversed(goto[0])))]
     while stack:
         s, _, succ = stack[-1]
         for c, t in succ:
@@ -219,7 +233,7 @@ def leftover_paths(goto: Sequence[Sequence[int]], matches: Sequence[Sequence]
                 start = [u for u, _, _ in stack].index(t)
                 return Lasso(tuple(word[:start]), tuple(word[start:]))
             on_path.add(t)
-            stack.append((t, c, iter(enumerate(goto[t]))))
+            stack.append((t, c, zip(_LAST_FIRST, reversed(goto[t]))))
             break
         else:
             stack.pop()

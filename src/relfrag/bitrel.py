@@ -19,15 +19,18 @@ entry's square empty.  No kernel limits the size.
 *Context words.*  ``iI`` / ``iD`` keep or clear the diagonal; ``cv`` is
 converse; ``{(x, y)} ; D`` is row x minus (x, y), so ``cD`` sets (x, y)
 where row x has some other pair: where it has two pairs, or one that is
-not (x, y), masked.  Every letter preserves unions and sends the empty relation
-to itself, so the n^2 images of the one-pair relations
-(``one_pair_relations``, ``singleton_images``) fix a word's map at size
-n exactly.  Entry j of that batch is the one-pair relation ``1 << j``
-(j = x*n + y), so the images are the word's transfer matrix: bit j of
-pair i's integer says whether pair j feeds pair i.  Two words differ at
-size n iff some image differs, and if j is the lowest such entry then
-``1 << j`` is the numerically first separating relation of size n (a
-smaller relation has only bits below j, whose images agree).
+not (x, y), masked.  The mask only clears the columns past a smaller
+entry's size, so on a batch whose entries all have the full size (the
+first and last pair have the same mask) ``cD`` skips it.  Every letter
+preserves unions and sends the empty relation to itself, so the n^2
+images of the one-pair relations (``one_pair_relations``,
+``singleton_images``) fix a word's map at size n exactly.  Entry j of
+that batch is the one-pair relation ``1 << j`` (j = x*n + y), so the
+images are the word's transfer matrix: bit j of pair i's integer says
+whether pair j feeds pair i.  Two words differ at size n iff some image
+differs, and if j is the lowest such entry then ``1 << j`` is the
+numerically first separating relation of size n (a smaller relation
+has only bits below j, whose images agree).
 ``rule_counterexamples`` evaluates each word once over all the sizes
 asked for.  The literal scan over all 2^(n^2) relations lives in the
 test suite as an independent oracle.
@@ -113,8 +116,10 @@ def apply_letter(rels: Sequence[int], letter: Letter, masks: Sequence[int]) -> l
             for v in row:
                 two |= one & v
                 one |= v
-            out += [(two | (one ^ v)) & mask for v, mask in zip(row, masks[x:x + m])]
-        return out
+            out += [two | (one ^ v) for v in row]
+        # the last pair covers the same entries as the first only when
+        # every entry has the full size, and then nothing needs clearing
+        return out if masks[0] == masks[-1] else list(map(and_, out, masks))
     raise ValueError(f"unknown letter {letter!r}")
 
 

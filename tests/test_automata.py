@@ -99,7 +99,12 @@ def test_is_cofinite_examples():
     report = is_cofinite([tuple(p) for p in product(LETTERS, repeat=2)])
     assert (report.cofinite, report.max_complement_length, report.complement_count) == (True, 1, 5)
 
-    assert is_cofinite([]) == CofinitenessReport(False, lasso=Lasso((), (CAP_I,)))
+    # the pass tries successors from the last letter to the first, so
+    # its first cycle is made of the last letters the patterns allow
+    assert is_cofinite([]) == CofinitenessReport(False, lasso=Lasso((), (CONV,)))
+    assert is_cofinite([(CONV,)]) == CofinitenessReport(False, lasso=Lasso((), (DOT_D,)))
+    assert is_cofinite([(CONV,), (DOT_D, DOT_D)]) == \
+        CofinitenessReport(False, lasso=Lasso((), (DOT_D, CAP_D)))
 
 
 def test_lasso_contains_matches_unrolled_word():

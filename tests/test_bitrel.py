@@ -4,7 +4,9 @@ Each entry of a merged batch must hold exactly what the scalar
 evaluator gives at that entry's own size: the pairs outside its square
 stay clear.  The kernel has no size limit, so the sizes run past 8.
 The pinned examples put a smaller size under every map that ANDs with
-the masks.
+the masks.  ``cD`` skips its mask when every entry has the full size,
+so it also runs on one size, on two segments of one size, and on sizes
+given largest first.
 """
 
 import random
@@ -13,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brute import entries
-from relfrag.bitrel import (apply_word_packed, batch_masks, eval_term_batch, first_separating,
-                            merge_batches, one_pair_relations, pair_integers,
+from relfrag.bitrel import (apply_letter, apply_word_packed, batch_masks, eval_term_batch,
+                            first_separating, merge_batches, one_pair_relations, pair_integers,
                             rule_counterexamples, scan_rule_pairs, singleton_images)
 from relfrag.semantics import Rel, Structure, eval_term
 from relfrag.terms import Var, parse_term, variables
@@ -24,6 +26,14 @@ from strategies import near_pairs, terms, words
 
 size_sets = st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted)
 seeds = st.integers(0, 2**32 - 1)
+
+# cD skips its mask exactly when every entry has the full size: one
+# size, or several segments of the same size; sizes given largest first
+# still mask
+layouts = st.one_of(st.integers(1, 8).map(lambda n: [n]),
+                    st.integers(1, 8).map(lambda n: [n, n]),
+                    st.lists(st.integers(1, 8), min_size=2, max_size=4,
+                             unique=True).map(lambda s: sorted(s, reverse=True)))
 
 # a smaller size under each masked map: top, D, I, complement, dagger,
 # the projections [1,1] and [2,2]
@@ -94,11 +104,14 @@ def test_merge_keeps_one_size_unmasked():
     assert base == tuple(1 << j for j in range(16))
 
 
-@given(words, size_sets)
+@given(words, size_sets | layouts)
 @example((DOT_D,), [2, 5])
 @example(parse_word("cD cv cD"), [1, 4, 7])
 @example(parse_word("cD cv cD"), [3, 10])
-@settings(max_examples=60, deadline=None)
+@example((DOT_D,), [7, 5])
+@example(parse_word("cD cv cD"), [4, 4])
+@example(parse_word("cv cD iD cD"), [8])
+@settings(max_examples=80, deadline=None)
 def test_merged_word_images_match_scalar_at_each_size(w, sizes):
     base, masks = one_pair_relations(tuple(sizes))
     out = entries(apply_word_packed(base, w, masks), masks)
@@ -106,6 +119,26 @@ def test_merged_word_images_match_scalar_at_each_size(w, sizes):
     expected = [eval_term(t, Structure(n, {"a": Rel(n, 1 << j)})).bits
                 for n in sizes for j in range(n * n)]
     assert out == expected
+
+
+@given(layouts, seeds)
+@example([5], 0)
+@example([5, 5], 0)
+@example([7, 5], 0)
+@example([8, 1], 1)
+@settings(max_examples=60, deadline=None)
+def test_cD_matches_scalar_on_one_and_merged_sizes(sizes, seed):
+    rng = random.Random(seed)
+    structures, batches = [], []
+    for n in sizes:
+        ms, batch = _random_batch(rng, ["a"], n, 5)
+        structures += ms
+        batches.append(batch)
+    assignment, masks = merge_batches(batches)
+    assert (masks[0] == masks[-1]) == (len(set(sizes)) == 1)
+    out = apply_letter(assignment["a"], DOT_D, masks)
+    t = apply_word((DOT_D,), Var("a"))
+    assert entries(out, masks) == [eval_term(t, s).bits for s in structures]
 
 
 @given(words, st.integers(9, 12))

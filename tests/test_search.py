@@ -337,6 +337,23 @@ def test_search_matches_reference_loop_with_seed_rules():
     assert run_search(CFG, 15, 10**6, cofinite) == _reference_search(CFG, 15, 10**6, cofinite)
 
 
+@pytest.mark.parametrize("cfg, most", [(CFG, 5), (OracleConfig(exhaustive_size=1), 11)])
+def test_search_rebuilds_the_automaton_rarely(monkeypatch, cfg, most):
+    # the lasso is built from the letters that sort last, so the large
+    # sides the search admits at each length rarely occur in it
+    from relfrag import automata
+    calls = []
+
+    def counted(patterns):
+        calls.append(patterns)
+        return is_cofinite(patterns)
+
+    monkeypatch.setattr(automata, "is_cofinite", counted)
+    report = run_search(cfg, 15, 10**6)
+    assert 1 <= len(calls) <= most, len(calls)
+    assert report.stop_reason == ("cofinite" if cfg is CFG else "exhausted")
+
+
 def test_verify_rules_passes_builtin_small():
     # exhaustive certification at size 4 is quick and already rules out
     # most transcription mistakes
