@@ -45,6 +45,8 @@ them, and reads that structure back at its own size.  The oracles of
 *Samples.*  ``sampled_batches`` draws seeded random structures straight
 into batches, one ``random.getrandbits`` integer per pair and variable;
 ``semantics.random_check`` and ``sample_panel`` both draw with it.
+``enumerated_batches`` lists every structure of one size in the same
+batches, for ``semantics.exhaustive_check``.
 """
 
 from __future__ import annotations
@@ -141,15 +143,10 @@ def one_pair_relations(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[i
     """The one-pair relations of each size in turn, (x, y) of size n as
     entry x*n + y of that size's segment, at the stride of the largest
     size, and the batch's masks."""
-    m = max(sizes)
-    base = [0] * (m * m)
-    offset = 0
-    for n in sizes:
-        for x in range(n):
-            for y in range(n):
-                base[x * m + y] |= 1 << (offset + x * n + y)
-        offset += n * n
-    return tuple(base), tuple(batch_masks((n, n * n) for n in sizes))
+    # at one size, entry p holds pair p alone: pair p's integer is bit p
+    merged, masks = merge_batches((n, n * n, {"": [1 << p for p in range(n * n)]})
+                                  for n in sizes)
+    return tuple(merged[""]), tuple(masks)
 
 
 def singleton_images(w: Word, n: int) -> list[int]:
@@ -313,23 +310,24 @@ def _periodic(b: int, width: int) -> int:
     return run * (((1 << width) - 1) // ((1 << period) - 1))
 
 
-def _enumerated_batch(start: int, stop: int, names: list[str], size: int):
-    """The structures with enumeration indices start..stop-1, and the
-    batch's masks; stop - start is a power of two that divides start.
-    Pair p of the variable in slot s is bit ``nn*(k-1-s) + nn-1-p`` of
-    the index (each variable's block of the index is its row-major
-    relation read big-endian).  Bit b of start + i is a periodic
+def enumerated_batches(names: list[str],
+                       size: int) -> Iterator[tuple[dict[str, list[int]], list[int]]]:
+    """Every structure of one size on the variables ``names``, in
+    enumeration order, as batches of up to ``_CHUNK`` entries with their
+    masks.  Pair p of the variable in slot s is bit ``nn*(k-1-s) + nn-1-p``
+    of the enumeration index (each variable's block of the index is its
+    row-major relation read big-endian).  A batch's width is a power of
+    two that divides its start, so bit b of start + i is a periodic
     pattern in i below the width and bit b of start above it."""
-    nn, k, width = size * size, len(names), stop - start
-
-    def index_bit(b: int) -> int:
-        if 1 << b < width:
-            return _periodic(b, width)
-        return (1 << width) - 1 if start >> b & 1 else 0
-
-    return ({name: [index_bit(nn * (k - 1 - slot) + nn - 1 - p) for p in range(nn)]
-             for slot, name in enumerate(names)},
-            batch_masks([(size, width)]))
+    nn, k = size * size, len(names)
+    count = 1 << (nn * k)
+    width = min(_CHUNK, count)
+    for start in range(0, count, width):
+        bits = [_periodic(b, width) if 1 << b < width
+                else (1 << width) - 1 if start >> b & 1 else 0 for b in range(nn * k)]
+        yield ({name: [bits[nn * (k - 1 - slot) + nn - 1 - p] for p in range(nn)]
+                for slot, name in enumerate(names)},
+               batch_masks([(size, width)]))
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,8 @@ is the first separating structure of the first separating size.
 The one-occurrence route evaluates both sides on every assignment of
 *basis* relations to the variables: the empty relation, the full
 relation, every one-pair relation and every all-but-one-pair relation.
-It does so at each size from the mode's minimum to 4, and once at one
-size of at least 5, which stands for every size from 5 on.  This is
-exact:
+It does so at each size from the mode's minimum to 4, and once at size
+5, which stands for every size from 5 on.  This is exact:
 
 * The levels are read from the complement normal form
   (``terms.complement_nf``), which pushes every complement down to the
@@ -49,11 +48,10 @@ exact:
   over equality in the point variables x, y and the parameters u, v.
   At every quantifier it has at most 4 free variables, so each
   quantifier is eliminated in the same way on every universe with at
-  least 5 points, and the images agree at one size from 5 on iff they
-  agree at all of them.  The route evaluates at sizes up to
-  ``MAX_SIZE`` (8) only, so in a larger mode a size-5 witness is
-  carried to the mode's minimum with the same named points: the pair
-  it separates keeps its equality type with them.
+  least 5 points, and the images agree at size 5 iff they agree at
+  every size from 5 on.  In a mode whose minimum is above 5, a size-5
+  witness is carried to the minimum with the same named points
+  (``_lift``): the pair it separates keeps its equality type with them.
 * Sides in different variables, or in one variable with opposite
   polarities, are equal only when both are constant: one is monotone
   and the other antitone or independent of it.  The basis holds the
@@ -120,7 +118,7 @@ from typing import TYPE_CHECKING, Optional, Union as TUnion
 from .constants import decide_0vo
 from .semantics import (MAX_SIZE, OracleConfig, Rel, SizeWindow, Structure, eval_term,
                         exhaustive_check, full_mask, random_check, structure_count)
-from .terms import Term, Var, dotdagger_level, record, variables, vo
+from .terms import Term, Var, dotdagger_level, record, variables
 
 if TYPE_CHECKING:
     from .words import Word
@@ -248,8 +246,7 @@ def _one_occurrence(t1: Term, t2: Term, min_size: int) -> Verdict:
     is at the mode's minimum size."""
     names = sorted(variables(t1) | variables(t2))
     small = list(range(min_size, 5))
-    large = max(min_size, 5) if min_size <= MAX_SIZE else 5
-    found = _separate(t1, t2, (_basis_batch(names, n) for n in (*small, large)), min_size)
+    found = _separate(t1, t2, (_basis_batch(names, n) for n in (*small, 5)), min_size)
     return found or Equivalent({"kind": "one-occurrence", "exhausted_sizes": small})
 
 
@@ -367,7 +364,8 @@ def _bounded_separation(t1: Term, t2: Term, mode: Mode,
 
 def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
                  cfg: OracleConfig = OracleConfig()) -> Verdict:
-    if vo(t1) == 0 and vo(t2) == 0:
+    info1, info2 = dotdagger_level(t1), dotdagger_level(t2)
+    if info1.vo == 0 and info2.vo == 0:
         z = decide_0vo(t1, t2, mode.min_size)
         if z.equivalent:
             return Equivalent({
@@ -378,7 +376,6 @@ def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
         assert z.witness is not None
         return _checked_inequivalent(t1, t2, z.witness)
 
-    info1, info2 = dotdagger_level(t1), dotdagger_level(t2)
     if info1.vo <= 1 and info2.vo <= 1 and info1.sigma_level <= 1 and info2.sigma_level <= 1:
         return _one_occurrence(t1, t2, mode.min_size)
     if t1 == t2:

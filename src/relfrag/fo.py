@@ -160,31 +160,6 @@ def _translate(t: Term, x: str, y: str, pool: _Pool) -> FoFormula:
     raise TermError(f"unexpected term {t!r}")  # pragma: no cover
 
 
-def alpha_equivalent(f: FoFormula, g: FoFormula) -> bool:
-    """Equality up to a consistent renaming of bound variables; free
-    variables must match exactly."""
-    return _canon(f, {}, [0]) == _canon(g, {}, [0])
-
-
-def _canon(f: FoFormula, bound: dict[str, str], counter: list[int]):
-    if isinstance(f, (FoTrue, FoFalse)):
-        return type(f).__name__
-    if isinstance(f, FoAtom):
-        return ("atom", f.rel, bound.get(f.left, f.left), bound.get(f.right, f.right))
-    if isinstance(f, FoEq):
-        return ("eq", bound.get(f.left, f.left), bound.get(f.right, f.right))
-    if isinstance(f, FoNot):
-        return ("not", _canon(f.arg, bound, counter))
-    if isinstance(f, (FoAnd, FoOr, FoIff)):
-        return (type(f).__name__, _canon(f.left, bound, counter),
-                _canon(f.right, bound, counter))
-    if isinstance(f, (FoExists, FoForall)):
-        counter[0] += 1
-        name = f"_b{counter[0]}"
-        return (type(f).__name__, _canon(f.body, {**bound, f.var: name}, counter))
-    raise FoError(f"unexpected formula {f!r}")  # pragma: no cover
-
-
 # ---------------------------------------------------------------------------
 # Negation normal form and the disjuncts of an ∃*∀* formula
 

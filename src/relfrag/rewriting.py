@@ -161,18 +161,6 @@ def normalize(w: Word, rs: RewriteSystem) -> tuple[Word, list[tuple[int, int]]]:
         w = new
 
 
-def replay_trace(w: Word, rs: RewriteSystem, trace: Sequence[tuple[int, int]]) -> Word:
-    """Re-apply a recorded trace step by step, verifying each large
-    side actually occurs where recorded."""
-    for index, pos in trace:
-        rule = rs.by_index(index)
-        if w[pos:pos + len(rule.large)] != rule.large:
-            raise RewriteError(f"trace step (rule {index}, pos {pos}) does not match "
-                               f"{format_word(w)}")
-        w = w[:pos] + rule.small + w[pos + len(rule.large):]
-    return w
-
-
 def is_irreducible(w: Word, rs: RewriteSystem) -> bool:
     """No rule's large side occurs as a contiguous factor."""
     return _first_match(w, rs) is None

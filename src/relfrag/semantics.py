@@ -296,16 +296,15 @@ def exhaustive_check(t1: Term, t2: Term, sizes: Iterable[int],
                      budget: int = DEFAULT_BUDGET) -> Optional[Structure]:
     """First structure (sizes ascending, then enumeration order) where
     the two terms evaluate differently; None if there is none."""
-    from .bitrel import _CHUNK, _enumerated_batch, first_separating
+    from .bitrel import enumerated_batches, first_separating
 
     names = sorted(variables(t1) | variables(t2))
     for size in sorted(set(sizes)):
         count = structure_count(len(names), size)
         if count > budget:
             raise BudgetExceeded(count, budget)
-        for start in range(0, count, _CHUNK):
-            witness = first_separating(
-                t1, t2, *_enumerated_batch(start, min(start + _CHUNK, count), names, size))
+        for batch in enumerated_batches(names, size):
+            witness = first_separating(t1, t2, *batch)
             if witness is not None:
                 return witness
     return None

@@ -178,7 +178,12 @@ TOP = Top()
 ID = Id()
 DI = Di()
 
-_BINARY = (Union, Inter, Comp, Dagger)
+# The term syntax, read by the tokenizer, the parser and the printer:
+# the infix operators, loosest first (level 0), and the constant names.
+_INFIX = (("|", Union), ("&", Inter), ("$", Dagger), (";", Comp))
+_CONSTANTS = {"bot": BOT, "top": TOP, "I": ID, "D": DI}
+
+_BINARY = tuple(ctor for _, ctor in _INFIX)
 
 
 def children(t: Term) -> tuple[Term, ...]:
@@ -295,7 +300,8 @@ class ParseError(ValueError):
         super().__init__(f"syntax error at offset {offset}: expected one of {{{want}}}, found {found}")
 
 
-_PUNCT = "|&$;^~[](),"
+_PUNCT = "".join(symbol for symbol, _ in _INFIX) + "^~[](),"
+_BY_SYMBOL = {symbol: (level, ctor) for level, (symbol, ctor) in enumerate(_INFIX)}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -311,7 +317,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             out.append(("punct", c, i))
             i += 1
             continue
-        if c in "12" :
+        if c in "12":
             out.append(("digit", c, i))
             i += 1
             continue
@@ -320,16 +326,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            out.append(("const" if word in ("bot", "top") else "ident", word, i))
+            out.append(("const" if word in _CONSTANTS else "ident", word, i))
             i = j
             continue
-        if c in "ID":
+        if c in _CONSTANTS:  # the one-letter names
             out.append(("const", c, i))
             i += 1
             continue
         raise ParseError(i, frozenset({"term"}), repr(c))
     out.append(("end", "", n))
     return out
+
+
+def _found(val: str) -> str:
+    return repr(val) if val else "end of input"
 
 
 class _Parser:
@@ -348,42 +358,38 @@ class _Parser:
     def expect_punct(self, value: str) -> None:
         kind, val, off = self.peek()
         if kind != "punct" or val != value:
-            raise ParseError(off, frozenset({repr(value)}), repr(val) if val else "end of input")
+            raise ParseError(off, frozenset({repr(value)}), _found(val))
         self.take()
 
-    def term(self) -> Term:
-        node = self.inter_level()
-        while self.peek()[:2] == ("punct", "|"):
-            self.take()
-            node = Union(node, self.inter_level())
-        return node
-
-    def inter_level(self) -> Term:
-        node = self.dagger_level()
-        while self.peek()[:2] == ("punct", "&"):
-            self.take()
-            node = Inter(node, self.dagger_level())
-        return node
-
-    def dagger_level(self) -> Term:
-        node = self.comp_level()
-        while self.peek()[:2] == ("punct", "$"):
-            self.take()
-            node = Dagger(node, self.comp_level())
-        return node
-
-    def comp_level(self) -> Term:
-        node = self.postfix_level()
-        while self.peek()[:2] == ("punct", ";"):
-            self.take()
-            node = Comp(node, self.postfix_level())
-        return node
-
-    def postfix_level(self) -> Term:
-        node = self.atom()
+    def term(self, level: int = 0) -> Term:
+        """The longest term whose unparenthesized infix operators are all
+        at ``level`` or tighter, by precedence climbing: each operator
+        takes as its right operand a term one level tighter, so that
+        operators of one level associate to the left."""
+        node = self.operand()
         while True:
-            kind, val, off = self.peek()
-            if kind != "punct" or val not in ("^", "~", "["):
+            op = _BY_SYMBOL.get(self.peek()[1])
+            if op is None or op[0] < level:
+                return node
+            self.take()
+            node = op[1](node, self.term(op[0] + 1))
+
+    def operand(self) -> Term:
+        """An atom and the postfix operators after it."""
+        kind, val, off = self.take()
+        if kind == "ident":
+            node = Var(val)
+        elif kind == "const":
+            node = _CONSTANTS[val]
+        elif val == "(":
+            node = self.term()
+            self.expect_punct(")")
+        else:
+            raise ParseError(off, frozenset({"identifier", "'('", *map(repr, _CONSTANTS)}),
+                             _found(val))
+        while True:
+            val = self.peek()[1]
+            if val not in ("^", "~", "["):
                 return node
             self.take()
             if val == "^":
@@ -391,34 +397,18 @@ class _Parser:
             elif val == "~":
                 node = Compl(node)
             else:
-                node = Proj(node, self.projection_body())
-
-    def projection_body(self) -> Projection:
-        d1 = self.digit()
-        self.expect_punct(",")
-        d2 = self.digit()
-        self.expect_punct("]")
-        return Projection(d1, d2)
+                d1 = self.digit()
+                self.expect_punct(",")
+                d2 = self.digit()
+                self.expect_punct("]")
+                node = Proj(node, Projection(d1, d2))
 
     def digit(self) -> int:
         kind, val, off = self.peek()
         if kind != "digit":
-            raise ParseError(off, frozenset({"'1'", "'2'"}), repr(val) if val else "end of input")
+            raise ParseError(off, frozenset({"'1'", "'2'"}), _found(val))
         self.take()
         return int(val)
-
-    def atom(self) -> Term:
-        kind, val, off = self.take()
-        if kind == "ident":
-            return Var(val)
-        if kind == "const":
-            return {"bot": BOT, "top": TOP, "I": ID, "D": DI}[val]
-        if kind == "punct" and val == "(":
-            node = self.term()
-            self.expect_punct(")")
-            return node
-        raise ParseError(off, frozenset({"identifier", "'bot'", "'top'", "'I'", "'D'", "'('"}),
-                         repr(val) if val else "end of input")
 
 
 def parse_term(text: str) -> Term:
@@ -433,42 +423,31 @@ def parse_term(text: str) -> Term:
 # ---------------------------------------------------------------------------
 # Printing
 
-_LEVEL_UNION = 1
-_LEVEL_INTER = 2
-_LEVEL_DAGGER = 3
-_LEVEL_COMP = 4
-_LEVEL_POSTFIX = 5
-_LEVEL_ATOM = 6
-
-_INFIX = {Union: ("|", _LEVEL_UNION), Inter: ("&", _LEVEL_INTER),
-          Dagger: ("$", _LEVEL_DAGGER), Comp: (";", _LEVEL_COMP)}
+_BY_CTOR = {ctor: (level, symbol) for level, (symbol, ctor) in enumerate(_INFIX)}
+_CONSTANT_NAMES = {type(value): name for name, value in _CONSTANTS.items()}
 
 
 def _print(t: Term, minimum: int) -> str:
+    # parenthesized when its infix binds looser than ``minimum``; a
+    # postfix operand asks for len(_INFIX), tighter than every infix
     if isinstance(t, Var):
         return t.name
-    if isinstance(t, Bot):
-        return "bot"
-    if isinstance(t, Top):
-        return "top"
-    if isinstance(t, Id):
-        return "I"
-    if isinstance(t, Di):
-        return "D"
     if isinstance(t, _BINARY):
-        op, level = _INFIX[type(t)]
-        text = f"{_print(t.left, level)} {op} {_print(t.right, level + 1)}"
+        level, symbol = _BY_CTOR[type(t)]
+        text = f"{_print(t.left, level)} {symbol} {_print(t.right, level + 1)}"
         return f"({text})" if level < minimum else text
     if isinstance(t, Compl):
-        return f"{_print(t.arg, _LEVEL_POSTFIX)}~"
+        return f"{_print(t.arg, len(_INFIX))}~"
     if isinstance(t, Proj):
-        body = _print(t.arg, _LEVEL_POSTFIX)
+        body = _print(t.arg, len(_INFIX))
         if t.proj == PROJ_SWAP:
             return f"{body}^"
         return f"{body}[{t.proj.img1},{t.proj.img2}]"
+    if type(t) in _CONSTANT_NAMES:
+        return _CONSTANT_NAMES[type(t)]
     raise TermError(f"unexpected term {t!r}")  # pragma: no cover
 
 
 def print_term(t: Term) -> str:
     """Minimal-parenthesization rendering; parses back to the same tree."""
-    return _print(t, _LEVEL_UNION)
+    return _print(t, 0)

@@ -73,12 +73,6 @@ def shortlex_key(w: Word) -> tuple[int, Word]:
     return (len(w), w)
 
 
-def shortlex_compare(w1: Word, w2: Word) -> int:
-    """-1, 0 or 1: length first, then letterwise iI < iD < cD < cv."""
-    k1, k2 = shortlex_key(w1), shortlex_key(w2)
-    return -1 if k1 < k2 else (0 if k1 == k2 else 1)
-
-
 @record
 class GeneralLetter:
     """One constructor with one blank slot.

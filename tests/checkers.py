@@ -1,6 +1,10 @@
-"""Small grammar validators for emitted SMT-LIB 2 and TPTP FOF text."""
+"""Small grammar validators for emitted SMT-LIB 2 and TPTP FOF text, and
+equality of first-order formulas up to renaming bound variables."""
 
 import re
+
+from relfrag.fo import (FoAnd, FoAtom, FoEq, FoExists, FoFalse, FoForall, FoIff, FoNot, FoOr,
+                        FoTrue)
 
 _SMT_TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _SMT_HEADS = {"set-logic", "declare-sort", "declare-fun", "assert", "check-sat"}
@@ -92,3 +96,28 @@ def check_tptp(text: str) -> None:
             raise ValueError("unbalanced brackets")
     if not saw_conjecture:
         raise ValueError("no conjecture statement")
+
+
+def alpha_equivalent(f, g) -> bool:
+    """Equality up to a consistent renaming of bound variables; free
+    variables must match exactly."""
+    return _canon(f, {}, [0]) == _canon(g, {}, [0])
+
+
+def _canon(f, bound: dict[str, str], counter: list[int]):
+    if isinstance(f, (FoTrue, FoFalse)):
+        return type(f).__name__
+    if isinstance(f, FoAtom):
+        return ("atom", f.rel, bound.get(f.left, f.left), bound.get(f.right, f.right))
+    if isinstance(f, FoEq):
+        return ("eq", bound.get(f.left, f.left), bound.get(f.right, f.right))
+    if isinstance(f, FoNot):
+        return ("not", _canon(f.arg, bound, counter))
+    if isinstance(f, (FoAnd, FoOr, FoIff)):
+        return (type(f).__name__, _canon(f.left, bound, counter),
+                _canon(f.right, bound, counter))
+    if isinstance(f, (FoExists, FoForall)):
+        counter[0] += 1
+        name = f"_b{counter[0]}"
+        return (type(f).__name__, _canon(f.body, {**bound, f.var: name}, counter))
+    raise ValueError(f"unexpected formula {f!r}")

@@ -18,7 +18,7 @@ from relfrag.automata import build_pattern_dfa, is_cofinite
 from relfrag.cli import main as cli_main
 from relfrag.constants import ConstClass, REPRESENTATIVES, classify_const
 from relfrag.decide import Equivalent, Inequivalent, Mode, REL, decide_terms
-from relfrag.fo import (FoAnd, FoAtom, FoEq, FoExists, FoNot, alpha_equivalent,
+from relfrag.fo import (FoAnd, FoAtom, FoEq, FoExists, FoNot,
                         export_equation_smt2, export_equation_tptp,
                         standard_translation)
 from relfrag.rewriting import (count_irreducibles, enumerate_irreducibles,
@@ -32,7 +32,7 @@ from relfrag.words import (LETTERS, apply_word, decompose_1vo, parse_word,
                            shortlex_key)
 
 import brute
-from checkers import check_smt2, check_tptp
+from checkers import alpha_equivalent, check_smt2, check_tptp
 
 RS = figure1_rules()
 W28 = parse_word("iI iD cD cD cv cD iI cD cv cD cD iD cv cD iD cv cD iD "

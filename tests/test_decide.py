@@ -7,8 +7,8 @@ from naive import naive_eval
 from strategies import (complemented_daggers, near_pairs, one_occurrence_terms,
                         two_variable_terms)
 from relfrag import bitrel
-from relfrag.decide import (Equivalent, Inequivalent, Mode, REL, Unknown,
-                            decide_terms, decide_word_equiv, parse_mode,
+from relfrag.decide import (Equivalent, Inequivalent, Mode, REL, Unknown, _basis_batch,
+                            _separate, decide_terms, decide_word_equiv, parse_mode,
                             replay_justification)
 from relfrag.rewriting import enumerate_irreducibles, figure1_rules
 from relfrag.search import OracleConfig
@@ -291,6 +291,18 @@ def test_one_occurrence_witness_carried_past_packed_sizes(lhs, rhs, m):
         assert v.witness.size == m
         env = {name: set(rel.pairs()) for name, rel in v.witness.assignment.items()}
         assert naive_eval(lhs, m, env) != naive_eval(rhs, m, env)
+
+
+@given(one_occurrence_terms, one_occurrence_terms, st.sampled_from([6, 7, 8]))
+@settings(max_examples=100, deadline=None)
+def test_one_occurrence_size_five_stands_for_larger_sizes(lhs, rhs, m):
+    # the route evaluates the basis at size 5 and carries a witness to m;
+    # the basis evaluated at m itself gives the same verdict and witness
+    assume(_in_gate(lhs) and _in_gate(rhs) and vo(lhs) + vo(rhs) > 0)
+    names = sorted(variables(lhs) | variables(rhs))
+    native = _separate(lhs, rhs, [_basis_batch(names, m)], m)
+    v = decide_terms(lhs, rhs, Mode(m), FAST)
+    assert v == (native or Equivalent({"kind": "one-occurrence", "exhausted_sizes": []}))
 
 
 # the identities of the decide benchmark's bounded queries, over three

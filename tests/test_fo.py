@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from relfrag.fo import (FoAnd, FoAtom, FoEq, FoError, FoExists, FoFalse, FoForall,
-                        FoIff, FoNot, FoOr, FoTrue, alpha_equivalent, ea_disjuncts,
+                        FoIff, FoNot, FoOr, FoTrue, ea_disjuncts,
                         ea_profile, export_equation_smt2, export_equation_tptp, nnf,
                         standard_translation, standard_translations,
                         universal_polarities)
@@ -14,7 +14,7 @@ from relfrag.semantics import Rel, Structure, eval_term
 from relfrag.terms import TOP, Var, parse_term, variables
 from relfrag.words import apply_word, parse_word
 
-from checkers import check_smt2, check_tptp
+from checkers import alpha_equivalent, check_smt2, check_tptp
 from naive import evaluate_formula
 from strategies import two_variable_terms
 

@@ -9,9 +9,10 @@ from relfrag.rewriting import (InfiniteIrreducibleSet, RewriteError, Rule,
                                count_irreducibles,
                                enumerate_irreducibles, figure1_rules,
                                format_rules, is_irreducible, load_rules,
-                               make_system, normalize, parse_rules, replay_trace,
+                               make_system, normalize, parse_rules,
                                rewrite_step)
-from relfrag.words import (CAP_D, CAP_I, CONV, DOT_D, parse_word, shortlex_key)
+from relfrag.words import (CAP_D, CAP_I, CONV, DOT_D, format_word, parse_word,
+                           shortlex_key)
 
 from strategies import words
 
@@ -26,6 +27,18 @@ W28 = parse_word("iI iD cD cD cv cD iI cD cv cD cD iD cv cD iD cv cD iD "
 # automaton and by minimization
 IRREDUCIBLE_COUNT = 1810
 MIN_DFA_STATES = 36
+
+
+def replay_trace(w, rs, trace):
+    """Re-apply a recorded trace step by step, verifying each large
+    side actually occurs where recorded."""
+    for index, pos in trace:
+        rule = rs.by_index(index)
+        if w[pos:pos + len(rule.large)] != rule.large:
+            raise RewriteError(f"trace step (rule {index}, pos {pos}) does not match "
+                               f"{format_word(w)}")
+        w = w[:pos] + rule.small + w[pos + len(rule.large):]
+    return w
 
 
 def test_builtin_rule_shapes():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from relfrag.bitrel import _CHUNK, _enumerated_batch, eval_term_batch, sampled_batches
+from relfrag.bitrel import _CHUNK, enumerated_batches, eval_term_batch, sampled_batches
 from relfrag.semantics import (BudgetExceeded, Rel, SemanticsError, SizeWindow,
                                Structure, eval_term, exhaustive_check, random_check,
                                structure_count, structure_from_json,
@@ -208,7 +208,7 @@ def test_enumerate_structures_counts():
 
 def test_enumerate_structures_unique_and_ordered():
     # the order in which exhaustive_check scans structures
-    batch, masks = _enumerated_batch(0, structure_count(2, 2), ["a", "b"], 2)
+    (batch, masks), = enumerated_batches(["a", "b"], 2)
     seen = list(zip(entries(batch["a"], masks), entries(batch["b"], masks)))
     assert len(seen) == 256
     assert len(set(seen)) == 256
@@ -218,6 +218,15 @@ def test_enumerate_structures_unique_and_ordered():
     # lexicographic on concatenated row-major bits, first var most
     # significant, bit (0,0) most significant inside a block
     assert seen[1] == (0, 8)  # lowest index flips var b's last bit (1,1)
+
+
+def test_enumerated_batches_continue_across_chunks():
+    # one variable at size 4: 2^16 structures in four batches; entry i of
+    # the scan is index i read with pair (0, 0) most significant
+    batches = list(enumerated_batches(["a"], 4))
+    assert [masks[0].bit_length() for _, masks in batches] == [_CHUNK] * 4
+    seen = [r for batch, masks in batches for r in entries(batch["a"], masks)]
+    assert seen == [int(f"{i:016b}"[::-1], 2) for i in range(1 << 16)]
 
 
 def test_enumerate_budget():

@@ -21,32 +21,73 @@ def test_parse_basics():
     assert parse_term("a[1,2]") == Proj(Var("a"), PROJ_IDENTITY)
 
 
+# the infix operators, loosest first
+INFIX = [("|", Union), ("&", Inter), ("$", Dagger), (";", Comp)]
+POSTFIX = [("^", lambda t: Proj(t, PROJ_SWAP)), ("~", Compl),
+           ("[1,1]", lambda t: Proj(t, PROJ_BOTH_1))]
+
+
 def test_precedence_and_associativity():
-    # postfix > ; > $ > & > |, infixes left-associative
-    assert parse_term("a | b & c") == Union(Var("a"), Inter(Var("b"), Var("c")))
-    assert parse_term("a & b $ c") == Inter(Var("a"), Dagger(Var("b"), Var("c")))
-    assert parse_term("a $ b ; c") == Dagger(Var("a"), Comp(Var("b"), Var("c")))
-    assert parse_term("a ; b^") == Comp(Var("a"), Proj(Var("b"), PROJ_SWAP))
-    assert parse_term("a | b | c") == Union(Union(Var("a"), Var("b")), Var("c"))
-    assert parse_term("a ; b ; c") == Comp(Comp(Var("a"), Var("b")), Var("c"))
+    # for every ordered pair of infixes, the tighter one groups first and
+    # one of equal level groups to the left; the printer leaves that
+    # grouping bare and parenthesizes the other one
+    a, b, c = Var("a"), Var("b"), Var("c")
+    for i, (s1, c1) in enumerate(INFIX):
+        for j, (s2, c2) in enumerate(INFIX):
+            text = f"a {s1} b {s2} c"
+            right, left = c1(a, c2(b, c)), c2(c1(a, b), c)
+            bare, other = (right, left) if i < j else (left, right)
+            assert parse_term(text) == bare, text
+            assert print_term(bare) == text
+            assert print_term(other) != text
+            assert parse_term(print_term(other)) == other
+    # postfix operators bind tighter than every infix, and stack
+    for symbol, ctor in INFIX:
+        for post, wrap in POSTFIX:
+            assert parse_term(f"a{post} {symbol} b{post}") == ctor(wrap(a), wrap(b))
+            assert print_term(wrap(ctor(a, b))) == f"(a {symbol} b){post}"
+    assert parse_term("a~^[1,1]") == Proj(Proj(Compl(a), PROJ_SWAP), PROJ_BOTH_1)
 
 
 def test_parse_whitespace_insensitive():
     assert parse_term("a&I") == parse_term("  a  &  I ")
 
 
+# every site that raises ParseError: (text, offset, expected, found)
+ATOM = "{'(', 'D', 'I', 'bot', 'top', identifier}"
+PARSE_ERRORS = [
+    # the tokenizer
+    ("a # b", 2, "{term}", "'#'"),
+    ("a[3,1]", 2, "{term}", "'3'"),
+    # an atom
+    ("", 0, ATOM, "end of input"),
+    ("a & ", 4, ATOM, "end of input"),
+    ("a | )", 4, ATOM, "')'"),
+    ("a ; ~", 4, ATOM, "'~'"),
+    # a closing parenthesis
+    ("(a", 2, "{')'}", "end of input"),
+    ("(a b)", 3, "{')'}", "'b'"),
+    # inside a projection
+    ("a[1 1]", 4, "{','}", "'1'"),
+    ("a[1,2,", 5, "{']'}", "','"),
+    ("a[1,2", 5, "{']'}", "end of input"),
+    ("a[,1]", 2, "{'1', '2'}", "','"),
+    ("a[1,", 4, "{'1', '2'}", "end of input"),
+    # after a whole term
+    ("a b", 2, "{end of input, operator}", "'b'"),
+    ("a)", 1, "{end of input, operator}", "')'"),
+    ("top I", 4, "{end of input, operator}", "'I'"),
+]
+
+
 def test_parse_errors_carry_offset_and_expectations():
-    with pytest.raises(ParseError) as err:
-        parse_term("a & ")
-    assert err.value.offset == 4
-    assert any("identifier" in e for e in err.value.expected)
-    with pytest.raises(ParseError) as err:
-        parse_term("a b")
-    assert err.value.offset == 2
-    with pytest.raises(ParseError):
-        parse_term("a[3,1]")
-    with pytest.raises(ParseError):
-        parse_term("(a")
+    for text, offset, expected, found in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse_term(text)
+        assert str(err.value) == (f"syntax error at offset {offset}: "
+                                  f"expected one of {expected}, found {found}")
+        assert (err.value.offset, err.value.found) == (offset, found)
+        assert "{" + ", ".join(sorted(err.value.expected)) + "}" == expected
 
 
 def test_print_examples():

@@ -9,7 +9,7 @@ from relfrag.terms import (BOT, DI, ID, TOP, Comp, PROJ_BOTH_1, PROJ_SWAP,
                            Var, parse_term, vo)
 from relfrag.words import (CAP_D, CAP_I, CONV, DOT_D, GeneralLetter, LETTERS,
                            WordError, apply_word, decompose_1vo, format_word,
-                           parse_word, reduce_letter, shortlex_compare)
+                           parse_word, reduce_letter, shortlex_key)
 
 from strategies import terms, words
 
@@ -160,6 +160,12 @@ def test_reduce_letter_sound_exhaustive_size_5():
             else:
                 expected = eval_term_batch(term, {"a": rels}, masks)
             assert bitrel.apply_word_packed(rels, word, masks) == expected, (x, start)
+
+
+def shortlex_compare(w1, w2) -> int:
+    """-1, 0 or 1: length first, then letterwise iI < iD < cD < cv."""
+    k1, k2 = shortlex_key(w1), shortlex_key(w2)
+    return -1 if k1 < k2 else (0 if k1 == k2 else 1)
 
 
 def test_shortlex_examples():
