@@ -21,10 +21,10 @@ draws last at each length (see ``leftover_paths``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .terms import record
-from .words import LETTER_TOKENS, LETTERS, Letter, Word
+from .words import LETTER_TOKENS, LETTERS, Word
 
 ALPHABET_SIZE = len(LETTERS)
 # the letter indices in the order ``leftover_paths`` visits successors
@@ -57,9 +57,6 @@ class Dfa:
                 raise AutomataError("transition table must be total over the alphabet")
         if any(not 0 <= s < self.num_states for s in self.accepting):
             raise AutomataError("accepting state out of range")
-
-    def step(self, state: int, letter: Letter) -> int:
-        return self.delta[state][int(letter)]
 
     def accepts(self, w: Word) -> bool:
         state = self.start
@@ -161,6 +158,21 @@ def _reachable(sources: Iterable[int], succ: Sequence[Iterable[int]]) -> set[int
     return seen
 
 
+def _bfs_numbering(start: int, succ: Callable[[int], Iterable[int]]) -> dict[int, int]:
+    """Number the states reachable from start breadth first, each
+    state's successors taken in letter order, so that the result is
+    deterministic; the dict iterates in that order."""
+    index: dict[int, int] = {}
+    order = deque([start])
+    while order:
+        s = order.popleft()
+        if s in index:
+            continue
+        index[s] = len(index)
+        order.extend(t for t in succ(s) if t not in index)
+    return index
+
+
 def complement_and_trim(d: Dfa) -> Dfa:
     """Complement the language, then keep only states reachable from
     the start and co-reachable to acceptance; an explicit dead state
@@ -175,21 +187,9 @@ def complement_and_trim(d: Dfa) -> Dfa:
         # the start cannot reach acceptance at all: empty language
         loops = (tuple(0 for _ in range(ALPHABET_SIZE)),)
         return Dfa(1, 0, frozenset(), loops, dead=0)
-    # BFS numbering from the start for a deterministic result
-    index: dict[int, int] = {}
-    order = deque([d.start])
-    while order:
-        s = order.popleft()
-        if s in index:
-            continue
-        index[s] = len(index)
-        for t in d.delta[s]:
-            if t in useful and t not in index:
-                order.append(t)
+    index = _bfs_numbering(d.start, lambda s: [t for t in d.delta[s] if t in useful])
     dead = len(index)
-    delta = []
-    for s in sorted(index, key=index.get):
-        delta.append(tuple(index.get(t, dead) for t in d.delta[s]))
+    delta = [tuple(index.get(t, dead) for t in d.delta[s]) for s in index]
     delta.append(tuple(dead for _ in range(ALPHABET_SIZE)))
     acc = frozenset(index[s] for s in useful if s in accepting)
     return Dfa(dead + 1, index[d.start], acc, tuple(delta), dead=dead)
@@ -282,24 +282,10 @@ def minimize(d: Dfa) -> Dfa:
     rep: dict[int, int] = {}
     for s in states:
         rep.setdefault(block[s], s)
-    index: dict[int, int] = {}
-    order = deque([block[d.start]])
-    while order:
-        b = order.popleft()
-        if b in index:
-            continue
-        index[b] = len(index)
-        s = rep[b]
-        for c in range(ALPHABET_SIZE):
-            t = block[d.delta[s][c]]
-            if t not in index:
-                order.append(t)
-    delta = []
-    for b in sorted(index, key=index.get):
-        s = rep[b]
-        delta.append(tuple(index[block[d.delta[s][c]]] for c in range(ALPHABET_SIZE)))
+    index = _bfs_numbering(block[d.start], lambda b: [block[t] for t in d.delta[rep[b]]])
+    delta = tuple(tuple(index[block[t]] for t in d.delta[rep[b]]) for b in index)
     acc = frozenset(index[b] for b, s in rep.items() if s in d.accepting)
-    return Dfa(len(index), index[block[d.start]], acc, tuple(delta))
+    return Dfa(len(index), index[block[d.start]], acc, delta)
 
 
 def export_dot(d: Dfa) -> str:

@@ -1,20 +1,35 @@
+"""The constant classes and the variable-free decision.
+
+``classify_const`` reads a class off ``semantics.eval_term``, so every
+check here compares against ``naive.naive_eval``, which shares nothing
+with it, at sizes 3 to 6.
+"""
+
 import numpy as np
 import pytest
 
+from relfrag import decide, semantics
 from relfrag.constants import (ConstClass, ConstError, REPRESENTATIVES, classify_const,
                                decide_0vo)
+from relfrag.decide import Equivalent, Mode, decide_terms
 from relfrag.normalforms import complement_nf
-from relfrag.semantics import Structure, eval_term
+from relfrag.semantics import eval_term
 from relfrag.terms import (ALL_PROJECTIONS, BOT, DI, ID, TOP, Comp, Compl,
                            Dagger, Inter, Proj, Union, Var, parse_term)
 
+from naive import naive_eval
+
 B, T, I, D = ConstClass.BOT, ConstClass.TOP, ConstClass.ID, ConstClass.DI
-_STRUCTURES = [Structure(n, {}) for n in (3, 4, 5)]
+_SIZES = (3, 4, 5, 6)
+
+
+def _naive(t, n):
+    return naive_eval(t, n, {})
 
 
 def _agrees(t, cls):
     rep = REPRESENTATIVES[cls]
-    return all(eval_term(t, m) == eval_term(rep, m) for m in _STRUCTURES)
+    return all(_naive(t, n) == _naive(rep, n) for n in _SIZES)
 
 
 def test_transcribed_entries():
@@ -25,9 +40,8 @@ def test_transcribed_entries():
 
 
 def test_every_cayley_entry_validated_semantically():
-    # each table cell is the class of the composite of representatives;
-    # checked by evaluation on the variable-free structures of sizes 3,
-    # 4 and 5
+    # each operator applied to representatives lands in the class that
+    # naive evaluation gives it at sizes 3 to 6
     ctor = {"inter": Inter, "union": Union, "comp": Comp, "dagger": Dagger}
     for op, build in ctor.items():
         for x in ConstClass:
@@ -49,32 +63,34 @@ def test_classify_examples():
 
 
 def test_classify_rejects_variables():
-    with pytest.raises(ConstError):
+    with pytest.raises(ConstError, match="variable 'a'"):
         classify_const(Var("a"))
+    with pytest.raises(ConstError, match="variable 'b'"):
+        classify_const(parse_term("(I ; b) | a"))
 
 
-def _random_const_term(rng, depth):
-    if depth == 0 or rng.random() < 0.25:
+def _random_const_term(rng, depth, leaf=0.25):
+    if depth == 0 or rng.random() < leaf:
         return [BOT, TOP, ID, DI][int(rng.integers(0, 4))]
     pick = int(rng.integers(0, 7))
     if pick < 2:
-        return Compl(_random_const_term(rng, depth - 1))
+        return Compl(_random_const_term(rng, depth - 1, leaf))
     if pick == 2:
-        return Proj(_random_const_term(rng, depth - 1),
+        return Proj(_random_const_term(rng, depth - 1, leaf),
                     ALL_PROJECTIONS[int(rng.integers(0, 4))])
     build = [Union, Inter, Comp, Dagger][pick - 3]
-    return build(_random_const_term(rng, depth - 1), _random_const_term(rng, depth - 1))
+    return build(_random_const_term(rng, depth - 1, leaf),
+                 _random_const_term(rng, depth - 1, leaf))
 
 
 def test_classify_agrees_with_evaluation_at_3_to_6():
     rng = np.random.default_rng(2024)
-    structures = [Structure(n, {}) for n in (3, 4, 5, 6)]
     for _ in range(500):
         t1 = _random_const_term(rng, 6)
         t2 = _random_const_term(rng, 6)
         verdict = decide_0vo(t1, t2, 3)
-        semantically = all(eval_term(t1, m) == eval_term(t2, m) for m in structures)
-        assert verdict.equivalent == semantically
+        naively = all(_naive(t1, n) == _naive(t2, n) for n in _SIZES)
+        assert verdict.equivalent == naively
 
 
 def test_classify_stable_under_complement_normal_form():
@@ -83,6 +99,39 @@ def test_classify_stable_under_complement_normal_form():
     for _ in range(200):
         t = _random_const_term(rng, 5)
         assert classify_const(complement_nf(t)) is classify_const(t)
+
+
+def test_differential_against_naive_evaluation():
+    # classes and decisions both against naive values at sizes 1 to 6;
+    # the leaf chance keeps most terms small enough for naive evaluation
+    rng = np.random.default_rng(25)
+    for _ in range(1000):
+        t1, t2 = _random_const_term(rng, 6, 0.4), _random_const_term(rng, 6, 0.4)
+        v1 = {n: _naive(t1, n) for n in range(1, 7)}
+        v2 = {n: _naive(t2, n) for n in range(1, 7)}
+        for t, v in ((t1, v1), (t2, v2)):
+            rep = REPRESENTATIVES[classify_const(t)]
+            assert all(v[n] == _naive(rep, n) for n in _SIZES), t
+        for m in range(1, 5):
+            z = decide_0vo(t1, t2, m)
+            first = next((n for n in range(m, 7) if v1[n] != v2[n]), None)
+            assert z.equivalent == (first is None), (t1, t2, m)
+            assert (z.witness.size if z.witness else None) == first, (t1, t2, m)
+
+
+def test_classification_never_evaluates_above_size_3(monkeypatch):
+    # under rel>=2000 the class must come from size 3, not from 2000
+    sizes = []
+
+    def recording(t, m):
+        sizes.append(m.size)
+        return eval_term(t, m)
+
+    monkeypatch.setattr(semantics, "eval_term", recording)
+    monkeypatch.setattr(decide, "eval_term", recording)
+    v = decide_terms(parse_term("D;D"), TOP, Mode(2000))
+    assert isinstance(v, Equivalent) and v.justification["class"] == "top"
+    assert sizes and max(sizes) <= 3
 
 
 def test_decide_0vo_examples():
@@ -102,7 +151,8 @@ def test_decide_0vo_intermediate_min_size():
 def test_decide_0vo_class_difference_witness():
     v = decide_0vo(ID, DI, 1)
     assert not v.equivalent
-    assert eval_term(ID, v.witness) != eval_term(DI, v.witness)
+    assert _naive(ID, v.witness.size) != _naive(DI, v.witness.size)
+    assert decide_0vo(ID, DI, 7).witness.size == 7
 
 
 def test_decide_0vo_rejects_variables():
