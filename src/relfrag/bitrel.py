@@ -58,7 +58,7 @@ from operator import and_, or_, xor
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .semantics import Rel, SemanticsError, Structure
-from .terms import Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term, TermError, Top, Union, Var
+from .terms import Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term, Top, Union, Var, fold
 from .words import CAP_D, CAP_I, CONV, DOT_D, Letter, Word
 
 
@@ -221,45 +221,33 @@ def _project(r: list[int], img1: int, img2: int, masks: Sequence[int], m: int) -
     return list(map(and_, spread, masks))
 
 
+def _batch_variable(t: Var, batch) -> list[int]:
+    try:
+        return list(batch[0][t.name])
+    except KeyError:
+        raise SemanticsError(f"variable {t.name!r} is not assigned") from None
+
+
+# the walk's context is the batch: (assignment, masks, stride)
+_BATCH = {Var: _batch_variable,
+          Bot: lambda t, batch: [0] * len(batch[1]), Top: lambda t, batch: list(batch[1]),
+          Id: lambda t, batch: apply_letter(batch[1], CAP_I, batch[1]),
+          Di: lambda t, batch: apply_letter(batch[1], CAP_D, batch[1]),
+          Union: lambda t, batch, left, right: list(map(or_, left, right)),
+          Inter: lambda t, batch, left, right: list(map(and_, left, right)),
+          Compl: lambda t, batch, arg: list(map(xor, arg, batch[1])),
+          Comp: lambda t, batch, left, right: _comp(left, right, batch[2]),
+          # De Morgan dual of composition: R $ S = ~(~R ; ~S)
+          Dagger: lambda t, batch, left, right: list(map(xor, batch[1], _comp(
+              list(map(xor, left, batch[1])), list(map(xor, right, batch[1])), batch[2]))),
+          Proj: lambda t, batch, arg: _project(arg, t.proj.img1, t.proj.img2, batch[1], batch[2])}
+
+
 def eval_term_batch(t: Term, assignment: Mapping[str, Sequence[int]],
                     masks: Sequence[int]) -> list[int]:
     """Evaluate a term on a whole batch of structures at once; each
     variable maps to its pair integers, and ``masks`` are the batch's."""
-    m = isqrt(len(masks))
-
-    def compl(r: Sequence[int]) -> list[int]:
-        return list(map(xor, r, masks))
-
-    def ev(t: Term) -> list[int]:
-        if isinstance(t, Var):
-            try:
-                return list(assignment[t.name])
-            except KeyError:
-                raise SemanticsError(f"variable {t.name!r} is not assigned") from None
-        if isinstance(t, Bot):
-            return [0] * len(masks)
-        if isinstance(t, Top):
-            return list(masks)
-        if isinstance(t, Id):
-            return apply_letter(masks, CAP_I, masks)
-        if isinstance(t, Di):
-            return apply_letter(masks, CAP_D, masks)
-        if isinstance(t, Union):
-            return list(map(or_, ev(t.left), ev(t.right)))
-        if isinstance(t, Inter):
-            return list(map(and_, ev(t.left), ev(t.right)))
-        if isinstance(t, Compl):
-            return compl(ev(t.arg))
-        if isinstance(t, Comp):
-            return _comp(ev(t.left), ev(t.right), m)
-        if isinstance(t, Dagger):
-            # De Morgan dual of composition: R $ S = ~(~R ; ~S)
-            return compl(_comp(compl(ev(t.left)), compl(ev(t.right)), m))
-        if isinstance(t, Proj):
-            return _project(ev(t.arg), t.proj.img1, t.proj.img2, masks, m)
-        raise TermError(f"unexpected term {t!r}")  # pragma: no cover
-
-    return ev(t)
+    return fold(t, _BATCH, (assignment, masks, isqrt(len(masks))))
 
 
 # small enough that the first separating chunk ends a scan early

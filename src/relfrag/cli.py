@@ -5,8 +5,8 @@ count-irreducible, cofinite, search, export-dfa, export-smt,
 export-tptp, verify-rules.
 
 Exit codes: 0 success (for equiv: Equivalent), 1 Inequivalent,
-2 Unknown, 64 usage error, 65 input format error (input nested too
-deeply included), 70 internal error.  ``--json`` switches
+2 Unknown, 64 usage error, 65 input format error (parentheses nested
+too deeply included), 70 internal error.  ``--json`` switches
 every subcommand to a stable machine-readable schema.
 
 Each command imports the modules it runs, at the top of its function,
@@ -120,11 +120,14 @@ def _cmd_eval(args) -> int:
     with open(args.structure, "r", encoding="utf-8") as fh:
         structure = structure_from_json(fh.read())
     rel = eval_term(term, structure)
+    # row by row, never the whole list; the JSON is the text of json.dumps
     if args.json:
-        print(json.dumps({"size": rel.size, "pairs": sorted(rel.pairs())}))
+        sys.stdout.write(f'{{"size": {rel.size}, "pairs": [')
+        for i, row in enumerate(filter(None, rel.pair_rows())):
+            sys.stdout.write((", " if i else "") + ", ".join(f"[{x}, {y}]" for x, y in row))
+        sys.stdout.write("]}\n")
     else:
-        for x, y in sorted(rel.pairs()):
-            print(f"{x} {y}")
+        sys.stdout.writelines("".join(f"{x} {y}\n" for x, y in row) for row in rel.pair_rows())
     return EX_OK
 
 
@@ -264,8 +267,8 @@ def _term_sides(args):
         raise UsageError("give exactly one of --lhs / --lhs-word (same for rhs)")
     if (args.rhs is None) == (args.rhs_word is None):
         raise UsageError("give exactly one of --rhs / --rhs-word")
-    lhs = parse_term(args.lhs) if args.lhs else apply_word(parse_word(args.lhs_word), Var("a"))
-    rhs = parse_term(args.rhs) if args.rhs else apply_word(parse_word(args.rhs_word), Var("a"))
+    lhs = parse_term(args.lhs) if args.lhs is not None else apply_word(parse_word(args.lhs_word), Var("a"))
+    rhs = parse_term(args.rhs) if args.rhs is not None else apply_word(parse_word(args.rhs_word), Var("a"))
     return lhs, rhs
 
 
@@ -416,7 +419,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EX_DATA
-    except RecursionError:
+    except RecursionError:  # the parser recurses once per parenthesis
         print("input error: input nested too deeply", file=sys.stderr)
         return EX_DATA
     except Exception as e:  # never let a crash read as a verdict (exit 1)

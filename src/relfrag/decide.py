@@ -32,7 +32,7 @@ relation, every one-pair relation and every all-but-one-pair relation.
 It does so at each size from the mode's minimum to 4, and once at size
 5, which stands for every size from 5 on.  This is exact:
 
-* The levels are read from the complement normal form
+* The levels are those of the complement normal form
   (``terms.complement_nf``), which pushes every complement down to the
   variables and is equal to the side on every structure.  Existential
   level at most one means that form has no dagger, so it is f(a) or
@@ -118,7 +118,7 @@ from typing import TYPE_CHECKING, Optional, Union as TUnion
 from .constants import decide_0vo
 from .semantics import (MAX_SIZE, OracleConfig, Rel, SizeWindow, Structure, eval_term,
                         exhaustive_check, full_mask, random_check, structure_count)
-from .terms import Term, Var, dotdagger_level, record, variables
+from .terms import Term, Var, fragment, print_term, record, variables
 
 if TYPE_CHECKING:
     from .words import Word
@@ -240,11 +240,10 @@ def _lift(rel: Rel, n: int) -> Rel:
     return Rel.from_pairs(n, rel.compl().pairs()).compl()
 
 
-def _one_occurrence(t1: Term, t2: Term, min_size: int) -> Verdict:
+def _one_occurrence(t1: Term, t2: Term, min_size: int, names: list[str]) -> Verdict:
     """Exact verdict for two sides with at most one variable occurrence
-    each and level at most one (see the module docstring); a witness
-    is at the mode's minimum size."""
-    names = sorted(variables(t1) | variables(t2))
+    each and level at most one (see the module docstring), in the sorted
+    ``names``; a witness is at the mode's minimum size."""
     small = list(range(min_size, 5))
     found = _separate(t1, t2, (_basis_batch(names, n) for n in (*small, 5)), min_size)
     return found or Equivalent({"kind": "one-occurrence", "exhausted_sizes": small})
@@ -257,7 +256,7 @@ def decide_word_equiv(w1: Word, w2: Word, cfg: OracleConfig = OracleConfig()) ->
     from .words import apply_word
 
     a = Var("a")
-    return _one_occurrence(apply_word(w1, a), apply_word(w2, a), 5)
+    return _one_occurrence(apply_word(w1, a), apply_word(w2, a), 5, [a.name])
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +276,9 @@ def _partitions(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _small_model(t1: Term, t2: Term, min_size: int) -> TUnion[str, Verdict]:
-    """Exact verdict from the structures built in the module docstring,
-    or the reason the route does not apply."""
+def _small_model(t1: Term, t2: Term, min_size: int, names: list[str]) -> TUnion[str, Verdict]:
+    """Exact verdict from the structures built in the module docstring
+    for sides in the sorted ``names``, or why the route does not apply."""
     from .fo import (FoAnd, FoAtom, FoEq, FoNot, ea_disjuncts, ea_profile, nnf,
                      standard_translations, universal_polarities)
 
@@ -297,7 +296,6 @@ def _small_model(t1: Term, t2: Term, min_size: int) -> TUnion[str, Verdict]:
     if sum(len(_partitions(k)) * count for k, count in witnesses) > _CANDIDATE_CAP:
         return "candidate budget"
 
-    names = sorted(variables(t1) | variables(t2))
     structures: dict[int, dict[tuple[int, ...], None]] = {}
     for d in (d for phi in phis for d in ea_disjuncts(phi)):
         points = ("x0", "y0", *d.exists)
@@ -330,13 +328,13 @@ def _small_model(t1: Term, t2: Term, min_size: int) -> TUnion[str, Verdict]:
 # Terms
 
 
-def _bounded_separation(t1: Term, t2: Term, mode: Mode,
-                        cfg: OracleConfig, reason: str) -> Verdict:
+def _bounded_separation(t1: Term, t2: Term, mode: Mode, cfg: OracleConfig,
+                        reason: str, num_vars: int) -> Verdict:
     """Exhaustive scan at small sizes within budget, then seeded
     sampling (including any small sizes the budget skipped); an oracle
     size below the mode's minimum is sampled at the minimum instead.
     Never answers Equivalent.  An Unknown carries ``reason``."""
-    num_vars = max(1, len(variables(t1) | variables(t2)))
+    num_vars = max(1, num_vars)
     budget = 1 << 26
     exhausted, skipped_small = [], []
     for n in range(mode.min_size, 5):
@@ -364,7 +362,8 @@ def _bounded_separation(t1: Term, t2: Term, mode: Mode,
 
 def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
                  cfg: OracleConfig = OracleConfig()) -> Verdict:
-    info1, info2 = dotdagger_level(t1), dotdagger_level(t2)
+    (info1, names1), (info2, names2) = fragment(t1), fragment(t2)
+    names = sorted(names1 | names2)
     if info1.vo == 0 and info2.vo == 0:
         z = decide_0vo(t1, t2, mode.min_size)
         if z.equivalent:
@@ -377,13 +376,15 @@ def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
         return _checked_inequivalent(t1, t2, z.witness)
 
     if info1.vo <= 1 and info2.vo <= 1 and info1.sigma_level <= 1 and info2.sigma_level <= 1:
-        return _one_occurrence(t1, t2, mode.min_size)
-    if t1 == t2:
+        return _one_occurrence(t1, t2, mode.min_size, names)
+    # ``==`` on terms recurses into the fields; no two terms print alike
+    if info1 == info2 and print_term(t1) == print_term(t2):
         return Equivalent({"kind": "syntactic"})
-    verdict = _small_model(t1, t2, mode.min_size)
+    verdict = _small_model(t1, t2, mode.min_size, names)
     if isinstance(verdict, Equivalent):
         return verdict
-    bounded = _bounded_separation(t1, t2, mode, cfg, verdict if isinstance(verdict, str) else "")
+    bounded = _bounded_separation(t1, t2, mode, cfg, verdict if isinstance(verdict, str) else "",
+                                  len(names))
     if isinstance(verdict, Inequivalent) and isinstance(bounded, Unknown):
         return verdict
     return bounded
@@ -393,13 +394,14 @@ def replay_justification(verdict: Equivalent, t1: Term, t2: Term) -> bool:
     """Re-derive an Equivalent verdict from its recorded justification.
     A word verdict replays on the words filled with the variable a."""
     j = verdict.justification
+    names = sorted(variables(t1) | variables(t2))
     if j["kind"] == "constant-classes":
         z = decide_0vo(t1, t2, min(j["checked_small_sizes"], default=3))
         return z.equivalent and z.left_class.value == j["class"]
     if j["kind"] == "one-occurrence":
-        return _one_occurrence(t1, t2, min(j["exhausted_sizes"], default=5)) == verdict
+        return _one_occurrence(t1, t2, min(j["exhausted_sizes"], default=5), names) == verdict
     if j["kind"] == "syntactic":
-        return t1 == t2
+        return print_term(t1) == print_term(t2)
     if j["kind"] == "small-model":
-        return _small_model(t1, t2, min(j["sizes"], default=1)) == verdict
+        return _small_model(t1, t2, min(j["sizes"], default=1), names) == verdict
     return False

@@ -30,11 +30,10 @@ byte-stable.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple, Optional, Union as TUnion
 
-from .terms import (Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term,
-                    TermError, Top, Union, Var, record, variables)
+from .terms import (Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term, Top, Union, Var,
+                    CHILDREN, fold, record, variables)
 
 
 class FoError(ValueError):
@@ -101,67 +100,83 @@ class FoForall:
 
 FoFormula = TUnion[FoTrue, FoFalse, FoAtom, FoEq, FoNot, FoAnd, FoOr, FoIff,
                    FoExists, FoForall]
-
-
-class _Pool:
-    def __init__(self) -> None:
-        self.counts = {"x": 0, "y": 0}
-
-    def fresh(self, source: str) -> str:
-        # middle points take the pool opposite to the source argument
-        pool = "y" if source.startswith("x") else "x"
-        self.counts[pool] += 1
-        return f"{pool}{self.counts[pool]}"
+CHILDREN.update({**dict.fromkeys((FoAnd, FoOr, FoIff), lambda f: (f.left, f.right)),
+                 **dict.fromkeys((FoExists, FoForall), lambda f: (f.body,)),
+                 FoNot: lambda f: (f.arg,)})
 
 
 def standard_translation(t: Term, x: str = "x0", y: str = "y0") -> FoFormula:
     """First-order formula with free point variables x and y whose
     truth at (u, v) coincides with membership of (u, v) in the term's
     value, on every structure."""
-    return _translate(t, x, y, _Pool())
+    return fold(t, _TRANSLATE, (x, y, {"x": 0, "y": 0}), _TRANSLATE_DOWN)
 
 
 def standard_translations(terms: tuple[Term, ...]) -> tuple[FoFormula, ...]:
     """Standard translations of several terms in x0 and y0, with their
     bound names drawn from one pool, so no bound name occurs in two of
     them."""
-    pool = _Pool()
-    return tuple(_translate(t, "x0", "y0", pool) for t in terms)
+    pool = {"x": 0, "y": 0}
+    return tuple(fold(t, _TRANSLATE, ("x0", "y0", pool), _TRANSLATE_DOWN) for t in terms)
 
 
-def _translate(t: Term, x: str, y: str, pool: _Pool) -> FoFormula:
-    if isinstance(t, Var):
-        return FoAtom(t.name, x, y)
-    if isinstance(t, Bot):
-        return FoFalse()
-    if isinstance(t, Top):
-        return FoTrue()
-    if isinstance(t, Id):
-        return FoEq(x, y)
-    if isinstance(t, Di):
-        return FoNot(FoEq(x, y))
-    if isinstance(t, Union):
-        return FoOr(_translate(t.left, x, y, pool), _translate(t.right, x, y, pool))
-    if isinstance(t, Inter):
-        return FoAnd(_translate(t.left, x, y, pool), _translate(t.right, x, y, pool))
-    if isinstance(t, Compl):
-        return FoNot(_translate(t.arg, x, y, pool))
-    if isinstance(t, Comp):
-        z = pool.fresh(x)
-        return FoExists(z, FoAnd(_translate(t.left, x, z, pool),
-                                 _translate(t.right, z, y, pool)))
-    if isinstance(t, Dagger):
-        z = pool.fresh(x)
-        return FoForall(z, FoOr(_translate(t.left, x, z, pool),
-                                _translate(t.right, z, y, pool)))
-    if isinstance(t, Proj):
-        args = (x, y)
-        return _translate(t.arg, args[t.proj.img1 - 1], args[t.proj.img2 - 1], pool)
-    raise TermError(f"unexpected term {t!r}")  # pragma: no cover
+def _middle_point(t: TUnion[Comp, Dagger], points):
+    # drawn when the walk reaches the node, so in preorder, from the pool
+    # opposite to the source argument, and handed to the node's own up
+    x, y, pool = points
+    side = "y" if x.startswith("x") else "x"
+    pool[side] += 1
+    z = f"{side}{pool[side]}"
+    return z, ((t.left, (x, z, pool)), (t.right, (z, y, pool)))
+
+
+# the walk carries the points x, y and the pool: names drawn per side
+_TRANSLATE_DOWN = {Comp: _middle_point, Dagger: _middle_point, Proj: lambda t, p: (
+    p, ((t.arg, (p[t.proj.img1 - 1], p[t.proj.img2 - 1], p[2])),))}
+_TRANSLATE = {Var: lambda t, p: FoAtom(t.name, p[0], p[1]),
+              Bot: lambda t, p: FoFalse(), Top: lambda t, p: FoTrue(),
+              Id: lambda t, p: FoEq(p[0], p[1]),
+              Di: lambda t, p: FoNot(FoEq(p[0], p[1])),
+              Union: lambda t, p, left, right: FoOr(left, right),
+              Inter: lambda t, p, left, right: FoAnd(left, right),
+              Compl: lambda t, p, arg: FoNot(arg),
+              Comp: lambda t, z, left, right: FoExists(z, FoAnd(left, right)),
+              Dagger: lambda t, z, left, right: FoForall(z, FoOr(left, right)),
+              Proj: lambda t, p, arg: arg}
 
 
 # ---------------------------------------------------------------------------
 # Negation normal form and the disjuncts of an ∃*∀* formula
+
+
+def _junction(conj: bool, left: FoFormula, right: FoFormula) -> FoFormula:
+    # a conjunction (disjunction) of two NNF formulas, constants folded
+    zero, unit = (FoFalse, FoTrue) if conj else (FoTrue, FoFalse)
+    if isinstance(left, zero) or isinstance(right, zero):
+        return zero()
+    if isinstance(left, unit):
+        return right
+    if isinstance(right, unit):
+        return left
+    return FoAnd(left, right) if conj else FoOr(left, right)
+
+
+# the walk carries the polarity; a <=> b is (a & b) | (~a & ~b), so its
+# children are a and b under each polarity
+_NNF_DOWN = {FoNot: lambda f, pos: (pos, ((f.arg, not pos),)),
+             FoIff: lambda f, pos: (pos, ((f.left, pos), (f.right, pos),
+                                          (f.left, not pos), (f.right, not pos)))}
+_NNF = {**dict.fromkeys((FoAtom, FoEq), lambda f, pos: f if pos else FoNot(f)),
+        **dict.fromkeys((FoTrue, FoFalse), lambda f, pos: (FoTrue if isinstance(f, FoTrue) == pos
+                                                           else FoFalse)()),
+        FoNot: lambda f, pos, arg: arg,
+        FoAnd: lambda f, pos, left, right: _junction(pos, left, right),
+        FoOr: lambda f, pos, left, right: _junction(not pos, left, right),
+        FoIff: lambda f, pos, left, right, left_neg, right_neg: _junction(
+            not pos, _junction(pos, left, right), _junction(pos, left_neg, right_neg)),
+        **dict.fromkeys((FoExists, FoForall), lambda f, pos, body: (
+            body if isinstance(body, (FoTrue, FoFalse))
+            else (FoExists if isinstance(f, FoExists) == pos else FoForall)(f.var, body)))}
 
 
 def nnf(f: FoFormula, positive: bool = True) -> FoFormula:
@@ -169,50 +184,25 @@ def nnf(f: FoFormula, positive: bool = True) -> FoFormula:
     False): negations only on atoms and equalities, no FoIff, and FoTrue
     or FoFalse only as the whole formula.  Universes are non-empty, so
     a quantifier over a constant is that constant."""
-    if isinstance(f, FoNot):
-        return nnf(f.arg, not positive)
-    if isinstance(f, (FoAtom, FoEq)):
-        return f if positive else FoNot(f)
-    if isinstance(f, (FoTrue, FoFalse)):
-        return FoTrue() if isinstance(f, FoTrue) == positive else FoFalse()
-    if isinstance(f, FoIff):
-        return nnf(FoOr(FoAnd(f.left, f.right), FoAnd(FoNot(f.left), FoNot(f.right))), positive)
-    if isinstance(f, (FoAnd, FoOr)):
-        conj = isinstance(f, FoAnd) == positive
-        zero, unit = (FoFalse, FoTrue) if conj else (FoTrue, FoFalse)
-        left, right = nnf(f.left, positive), nnf(f.right, positive)
-        if isinstance(left, zero) or isinstance(right, zero):
-            return zero()
-        if isinstance(left, unit):
-            return right
-        if isinstance(right, unit):
-            return left
-        return FoAnd(left, right) if conj else FoOr(left, right)
-    if isinstance(f, (FoExists, FoForall)):
-        body = nnf(f.body, positive)
-        if isinstance(body, (FoTrue, FoFalse)):
-            return body
-        return FoExists(f.var, body) if isinstance(f, FoExists) == positive else FoForall(f.var, body)
-    raise FoError(f"unexpected formula {f!r}")  # pragma: no cover
+    return fold(f, _NNF, positive, _NNF_DOWN)
+
+
+_NONE = frozenset()
+# a literal and an existential are read whole, without their children
+_SIGNS_DOWN = dict.fromkeys((FoNot, FoIff, FoExists), lambda f, c: (c, ()))
+_SIGNS = {FoExists: lambda f, c: None,
+          FoAtom: lambda f, c: (frozenset({f.rel}), _NONE),
+          FoNot: lambda f, c: (_NONE, frozenset({f.arg.rel} if isinstance(f.arg, FoAtom) else ())),
+          **dict.fromkeys((FoAnd, FoOr), lambda f, c, a, b: (
+              None if a is None or b is None else (a[0] | b[0], a[1] | b[1]))),
+          FoForall: lambda f, c, body: body,
+          **dict.fromkeys((FoEq, FoIff, FoTrue, FoFalse), lambda f, c: (_NONE, _NONE))}
 
 
 def universal_polarities(f: FoFormula) -> Optional[tuple[frozenset[str], frozenset[str]]]:
     """The predicates that occur positively and those that occur
     negatively in an NNF formula; None if it has an existential."""
-    if isinstance(f, FoExists):
-        return None
-    if isinstance(f, FoAtom):
-        return frozenset({f.rel}), frozenset()
-    if isinstance(f, FoNot):
-        return frozenset(), frozenset({f.arg.rel} if isinstance(f.arg, FoAtom) else ())
-    if isinstance(f, (FoAnd, FoOr)):
-        left, right = universal_polarities(f.left), universal_polarities(f.right)
-        if left is None or right is None:
-            return None
-        return left[0] | right[0], left[1] | right[1]
-    if isinstance(f, FoForall):
-        return universal_polarities(f.body)
-    return frozenset(), frozenset()
+    return fold(f, _SIGNS, None, _SIGNS_DOWN)
 
 
 # named tuples: like the ``terms.record`` classes, each is built with one
@@ -239,85 +229,77 @@ class EaProfile(NamedTuple):
     mixed: frozenset[str]
 
 
+def _profile_of_pair(f: TUnion[FoAnd, FoOr], c, left: Optional[EaProfile],
+                     right: Optional[EaProfile]) -> Optional[EaProfile]:
+    if left is None or right is None:
+        return None
+    mixed = left.mixed | right.mixed
+    if isinstance(f, FoOr):
+        exists = dict(left.exists)
+        for k, n in right.exists.items():
+            exists[k] = exists.get(k, 0) + n
+    else:
+        exists = {}
+        for j, m in left.exists.items():
+            for k, n in right.exists.items():
+                exists[j + k] = exists.get(j + k, 0) + m * n
+        mixed |= (left.positive & right.negative) | (left.negative & right.positive)
+    return EaProfile(exists, left.positive | right.positive,
+                     left.negative | right.negative, mixed)
+
+
+# a literal and a universal subformula are read whole
+_DISJUNCT_DOWN = dict.fromkeys((FoNot, FoIff, FoForall), lambda f, c: (c, ()))
+_PROFILE = {FoFalse: lambda f, c: EaProfile({}, _NONE, _NONE, _NONE),
+            FoForall: lambda f, c: (None if (signs := universal_polarities(f)) is None
+                                    else EaProfile({0: 1}, *signs, signs[0] & signs[1])),
+            FoExists: lambda f, c, body: None if body is None else EaProfile(
+                {k + 1: count for k, count in body.exists.items()}, *body[1:]),
+            **dict.fromkeys((FoAnd, FoOr), _profile_of_pair),
+            **dict.fromkeys((FoTrue, FoAtom, FoEq, FoNot, FoIff),
+                            lambda f, c: EaProfile({0: 1}, _NONE, _NONE, _NONE))}
+
+
 def ea_profile(f: FoFormula) -> Optional[EaProfile]:
     """Profile of an NNF formula whose bound names are distinct; None if
     an existential sits below a universal."""
-    none = frozenset()
-    if isinstance(f, FoFalse):
-        return EaProfile({}, none, none, none)
-    if isinstance(f, FoForall):
-        signs = universal_polarities(f)
-        return None if signs is None else EaProfile({0: 1}, *signs, signs[0] & signs[1])
-    if isinstance(f, FoExists):
-        body = ea_profile(f.body)
-        if body is None:
-            return None
-        return EaProfile({k + 1: count for k, count in body.exists.items()},
-                         body.positive, body.negative, body.mixed)
-    if isinstance(f, (FoAnd, FoOr)):
-        left, right = ea_profile(f.left), ea_profile(f.right)
-        if left is None or right is None:
-            return None
-        mixed = left.mixed | right.mixed
-        if isinstance(f, FoOr):
-            exists = Counter(left.exists) + Counter(right.exists)
-        else:
-            exists = Counter()
-            for j, m in left.exists.items():
-                for k, n in right.exists.items():
-                    exists[j + k] += m * n
-            mixed |= (left.positive & right.negative) | (left.negative & right.positive)
-        return EaProfile(dict(exists), left.positive | right.positive,
-                         left.negative | right.negative, mixed)
-    return EaProfile({0: 1}, none, none, none)
+    return fold(f, _PROFILE, None, _DISJUNCT_DOWN)
+
+
+_DISJUNCTS = {FoFalse: lambda f, c: [],
+              FoTrue: lambda f, c: [EaDisjunct((), (), ())],
+              FoForall: lambda f, c: [EaDisjunct((), (), (f,))],
+              FoExists: lambda f, c, body: [EaDisjunct((f.var, *d.exists), d.literals, d.foralls)
+                                            for d in body],
+              FoOr: lambda f, c, left, right: left + right,
+              FoAnd: lambda f, c, left, right: [
+                  EaDisjunct(a.exists + b.exists, a.literals + b.literals, a.foralls + b.foralls)
+                  for a in left for b in right],
+              **dict.fromkeys((FoAtom, FoEq, FoNot, FoIff),
+                              lambda f, c: [EaDisjunct((), (f,), ())])}
 
 
 def ea_disjuncts(f: FoFormula) -> list[EaDisjunct]:
     """The disjuncts of an NNF formula whose profile is not None, with
     conjunction distributed over disjunction outside the universal
     parts."""
-    if isinstance(f, FoFalse):
-        return []
-    if isinstance(f, FoTrue):
-        return [EaDisjunct((), (), ())]
-    if isinstance(f, FoForall):
-        return [EaDisjunct((), (), (f,))]
-    if isinstance(f, FoExists):
-        return [EaDisjunct((f.var, *d.exists), d.literals, d.foralls) for d in ea_disjuncts(f.body)]
-    if isinstance(f, FoOr):
-        return ea_disjuncts(f.left) + ea_disjuncts(f.right)
-    if isinstance(f, FoAnd):
-        return [EaDisjunct(a.exists + b.exists, a.literals + b.literals, a.foralls + b.foralls)
-                for a in ea_disjuncts(f.left) for b in ea_disjuncts(f.right)]
-    return [EaDisjunct((), (f,), ())]
+    return fold(f, _DISJUNCTS, None, _DISJUNCT_DOWN)
 
 
 # ---------------------------------------------------------------------------
 # SMT-LIB 2 emission
 
 
-def _smt_expr(f: FoFormula) -> str:
-    if isinstance(f, FoTrue):
-        return "true"
-    if isinstance(f, FoFalse):
-        return "false"
-    if isinstance(f, FoAtom):
-        return f"({f.rel} {f.left} {f.right})"
-    if isinstance(f, FoEq):
-        return f"(= {f.left} {f.right})"
-    if isinstance(f, FoNot):
-        return f"(not {_smt_expr(f.arg)})"
-    if isinstance(f, FoAnd):
-        return f"(and {_smt_expr(f.left)} {_smt_expr(f.right)})"
-    if isinstance(f, FoOr):
-        return f"(or {_smt_expr(f.left)} {_smt_expr(f.right)})"
-    if isinstance(f, FoIff):
-        return f"(= {_smt_expr(f.left)} {_smt_expr(f.right)})"
-    if isinstance(f, FoExists):
-        return f"(exists (({f.var} V)) {_smt_expr(f.body)})"
-    if isinstance(f, FoForall):
-        return f"(forall (({f.var} V)) {_smt_expr(f.body)})"
-    raise FoError(f"unexpected formula {f!r}")  # pragma: no cover
+_SMT = {FoTrue: lambda f, c: "true",
+        FoFalse: lambda f, c: "false",
+        FoAtom: lambda f, c: f"({f.rel} {f.left} {f.right})",
+        FoEq: lambda f, c: f"(= {f.left} {f.right})",
+        FoNot: lambda f, c, arg: f"(not {arg})",
+        FoAnd: lambda f, c, left, right: f"(and {left} {right})",
+        FoOr: lambda f, c, left, right: f"(or {left} {right})",
+        FoIff: lambda f, c, left, right: f"(= {left} {right})",
+        FoExists: lambda f, c, body: f"(exists (({f.var} V)) {body})",
+        FoForall: lambda f, c, body: f"(forall (({f.var} V)) {body})"}
 
 
 def export_equation_smt2(lhs: Term, rhs: Term, min_size: int) -> str:
@@ -333,7 +315,7 @@ def export_equation_smt2(lhs: Term, rhs: Term, min_size: int) -> str:
         points = [f"p{i}" for i in range(1, min_size + 1)]
         decls = " ".join(f"({p} V)" for p in points)
         lines.append(f"(assert (exists ({decls}) (distinct {' '.join(points)})))")
-    lines.append(f"(assert (not (forall ((x0 V) (y0 V)) {_smt_expr(goal)})))")
+    lines.append(f"(assert (not (forall ((x0 V) (y0 V)) {fold(goal, _SMT)})))")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 
@@ -342,34 +324,18 @@ def export_equation_smt2(lhs: Term, rhs: Term, min_size: int) -> str:
 # TPTP FOF emission
 
 
-def _tptp_var(name: str) -> str:
-    return name.upper()
-
-
-def _tptp_expr(f: FoFormula) -> str:
-    if isinstance(f, FoTrue):
-        return "$true"
-    if isinstance(f, FoFalse):
-        return "$false"
-    if isinstance(f, FoAtom):
-        return f"{f.rel}({_tptp_var(f.left)},{_tptp_var(f.right)})"
-    if isinstance(f, FoEq):
-        return f"({_tptp_var(f.left)} = {_tptp_var(f.right)})"
-    if isinstance(f, FoNot):
-        if isinstance(f.arg, FoEq):
-            return f"({_tptp_var(f.arg.left)} != {_tptp_var(f.arg.right)})"
-        return f"(~ {_tptp_expr(f.arg)})"
-    if isinstance(f, FoAnd):
-        return f"({_tptp_expr(f.left)} & {_tptp_expr(f.right)})"
-    if isinstance(f, FoOr):
-        return f"({_tptp_expr(f.left)} | {_tptp_expr(f.right)})"
-    if isinstance(f, FoIff):
-        return f"({_tptp_expr(f.left)} <=> {_tptp_expr(f.right)})"
-    if isinstance(f, FoExists):
-        return f"(? [{_tptp_var(f.var)}] : {_tptp_expr(f.body)})"
-    if isinstance(f, FoForall):
-        return f"(! [{_tptp_var(f.var)}] : {_tptp_expr(f.body)})"
-    raise FoError(f"unexpected formula {f!r}")  # pragma: no cover
+# point names in upper case are TPTP variables; x != y negates x = y
+_TPTP = {FoTrue: lambda f, c: "$true",
+         FoFalse: lambda f, c: "$false",
+         FoAtom: lambda f, c: f"{f.rel}({f.left.upper()},{f.right.upper()})",
+         FoEq: lambda f, c: f"({f.left.upper()} = {f.right.upper()})",
+         FoNot: lambda f, c, arg: (f"({f.arg.left.upper()} != {f.arg.right.upper()})"
+                                   if isinstance(f.arg, FoEq) else f"(~ {arg})"),
+         FoAnd: lambda f, c, left, right: f"({left} & {right})",
+         FoOr: lambda f, c, left, right: f"({left} | {right})",
+         FoIff: lambda f, c, left, right: f"({left} <=> {right})",
+         FoExists: lambda f, c, body: f"(? [{f.var.upper()}] : {body})",
+         FoForall: lambda f, c, body: f"(! [{f.var.upper()}] : {body})"}
 
 
 def export_equation_tptp(lhs: Term, rhs: Term, min_size: int) -> str:
@@ -384,5 +350,5 @@ def export_equation_tptp(lhs: Term, rhs: Term, min_size: int) -> str:
         diffs = " & ".join(f"{a} != {b}" for i, a in enumerate(points)
                            for b in points[i + 1:])
         lines.append(f"fof(at_least_{min_size}, axiom, ? [{', '.join(points)}] : ({diffs})).")
-    lines.append(f"fof(equation, conjecture, ! [X0, Y0] : {_tptp_expr(goal)}).")
+    lines.append(f"fof(equation, conjecture, ! [X0, Y0] : {fold(goal, _TPTP)}).")
     return "\n".join(lines) + "\n"

@@ -5,8 +5,8 @@ Each pass applies a family of valid equations structurally, so
 termination is plain structural recursion:
 
 * ``complement_nf`` pushes complements down to variables on every
-  term; it lives in ``terms``, where ``dotdagger_level`` reads the
-  alternation levels from its output, and is bound here as well;
+  term; it lives in ``terms``, on the walk every pass there runs on,
+  and is bound here as well;
 * ``projection_nf`` pushes projections down to variables, rewriting
   through composition and dagger with the four-case tables;
 * ``expand_projections`` removes non-converse projections anywhere via

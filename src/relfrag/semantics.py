@@ -19,10 +19,10 @@ counterexample in a documented deterministic order.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
-from .terms import (Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term, TermError,
-                    Top, Union, Var, record, variables)
+from .terms import (Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term, Top, Union, Var,
+                    fold, record, variables)
 
 
 class SemanticsError(ValueError):
@@ -91,9 +91,13 @@ class Rel:
         return bool(self.bits >> (x * self.size + y) & 1)
 
     def pairs(self) -> list[tuple[int, int]]:
-        # each row once, its bits read lowest first from the binary digits
-        return [(x, y) for x, r in enumerate(self.rows())
-                for y, bit in enumerate(bin(r)[:1:-1]) if bit == "1"]
+        return [pair for row in self.pair_rows() for pair in row]
+
+    def pair_rows(self) -> Iterator[list[tuple[int, int]]]:
+        """The pairs (x, y) of each row x in turn, ascending."""
+        for x, r in enumerate(self.rows()):
+            # the row's bits, read lowest first from its binary digits
+            yield [(x, y) for y, bit in enumerate(bin(r)[:1:-1]) if bit == "1"]
 
     def rows(self) -> list[int]:
         n = self.size
@@ -182,7 +186,7 @@ class SizeWindow:
 
 
 def structure_to_json(m: Structure) -> str:
-    relations = {name: sorted(rel.pairs()) for name, rel in sorted(m.assignment.items())}
+    relations = {name: rel.pairs() for name, rel in sorted(m.assignment.items())}
     return json.dumps({"size": m.size, "relations": relations})
 
 
@@ -216,36 +220,26 @@ def structure_from_json(text: str) -> Structure:
     return Structure(n, assignment)
 
 
+def _assigned(t: Var, m: Structure) -> Rel:
+    try:
+        return m.assignment[t.name]
+    except KeyError:
+        raise SemanticsError(f"variable {t.name!r} is not assigned in the structure") from None
+
+
+_EVAL = {Var: _assigned,
+         **{ctor: lambda t, m, make=make: make(m.size) for ctor, make in
+            ((Bot, Rel.empty), (Top, Rel.full), (Id, Rel.identity), (Di, Rel.difference))},
+         **{ctor: lambda t, m, left, right, op=op: op(left, right) for ctor, op in
+            ((Union, Rel.union), (Inter, Rel.inter), (Comp, Rel.comp), (Dagger, Rel.dagger))},
+         Compl: lambda t, m, arg: arg.compl(),
+         Proj: lambda t, m, arg: arg.project(t.proj.img1, t.proj.img2)}
+
+
 def eval_term(t: Term, m: Structure) -> Rel:
     """Evaluate a term in a structure.  Every variable of t must be
     assigned."""
-    n = m.size
-    if isinstance(t, Var):
-        try:
-            return m.assignment[t.name]
-        except KeyError:
-            raise SemanticsError(f"variable {t.name!r} is not assigned in the structure") from None
-    if isinstance(t, Bot):
-        return Rel.empty(n)
-    if isinstance(t, Top):
-        return Rel.full(n)
-    if isinstance(t, Id):
-        return Rel.identity(n)
-    if isinstance(t, Di):
-        return Rel.difference(n)
-    if isinstance(t, Union):
-        return eval_term(t.left, m).union(eval_term(t.right, m))
-    if isinstance(t, Inter):
-        return eval_term(t.left, m).inter(eval_term(t.right, m))
-    if isinstance(t, Compl):
-        return eval_term(t.arg, m).compl()
-    if isinstance(t, Comp):
-        return eval_term(t.left, m).comp(eval_term(t.right, m))
-    if isinstance(t, Dagger):
-        return eval_term(t.left, m).dagger(eval_term(t.right, m))
-    if isinstance(t, Proj):
-        return eval_term(t.arg, m).project(t.proj.img1, t.proj.img2)
-    raise TermError(f"unexpected term {t!r}")  # pragma: no cover
+    return fold(t, _EVAL, m)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,22 @@ Concrete syntax (tightest first): postfix ``^`` (converse), ``~``
 ``$`` (dagger), ``&`` (intersection), ``|`` (union).  All infixes are
 left-associative.  Example: ``a ; (b $ c) & I`` parses as
 ``(a ; (b $ c)) & I``.
+
+Every pass over a term or a first-order formula (``fo``) is a table
+on one post-order walk on an explicit stack, ``fold``, so a flat chain
+of ten thousand ``|`` meets no recursion limit; only the parser
+recurses, once per parenthesis.  The alternation levels, defined on the
+complement normal form, need no normal form: pushing a complement
+through a term turns ``;`` into ``$`` and back (``~(R ; S) = ~R $ ~S``),
+swaps ``|`` and ``&``, on which the levels are symmetric, and passes
+the projections.  So ``~t`` has the (σ, π) levels of t swapped, and one
+walk over the term reads them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping
 
 
 class TermError(ValueError):
@@ -183,17 +194,18 @@ DI = Di()
 _INFIX = (("|", Union), ("&", Inter), ("$", Dagger), (";", Comp))
 _CONSTANTS = {"bot": BOT, "top": TOP, "I": ID, "D": DI}
 
-_BINARY = tuple(ctor for _, ctor in _INFIX)
+# ---------------------------------------------------------------------------
+# The walk
+
+# each inner node class and its children, left to right; ``fo`` adds
+# the formula classes, and a class that is not here is a leaf
+CHILDREN: dict[type, Callable] = {
+    **dict.fromkeys((Union, Inter, Comp, Dagger), lambda t: (t.left, t.right)),
+    Compl: lambda t: (t.arg,), Proj: lambda t: (t.arg,)}
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, _BINARY):
-        return (t.left, t.right)
-    if isinstance(t, Compl):
-        return (t.arg,)
-    if isinstance(t, Proj):
-        return (t.arg,)
-    return ()
+    return CHILDREN[type(t)](t) if type(t) in CHILDREN else ()
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -205,45 +217,54 @@ def subterms(t: Term) -> Iterator[Term]:
         stack.extend(reversed(children(s)))
 
 
-def variables(t: Term) -> set[str]:
-    return {s.name for s in subterms(t) if isinstance(s, Var)}
-
-
-def vo(t: Term) -> int:
-    """Number of variable occurrences: 1 for a variable, the sum over
-    children otherwise (constants contribute 0)."""
-    return sum(1 for s in subterms(t) if isinstance(s, Var))
+def fold(root, up: Mapping[type, Callable], ctx=None,
+         down: Mapping[type, Callable] = MappingProxyType({})):
+    """One bottom-up pass over a term or a formula, on an explicit stack.
+    ``up[type(node)](node, ctx, *values)`` makes a node's value from its
+    children's values, left to right; each child gets its parent's
+    ``ctx``.  A pass that carries a value down, or skips children, has
+    ``down[type(node)](node, ctx)``: it runs when the walk reaches the
+    node, in preorder, and returns the context for the node's ``up`` and
+    the children to visit, each paired with its context."""
+    # the hot loop: methods bound to locals, one or two values unsliced
+    values: list = []
+    stack = [(root, ctx, None, 0)]  # (node, context, its up once entered, number of children)
+    push, pop, emit = stack.append, stack.pop, values.append
+    while stack:
+        node, c, combine, n = pop()
+        if combine is not None:  # the children's values are the last n
+            if n == 1:
+                values[-1] = combine(node, c, values[-1])
+            elif n == 2:
+                right = values.pop()
+                values[-1] = combine(node, c, values[-1], right)
+            else:
+                args = values[-n:]
+                del values[-n:]
+                emit(combine(node, c, *args))
+            continue
+        enter = down.get(type(node))
+        if enter is None:
+            kids = CHILDREN.get(type(node))
+            if kids is not None:
+                kids = kids(node)
+                push((node, c, up[type(node)], len(kids)))
+                for k in reversed(kids):
+                    push((k, c, None, 0))
+                continue
+        else:
+            c, kids = enter(node, c)
+            if kids:
+                push((node, c, up[type(node)], len(kids)))
+                for k, kc in reversed(kids):
+                    push((k, kc, None, 0))
+                continue
+        emit(up[type(node)](node, c))
+    return values.pop()
 
 
 # ---------------------------------------------------------------------------
-# Complement normal form and dot-dagger alternation levels
-
-
-def complement_nf(t: Term) -> Term:
-    """Push complements down to variables.  The result is equal to t on
-    every structure: complement passes through union and intersection
-    by De Morgan, through the projections unchanged, and turns
-    composition into dagger and back (``~(R ; S) = ~R $ ~S``)."""
-    return _cnf(t, False)
-
-
-_DUAL = {Union: Inter, Inter: Union, Comp: Dagger, Dagger: Comp}
-_NEGATED_CONSTANT = {Bot: TOP, Top: BOT, Id: DI, Di: ID}
-
-
-def _cnf(t: Term, neg: bool) -> Term:
-    if isinstance(t, Var):
-        return Compl(t) if neg else t
-    if isinstance(t, (Bot, Top, Id, Di)):
-        return _NEGATED_CONSTANT[type(t)] if neg else t
-    if isinstance(t, _BINARY):
-        ctor = _DUAL[type(t)] if neg else type(t)
-        return ctor(_cnf(t.left, neg), _cnf(t.right, neg))
-    if isinstance(t, Compl):
-        return _cnf(t.arg, not neg)
-    if isinstance(t, Proj):
-        return Proj(_cnf(t.arg, neg), t.proj)
-    raise TermError(f"unexpected term {t!r}")  # pragma: no cover
+# Variables, dot-dagger alternation levels and complement normal form
 
 
 @record
@@ -251,8 +272,8 @@ class FragmentInfo:
     """Variable-occurrence count and least alternation levels.
 
     ``sigma_level``/``pi_level`` are the least n such that the term lies
-    in the n-th existential/universal alternation class.  They are read
-    from the complement normal form, which is equal to the term, so
+    in the n-th existential/universal alternation class.  They are those
+    of the complement normal form, which is equal to the term, so
     every term has both; they are 0 exactly when that form has no
     composition or dagger, and otherwise differ by at most one.
     """
@@ -262,27 +283,55 @@ class FragmentInfo:
     pi_level: int
 
 
-def _levels(t: Term) -> tuple[int, int]:
-    # on a complement normal form, where complements sit on variables;
-    # a subterm is (0, 0) iff it has no composition or dagger, and a
-    # level of 1 or more on one side means 1 or more on the other
-    if isinstance(t, (Union, Inter)):
-        ls, lp = _levels(t.left)
-        rs, rp = _levels(t.right)
-        return max(ls, rs), max(lp, rp)
-    if isinstance(t, Proj):
-        return _levels(t.arg)
-    if isinstance(t, Comp):
-        sigma = max(_levels(t.left)[0], _levels(t.right)[0], 1)
-        return sigma, sigma + 1
-    if isinstance(t, Dagger):
-        pi = max(_levels(t.left)[1], _levels(t.right)[1], 1)
-        return pi + 1, pi
-    return 0, 0
+# (vo, sigma, pi) of each node, collecting the names; the levels are
+# (0, 0) iff the subterm has no ; or $, and otherwise differ by one
+_FRAGMENT = {Var: lambda t, names: names.add(t.name) or (1, 0, 0),
+             **dict.fromkeys((Bot, Top, Id, Di), lambda t, names: (0, 0, 0)),
+             **dict.fromkeys((Union, Inter), lambda t, names, a, b: (
+                 a[0] + b[0], max(a[1], b[1]), max(a[2], b[2]))),
+             Comp: lambda t, names, a, b: (a[0] + b[0], max(a[1], b[1], 1), max(a[1], b[1], 1) + 1),
+             Dagger: lambda t, names, a, b: (a[0] + b[0], max(a[2], b[2], 1) + 1, max(a[2], b[2], 1)),
+             Compl: lambda t, names, arg: (arg[0], arg[2], arg[1]),
+             Proj: lambda t, names, arg: arg}
+
+
+def fragment(t: Term) -> tuple[FragmentInfo, set[str]]:
+    """The term's ``FragmentInfo`` and its variable names, from one walk."""
+    names: set[str] = set()
+    return FragmentInfo(*fold(t, _FRAGMENT, names)), names
 
 
 def dotdagger_level(t: Term) -> FragmentInfo:
-    return FragmentInfo(vo(t), *_levels(complement_nf(t)))
+    return fragment(t)[0]
+
+
+def variables(t: Term) -> set[str]:
+    return fragment(t)[1]
+
+
+def vo(t: Term) -> int:
+    """Number of variable occurrences."""
+    return fragment(t)[0].vo
+
+
+_DUAL = {Union: Inter, Inter: Union, Comp: Dagger, Dagger: Comp}
+_NEGATED_CONSTANT = {Bot: TOP, Top: BOT, Id: DI, Di: ID}
+
+# the walk carries the polarity: True under an odd number of complements
+_CNF_DOWN = {Compl: lambda t, neg: (neg, ((t.arg, not neg),))}
+_CNF = {Var: lambda t, neg: Compl(t) if neg else t,
+        **dict.fromkeys(_NEGATED_CONSTANT, lambda t, neg: _NEGATED_CONSTANT[type(t)] if neg else t),
+        **dict.fromkeys(_DUAL, lambda t, neg, a, b: (_DUAL[type(t)] if neg else type(t))(a, b)),
+        Compl: lambda t, neg, arg: arg,
+        Proj: lambda t, neg, arg: Proj(arg, t.proj)}
+
+
+def complement_nf(t: Term) -> Term:
+    """Push complements down to variables.  The result is equal to t on
+    every structure: complement passes through union and intersection
+    by De Morgan, through the projections unchanged, and turns
+    composition into dagger and back (``~(R ; S) = ~R $ ~S``)."""
+    return fold(t, _CNF, False, _CNF_DOWN)
 
 
 # ---------------------------------------------------------------------------
@@ -423,31 +472,26 @@ def parse_term(text: str) -> Term:
 # ---------------------------------------------------------------------------
 # Printing
 
-_BY_CTOR = {ctor: (level, symbol) for level, (symbol, ctor) in enumerate(_INFIX)}
-_CONSTANT_NAMES = {type(value): name for name, value in _CONSTANTS.items()}
+# each node's text and the level of its outermost operator; atoms and
+# postfix operators bind tighter than every infix
+_TIGHTEST = len(_INFIX)
 
 
-def _print(t: Term, minimum: int) -> str:
-    # parenthesized when its infix binds looser than ``minimum``; a
-    # postfix operand asks for len(_INFIX), tighter than every infix
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, _BINARY):
-        level, symbol = _BY_CTOR[type(t)]
-        text = f"{_print(t.left, level)} {symbol} {_print(t.right, level + 1)}"
-        return f"({text})" if level < minimum else text
-    if isinstance(t, Compl):
-        return f"{_print(t.arg, len(_INFIX))}~"
-    if isinstance(t, Proj):
-        body = _print(t.arg, len(_INFIX))
-        if t.proj == PROJ_SWAP:
-            return f"{body}^"
-        return f"{body}[{t.proj.img1},{t.proj.img2}]"
-    if type(t) in _CONSTANT_NAMES:
-        return _CONSTANT_NAMES[type(t)]
-    raise TermError(f"unexpected term {t!r}")  # pragma: no cover
+def _operand(value: tuple[str, int], minimum: int) -> str:
+    text, level = value
+    return f"({text})" if level < minimum else text
+
+
+_PRINT = {Var: lambda t, c: (t.name, _TIGHTEST),
+          **{type(v): lambda t, c, name=name: (name, _TIGHTEST) for name, v in _CONSTANTS.items()},
+          **{ctor: lambda t, c, left, right, level=level, symbol=symbol: (
+              f"{_operand(left, level)} {symbol} {_operand(right, level + 1)}", level)
+             for level, (symbol, ctor) in enumerate(_INFIX)},
+          Compl: lambda t, c, arg: (_operand(arg, _TIGHTEST) + "~", _TIGHTEST),
+          Proj: lambda t, c, arg: (_operand(arg, _TIGHTEST) + (
+              "^" if t.proj == PROJ_SWAP else f"[{t.proj.img1},{t.proj.img2}]"), _TIGHTEST)}
 
 
 def print_term(t: Term) -> str:
     """Minimal-parenthesization rendering; parses back to the same tree."""
-    return _print(t, 0)
+    return fold(t, _PRINT)[0]

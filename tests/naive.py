@@ -8,13 +8,19 @@ implementation.
 ``evaluate_formula``: a first-order formula read directly over a finite
 structure, so the standard translation can be checked against the
 relation semantics.
+
+``complement_nf_ref`` and ``levels_ref``: the complement normal form
+and the alternation levels read off it, by structural recursion, as
+the package computed them before its passes moved onto ``terms.fold``.
+The package reads the levels from the term itself, swapping them at
+each complement; these spell out the definition.
 """
 
 from relfrag.fo import (FoAnd, FoAtom, FoEq, FoExists, FoFalse, FoForall,
                         FoFormula, FoIff, FoNot, FoOr, FoTrue)
 from relfrag.semantics import Structure
-from relfrag.terms import (Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term,
-                           Top, Union, Var)
+from relfrag.terms import (BOT, DI, ID, TOP, Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj,
+                           Term, Top, Union, Var)
 
 
 def naive_eval(t: Term, size: int, assignment: dict[str, set]) -> set:
@@ -90,3 +96,41 @@ def evaluate_formula(f: FoFormula, m: Structure, env: dict[str, int]) -> bool:
     if isinstance(f, FoForall):
         return all(evaluate_formula(f.body, m, {**env, f.var: v}) for v in range(m.size))
     raise AssertionError(f"unexpected formula {f!r}")
+
+
+_DUAL = {Union: Inter, Inter: Union, Comp: Dagger, Dagger: Comp}
+_NEGATED_CONSTANT = {Bot: TOP, Top: BOT, Id: DI, Di: ID}
+
+
+def complement_nf_ref(t: Term, neg: bool = False) -> Term:
+    """Complements pushed down to the variables (of ~t when ``neg``)."""
+    if isinstance(t, Var):
+        return Compl(t) if neg else t
+    if isinstance(t, (Bot, Top, Id, Di)):
+        return _NEGATED_CONSTANT[type(t)] if neg else t
+    if isinstance(t, (Union, Inter, Comp, Dagger)):
+        ctor = _DUAL[type(t)] if neg else type(t)
+        return ctor(complement_nf_ref(t.left, neg), complement_nf_ref(t.right, neg))
+    if isinstance(t, Compl):
+        return complement_nf_ref(t.arg, not neg)
+    if isinstance(t, Proj):
+        return Proj(complement_nf_ref(t.arg, neg), t.proj)
+    raise AssertionError(f"unexpected term {t!r}")
+
+
+def levels_ref(t: Term) -> tuple[int, int]:
+    """(sigma, pi) of a complement normal form: a composition is
+    existential and a dagger universal."""
+    if isinstance(t, (Union, Inter)):
+        ls, lp = levels_ref(t.left)
+        rs, rp = levels_ref(t.right)
+        return max(ls, rs), max(lp, rp)
+    if isinstance(t, Proj):
+        return levels_ref(t.arg)
+    if isinstance(t, Comp):
+        sigma = max(levels_ref(t.left)[0], levels_ref(t.right)[0], 1)
+        return sigma, sigma + 1
+    if isinstance(t, Dagger):
+        pi = max(levels_ref(t.left)[1], levels_ref(t.right)[1], 1)
+        return pi + 1, pi
+    return 0, 0

@@ -1,13 +1,21 @@
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relfrag.cli import main
 from relfrag.semantics import structure_from_json
+from relfrag.terms import print_term
+
+from strategies import two_variable_terms
 
 PLANTED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "planted_false_rules.txt"
 
@@ -72,6 +80,21 @@ def test_eval_subcommand(run, tmp_path):
     assert out.splitlines() == ["0 0"]
     code, out, _ = run("eval", "--term", "a^", "--structure", str(path), "--json")
     assert json.loads(out) == {"size": 2, "pairs": [[1, 0]]}
+
+
+def test_eval_writes_the_bytes_of_json_dumps(run, tmp_path):
+    # the pairs are written row by row; the text is what building the
+    # whole list and dumping it would give, at every size
+    rng = random.Random(3)
+    path = tmp_path / "m.json"
+    for n in range(1, 10):
+        for density in (0.0, 0.3, 1.0):
+            pairs = [[x, y] for x in range(n) for y in range(n) if rng.random() < density]
+            path.write_text(json.dumps({"size": n, "relations": {"a": pairs}}), encoding="utf-8")
+            assert run("eval", "--term", "a", "--structure", str(path), "--json") == (
+                0, json.dumps({"size": n, "pairs": pairs}) + "\n", "")
+            assert run("eval", "--term", "a", "--structure", str(path)) == (
+                0, "".join(f"{x} {y}\n" for x, y in pairs), "")
 
 
 def test_eval_rejects_bad_structure(run, tmp_path):
@@ -276,6 +299,29 @@ def test_deep_nesting_is_an_input_error(run, command):
     assert code == 65
     assert out == ""
     assert err == "input error: input nested too deeply\n"
+
+
+# the parent of each operator's flat chain has its levels
+FLAT_CHAIN_LEVELS = {"|": "sigma=0 pi=0", "&": "sigma=0 pi=0", "$": "sigma=2 pi=1",
+                     ";": "sigma=1 pi=2"}
+
+
+@pytest.mark.parametrize("op", sorted(FLAT_CHAIN_LEVELS))
+def test_flat_chains_are_valid_input(run, tmp_path, op):
+    # 10,000 occurrences joined by one infix: a tree 10,000 deep that
+    # the parser builds without recursion, and every command reads it
+    chain = f" {op} ".join(["a"] * 10_000)
+    structure = tmp_path / "m.json"
+    structure.write_text('{"size": 2, "relations": {"a": [[0, 1], [1, 1]]}}', encoding="utf-8")
+    assert run("level", "--term", chain) == (0, f"vo=10000 {FLAT_CHAIN_LEVELS[op]}\n", "")
+    assert run("vo", "--term", chain) == (0, "10000\n", "")
+    for args in (("eval", "--term", chain, "--structure", str(structure)),
+                 ("equiv", "--lhs", chain, "--rhs", "a", "--samples", "16"),
+                 ("export-smt", "--lhs", chain, "--rhs", "a"),
+                 ("export-tptp", "--lhs", chain, "--rhs", "a")):
+        code, out, err = run(*args)
+        assert code in (0, 1, 2, 64, 65), args[0]
+        assert "nested too deeply" not in err and "internal error" not in err, args[0]
 
 
 def _fresh_python(*args, cwd=None):
@@ -513,3 +559,43 @@ def test_unknown_reason_and_seed_in_json(run):
     assert code == 2
     checked = json.loads(out)["checked"]
     assert (checked["reason"], checked["seed"]) == ("beyond 8 points", 7)
+
+
+@pytest.fixture(scope="module")
+def two_point_structure(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract") / "m.json"
+    path.write_text('{"size": 2, "relations": {"a": [[0, 1]], "b": [[1, 1], [1, 0]]}}',
+                    encoding="utf-8")
+    return str(path)
+
+
+_flat_chains = st.builds(lambda op, n: f" {op} ".join(["a"] * n),
+                         st.sampled_from("|&$;"), st.integers(1, 3_000))
+_valid_terms = st.one_of(two_variable_terms.map(print_term), _flat_chains)
+# strings over the term alphabet, nearly all of them malformed
+_any_text = st.text(alphabet="ab IDtop;$&|~^()[],12#", max_size=24)
+
+
+@given(st.sampled_from(["vo", "level", "equiv", "eval", "export-smt", "export-tptp"]),
+       st.one_of(st.tuples(_valid_terms, _valid_terms, st.just(True)),
+                 st.tuples(_any_text, _valid_terms, st.just(False))))
+@example("export-smt", ("", "a", False))  # an empty side is a syntax error, not a word
+@settings(max_examples=60, deadline=None)
+def test_exit_code_contract(two_point_structure, command, sides):
+    lhs, rhs, valid = sides
+    if command in ("vo", "level"):
+        argv = [command, "--term", lhs]
+    elif command == "eval":
+        argv = [command, "--term", lhs, "--structure", two_point_structure, "--json"]
+    elif command == "equiv":
+        argv = [command, "--lhs", lhs, "--rhs", rhs, "--samples", "16", "--sample-sizes", "3"]
+    else:
+        argv = [command, "--lhs", lhs, "--rhs", rhs]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 64, 65)
+    assert "internal error" not in err.getvalue()
+    if valid:
+        # valid input never gets an input error
+        assert code in (0, 1, 2), err.getvalue()
