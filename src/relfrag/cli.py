@@ -5,9 +5,11 @@ count-irreducible, cofinite, search, export-dfa, export-smt,
 export-tptp, verify-rules.
 
 Exit codes: 0 success (for equiv: Equivalent), 1 Inequivalent,
-2 Unknown, 64 usage error, 65 input format error (parentheses nested
-too deeply included), 70 internal error.  ``--json`` switches
-every subcommand to a stable machine-readable schema.
+2 Unknown, 64 usage error, 65 input format error (a structure file
+nested too deeply included), 70 internal error.  ``--json`` switches
+every subcommand to a stable machine-readable schema.  No command
+recurses on its input, so terms nest as deep as the command line
+allows.
 
 Each command imports the modules it runs, at the top of its function,
 so a process loads only what its command uses: ``vo`` and ``level``
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from typing import Optional
 
 from .terms import Var, dotdagger_level, parse_term, vo
@@ -40,6 +43,14 @@ class UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # exit 64 instead of argparse's 2
         raise UsageError(f"{self.prog}: {message}")
+
+
+def non_negative(text: str) -> int:
+    """An argparse type; a value it refuses reads ``invalid non_negative value``."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
 
 def _structure_json_obj(m) -> dict:
@@ -177,13 +188,8 @@ def _cmd_enumerate(args) -> int:
     from .rewriting import enumerate_irreducibles, load_rules
     from .words import format_word
 
-    rs = load_rules(_rules_arg(args))
-    count = 0
-    for w in enumerate_irreducibles(rs):
+    for w in islice(enumerate_irreducibles(load_rules(_rules_arg(args))), args.limit):
         print(format_word(w))
-        count += 1
-        if args.limit is not None and count >= args.limit:
-            break
     return EX_OK
 
 
@@ -351,7 +357,7 @@ def build_parser() -> _ArgumentParser:
     p = sub.add_parser("enumerate-irreducible", help="list all irreducible words")
     p.add_argument("rules_positional", nargs="?")
     p.add_argument("--rules")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=non_negative, default=None)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("count-irreducible", help="count irreducible words")
@@ -418,9 +424,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EX_DATA
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
-        return EX_DATA
-    except RecursionError:  # the parser recurses once per parenthesis
-        print("input error: input nested too deeply", file=sys.stderr)
         return EX_DATA
     except Exception as e:  # never let a crash read as a verdict (exit 1)
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -192,23 +192,27 @@ def enumerate_irreducibles(rs: RewriteSystem) -> Iterator[Word]:
     when the set is infinite."""
     longest, _ = _leftover_paths(rs)
     goto = rs._matcher[0]
-    prefix: list = []
-
-    def walk(s: int, remaining: int) -> Iterator[Word]:
-        # every irreducible state accepts, so a path of this length
-        # starts at t iff t's longest path is at least that long
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for letter in LETTERS:
-            t = goto[s][int(letter)]
-            if longest.get(t, -1) >= remaining - 1:
-                prefix.append(letter)
-                yield from walk(t, remaining - 1)
-                prefix.pop()
-
-    for length in range(longest[0] + 1):
-        yield from walk(0, length)
+    yield ()
+    for length in range(1, longest[0] + 1):
+        # depth first, letters in order, on an explicit stack: per letter
+        # of the prefix and one more, the successors still to try of the
+        # state that letter leaves from.  Every irreducible state
+        # accepts, so a path of the remaining length starts at t iff t's
+        # longest path is at least that long.
+        prefix: list = []
+        stack = [zip(LETTERS, goto[0])]
+        while stack:
+            remaining = length - len(stack)
+            for letter, t in stack[-1]:
+                if longest.get(t, -1) >= remaining:
+                    if remaining:
+                        prefix.append(letter)
+                        stack.append(zip(LETTERS, goto[t]))
+                        break
+                    yield (*prefix, letter)
+            else:
+                stack.pop()
+                del prefix[-1:]
 
 
 # ---------------------------------------------------------------------------

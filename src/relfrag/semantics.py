@@ -195,6 +195,8 @@ def structure_from_json(text: str) -> Structure:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise SemanticsError(f"invalid structure JSON: {e}") from None
+    except RecursionError:  # the one input that nests: arrays in arrays
+        raise SemanticsError("input nested too deeply") from None
     # bool is a subclass of int, but true is not a size or a point
     if not isinstance(obj, dict) or type(obj.get("size")) is not int:
         raise SemanticsError("structure object needs an integer 'size'")

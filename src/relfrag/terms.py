@@ -14,8 +14,8 @@ left-associative.  Example: ``a ; (b $ c) & I`` parses as
 
 Every pass over a term or a first-order formula (``fo``) is a table
 on one post-order walk on an explicit stack, ``fold``, so a flat chain
-of ten thousand ``|`` meets no recursion limit; only the parser
-recurses, once per parenthesis.  The alternation levels, defined on the
+of ten thousand ``|`` meets no recursion limit; the parser too is one
+loop on an explicit stack.  The alternation levels, defined on the
 complement normal form, need no normal form: pushing a complement
 through a term turns ``;`` into ``$`` and back (``~(R ; S) = ~R $ ~S``),
 swaps ``|`` and ``&``, on which the levels are symmetric, and passes
@@ -391,82 +391,61 @@ def _found(val: str) -> str:
     return repr(val) if val else "end of input"
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_punct(self, value: str) -> None:
-        kind, val, off = self.peek()
-        if kind != "punct" or val != value:
-            raise ParseError(off, frozenset({repr(value)}), _found(val))
-        self.take()
-
-    def term(self, level: int = 0) -> Term:
-        """The longest term whose unparenthesized infix operators are all
-        at ``level`` or tighter, by precedence climbing: each operator
-        takes as its right operand a term one level tighter, so that
-        operators of one level associate to the left."""
-        node = self.operand()
-        while True:
-            op = _BY_SYMBOL.get(self.peek()[1])
-            if op is None or op[0] < level:
-                return node
-            self.take()
-            node = op[1](node, self.term(op[0] + 1))
-
-    def operand(self) -> Term:
-        """An atom and the postfix operators after it."""
-        kind, val, off = self.take()
+def parse_term(text: str) -> Term:
+    """One pass over the tokens by operator precedence, on an explicit
+    stack.  ``node`` is the operand just read; ``lefts`` and ``ops``
+    hold the left operands and the infix operators still open, and a
+    ``None`` in ``ops`` marks an open parenthesis.  An infix operator
+    first applies the stacked operators of its own level or tighter, so
+    that operators of one level associate to the left; a postfix
+    operator applies to the operand just read."""
+    tokens = _tokenize(text)
+    lefts: list[Term] = []
+    ops: list = []
+    depth = i = 0
+    while True:
+        kind, val, off = tokens[i]  # an operand
+        i += 1
         if kind == "ident":
             node = Var(val)
         elif kind == "const":
             node = _CONSTANTS[val]
         elif val == "(":
-            node = self.term()
-            self.expect_punct(")")
+            ops.append(None)
+            depth += 1
+            continue
         else:
             raise ParseError(off, frozenset({"identifier", "'('", *map(repr, _CONSTANTS)}),
                              _found(val))
-        while True:
-            val = self.peek()[1]
-            if val not in ("^", "~", "["):
-                return node
-            self.take()
-            if val == "^":
+        while True:  # what follows it
+            kind, val, off = tokens[i]
+            i += 1
+            op = _BY_SYMBOL.get(val)
+            if op is not None or val == ")" and depth or kind == "end" and not depth:
+                while ops and ops[-1] is not None and (op is None or ops[-1][0] >= op[0]):
+                    node = ops.pop()[1](lefts.pop(), node)
+                if op is not None:
+                    lefts.append(node)
+                    ops.append(op)
+                    break
+                if kind == "end":
+                    return node
+                ops.pop()
+                depth -= 1
+            elif val == "^":
                 node = Proj(node, PROJ_SWAP)
             elif val == "~":
                 node = Compl(node)
+            elif val == "[":  # then a digit, a comma, a digit and "]"
+                for (_, got, at), want in zip(tokens[i:i + 4], (("1", "2"), (",",), ("1", "2"), ("]",))):
+                    if got not in want:  # the end token's "" is in none of them
+                        raise ParseError(at, frozenset(map(repr, want)), _found(got))
+                node = Proj(node, Projection(int(tokens[i][1]), int(tokens[i + 2][1])))
+                i += 4
+            elif depth:
+                raise ParseError(off, frozenset({"')'"}), _found(val))
             else:
-                d1 = self.digit()
-                self.expect_punct(",")
-                d2 = self.digit()
-                self.expect_punct("]")
-                node = Proj(node, Projection(d1, d2))
-
-    def digit(self) -> int:
-        kind, val, off = self.peek()
-        if kind != "digit":
-            raise ParseError(off, frozenset({"'1'", "'2'"}), _found(val))
-        self.take()
-        return int(val)
-
-
-def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    node = p.term()
-    kind, val, off = p.peek()
-    if kind != "end":
-        raise ParseError(off, frozenset({"operator", "end of input"}), repr(val))
-    return node
+                raise ParseError(off, frozenset({"operator", "end of input"}), repr(val))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,20 @@ and the alternation levels read off it, by structural recursion, as
 the package computed them before its passes moved onto ``terms.fold``.
 The package reads the levels from the term itself, swapping them at
 each complement; these spell out the definition.
+
+``parse_term_ref``: the term syntax by recursive descent and precedence
+climbing, as the package parsed it before ``terms.parse_term`` became
+one loop on an explicit stack.  It reads the package's tokenizer and
+operator table, and it recurses once per parenthesis and per operator
+level.
 """
 
 from relfrag.fo import (FoAnd, FoAtom, FoEq, FoExists, FoFalse, FoForall,
                         FoFormula, FoIff, FoNot, FoOr, FoTrue)
 from relfrag.semantics import Structure
-from relfrag.terms import (BOT, DI, ID, TOP, Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj,
-                           Term, Top, Union, Var)
+from relfrag.terms import (BOT, DI, ID, PROJ_SWAP, TOP, Bot, Comp, Compl, Dagger, Di, Id,
+                           Inter, ParseError, Proj, Projection, Term, Top, Union, Var,
+                           _BY_SYMBOL, _CONSTANTS, _tokenize)
 
 
 def naive_eval(t: Term, size: int, assignment: dict[str, set]) -> set:
@@ -134,3 +141,85 @@ def levels_ref(t: Term) -> tuple[int, int]:
         pi = max(levels_ref(t.left)[1], levels_ref(t.right)[1], 1)
         return pi + 1, pi
     return 0, 0
+
+
+def _found(val: str) -> str:
+    return repr(val) if val else "end of input"
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def take(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_punct(self, value: str) -> None:
+        kind, val, off = self.peek()
+        if kind != "punct" or val != value:
+            raise ParseError(off, frozenset({repr(value)}), _found(val))
+        self.take()
+
+    def term(self, level: int = 0) -> Term:
+        """The longest term whose unparenthesized infix operators are all
+        at ``level`` or tighter: each operator takes as its right operand
+        a term one level tighter, so operators of one level associate to
+        the left."""
+        node = self.operand()
+        while True:
+            op = _BY_SYMBOL.get(self.peek()[1])
+            if op is None or op[0] < level:
+                return node
+            self.take()
+            node = op[1](node, self.term(op[0] + 1))
+
+    def operand(self) -> Term:
+        """An atom and the postfix operators after it."""
+        kind, val, off = self.take()
+        if kind == "ident":
+            node = Var(val)
+        elif kind == "const":
+            node = _CONSTANTS[val]
+        elif val == "(":
+            node = self.term()
+            self.expect_punct(")")
+        else:
+            raise ParseError(off, frozenset({"identifier", "'('", *map(repr, _CONSTANTS)}),
+                             _found(val))
+        while True:
+            val = self.peek()[1]
+            if val not in ("^", "~", "["):
+                return node
+            self.take()
+            if val == "^":
+                node = Proj(node, PROJ_SWAP)
+            elif val == "~":
+                node = Compl(node)
+            else:
+                d1 = self.digit()
+                self.expect_punct(",")
+                d2 = self.digit()
+                self.expect_punct("]")
+                node = Proj(node, Projection(d1, d2))
+
+    def digit(self) -> int:
+        kind, val, off = self.peek()
+        if kind != "digit":
+            raise ParseError(off, frozenset({"'1'", "'2'"}), _found(val))
+        self.take()
+        return int(val)
+
+
+def parse_term_ref(text: str) -> Term:
+    p = _Parser(text)
+    node = p.term()
+    kind, val, off = p.peek()
+    if kind != "end":
+        raise ParseError(off, frozenset({"operator", "end of input"}), repr(val))
+    return node

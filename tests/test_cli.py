@@ -155,6 +155,27 @@ def test_enumerate_and_count(run):
     assert (code, out) == (0, "1810\n")
 
 
+def test_enumerate_limit(run):
+    assert run("enumerate-irreducible", "builtin:figure1", "--limit", "0") == (0, "", "")
+    for bad in ("-1", "-3", "x"):
+        code, out, err = run("enumerate-irreducible", "builtin:figure1", "--limit", bad)
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error: ") and "--limit" in err
+
+
+def test_enumerate_long_leftover_words(run, tmp_path):
+    # the leftover words are iI^k for k < 1500, one path 1,499 letters
+    # long in the matcher; the enumeration walks it on an explicit stack
+    path = tmp_path / "long.txt"
+    path.write_text("eps = iD\neps = cD\neps = cv\niI = " + " ".join(["iI"] * 1500) + "\n",
+                    encoding="utf-8")
+    code, out, err = run("enumerate-irreducible", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1500
+    assert lines[0] == "eps" and lines[-1] == " ".join(["iI"] * 1499)
+
+
 def test_search_subcommand(run, tmp_path):
     emit = tmp_path / "found.txt"
     code, out, _ = run("search", "--max-len", "2", "--budget", "100000",
@@ -292,13 +313,21 @@ def test_equiv_mixed_variables_constant_sides(run):
 
 
 @pytest.mark.parametrize("command", ["equiv", "vo"])
-def test_deep_nesting_is_an_input_error(run, command):
+def test_deep_nesting_is_valid_input(run, command):
     deep = "(" * 2000 + "a" + ")" * 2000
-    args = ("equiv", "--lhs", deep, "--rhs", "a") if command == "equiv" else ("vo", "--term", deep)
-    code, out, err = run(*args)
-    assert code == 65
-    assert out == ""
-    assert err == "input error: input nested too deeply\n"
+    if command == "equiv":
+        assert run("equiv", "--lhs", deep, "--rhs", "a") == (0, "equivalent (one-occurrence)\n", "")
+    else:
+        assert run("vo", "--term", deep) == (0, "1\n", "")
+
+
+def test_deeply_nested_structure_file_is_an_input_error(run, tmp_path):
+    # JSON arrays are the one input that nests; the decoder's recursion
+    # error becomes an input error
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert run("eval", "--term", "a", "--structure", str(path)) == (
+        65, "", "input error: input nested too deeply\n")
 
 
 # the parent of each operator's flat chain has its levels
@@ -308,20 +337,20 @@ FLAT_CHAIN_LEVELS = {"|": "sigma=0 pi=0", "&": "sigma=0 pi=0", "$": "sigma=2 pi=
 
 @pytest.mark.parametrize("op", sorted(FLAT_CHAIN_LEVELS))
 def test_flat_chains_are_valid_input(run, tmp_path, op):
-    # 10,000 occurrences joined by one infix: a tree 10,000 deep that
-    # the parser builds without recursion, and every command reads it
-    chain = f" {op} ".join(["a"] * 10_000)
+    # 10,000 occurrences joined by one infix, flat and nested to the
+    # right in parentheses: trees 10,000 deep that the parser builds
+    # without recursion, and every command reads them
     structure = tmp_path / "m.json"
     structure.write_text('{"size": 2, "relations": {"a": [[0, 1], [1, 1]]}}', encoding="utf-8")
-    assert run("level", "--term", chain) == (0, f"vo=10000 {FLAT_CHAIN_LEVELS[op]}\n", "")
-    assert run("vo", "--term", chain) == (0, "10000\n", "")
-    for args in (("eval", "--term", chain, "--structure", str(structure)),
-                 ("equiv", "--lhs", chain, "--rhs", "a", "--samples", "16"),
-                 ("export-smt", "--lhs", chain, "--rhs", "a"),
-                 ("export-tptp", "--lhs", chain, "--rhs", "a")):
-        code, out, err = run(*args)
-        assert code in (0, 1, 2, 64, 65), args[0]
-        assert "nested too deeply" not in err and "internal error" not in err, args[0]
+    for chain in (f" {op} ".join(["a"] * 10_000), f"a {op} (" * 9_999 + "a" + ")" * 9_999):
+        assert run("level", "--term", chain) == (0, f"vo=10000 {FLAT_CHAIN_LEVELS[op]}\n", "")
+        assert run("vo", "--term", chain) == (0, "10000\n", "")
+        for args in (("eval", "--term", chain, "--structure", str(structure)),
+                     ("equiv", "--lhs", chain, "--rhs", "a", "--samples", "16"),
+                     ("export-smt", "--lhs", chain, "--rhs", "a"),
+                     ("export-tptp", "--lhs", chain, "--rhs", "a")):
+            code, out, err = run(*args)
+            assert code in (0, 1, 2) and err == "", args[0]
 
 
 def _fresh_python(*args, cwd=None):
@@ -335,8 +364,7 @@ def _fresh_python(*args, cwd=None):
 def test_deep_nesting_exit_code_in_a_fresh_process():
     deep = "(" * 2000 + "a" + ")" * 2000
     proc = _fresh_python("-m", "relfrag.cli", "equiv", "--lhs", deep, "--rhs", "a")
-    assert proc.returncode == 65
-    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "equivalent (one-occurrence)\n", "")
 
 
 # runs each command line given as a JSON list in argv[1] through
@@ -571,7 +599,13 @@ def two_point_structure(tmp_path_factory):
 
 _flat_chains = st.builds(lambda op, n: f" {op} ".join(["a"] * n),
                          st.sampled_from("|&$;"), st.integers(1, 3_000))
-_valid_terms = st.one_of(two_variable_terms.map(print_term), _flat_chains)
+# parentheses nested up to 3,000 deep: around a term, and down a chain
+_nested = st.one_of(
+    st.builds(lambda t, n: "(" * n + t + ")" * n, two_variable_terms.map(print_term),
+              st.integers(0, 3_000)),
+    st.builds(lambda op, n: f"a {op} (" * n + "b" + ")" * n, st.sampled_from("|&$;"),
+              st.integers(1, 3_000)))
+_valid_terms = st.one_of(two_variable_terms.map(print_term), _flat_chains, _nested)
 # strings over the term alphabet, nearly all of them malformed
 _any_text = st.text(alphabet="ab IDtop;$&|~^()[],12#", max_size=24)
 

@@ -53,8 +53,6 @@ def _random_structure(rng, names, size):
 
 
 def test_translation_fidelity_on_random_terms():
-    import sys
-    sys.setrecursionlimit(5000)
     rng = np.random.default_rng(99)
     corpus = [
         "a ; b", "a $ b", "a & (b | I~)", "(a ; b) $ c", "a^ ; (b & D)",

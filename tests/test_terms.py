@@ -1,11 +1,13 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relfrag.terms import (BOT, DI, ID, TOP, Comp, Compl, Dagger, Inter,
                            ParseError, PROJ_BOTH_1, PROJ_IDENTITY, PROJ_SWAP,
                            Proj, Union, Var, compose_projections,
                            dotdagger_level, parse_term, print_term, vo)
 
+from naive import parse_term_ref
 from strategies import terms
 
 
@@ -104,6 +106,57 @@ def test_print_examples():
 @settings(max_examples=300)
 def test_print_parse_roundtrip(t):
     assert parse_term(print_term(t)) == t
+
+
+def _outcome(parse, text):
+    """The tree's repr, or the error's class, message and fields."""
+    try:
+        return repr(parse(text))
+    except ValueError as e:
+        return type(e), str(e), vars(e)
+
+
+_TOKENS = ["a", "b2", "x_y", "I", "D", "top", "bot", ";", "$", "&", "|", "~", "^", "(", ")",
+           "[", "]", ",", "1", "2", " ", "#", "[1,2]", "[2,1]"]
+
+
+def _edit(text, edits):
+    for pos, token, delete in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + token + text[pos + delete:]
+    return text
+
+
+_edited_prints = st.builds(_edit, terms.map(print_term),
+                           st.lists(st.tuples(st.integers(0, 60), st.sampled_from(_TOKENS + [""]),
+                                              st.booleans()), max_size=3))
+
+
+@given(st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=16).map("".join), _edited_prints))
+@example("a # b")   # the tokenizer
+@example("a & ")    # an atom
+@example("(a b)")   # a closing parenthesis
+@example("a[,1]")   # a projection's digit
+@example("a[1 1]")  # its comma
+@example("a[1,2,")  # its closing bracket
+@example("a b")     # after a whole term
+@example("(a ; b)~ $ c[2,1] ; (I | D^) & top")
+@settings(max_examples=500)
+def test_parser_matches_recursive_reference(text):
+    # the loop parser against the recursive descent it replaced: the
+    # same tree, or the same error with the same offset, expected set
+    # and found text
+    assert _outcome(parse_term, text) == _outcome(parse_term_ref, text)
+
+
+@pytest.mark.parametrize("op", ["|", "&", "$", ";"])
+def test_parser_takes_any_depth(op):
+    # no recursion: 100,000 parentheses, and a chain nested 10,000 deep
+    # to the right, which the reference parser cannot read
+    assert parse_term("(" * 100_000 + "a" + ")" * 100_000) == Var("a")
+    t = parse_term(f"a {op} (" * 10_000 + "a" + ")" * 10_000)
+    assert print_term(t) == f"a {op} (" * 9_999 + f"a {op} a" + ")" * 9_999
+    assert vo(t) == 10_001
 
 
 def test_vo_examples():
