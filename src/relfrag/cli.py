@@ -53,20 +53,16 @@ def non_negative(text: str) -> int:
     return value
 
 
-def _structure_json_obj(m) -> dict:
-    from .semantics import structure_to_json
-
-    return json.loads(structure_to_json(m))
-
-
 def _verdict_json(verdict) -> dict:
     from .decide import Equivalent, Inequivalent
+    from .semantics import structure_to_json
 
     if isinstance(verdict, Equivalent):
         return {"verdict": "equivalent", "witness": None,
                 "justification": verdict.justification, "checked": None}
     if isinstance(verdict, Inequivalent):
-        return {"verdict": "inequivalent", "witness": _structure_json_obj(verdict.witness),
+        return {"verdict": "inequivalent",
+                "witness": json.loads(structure_to_json(verdict.witness)),
                 "justification": None, "checked": None}
     lo, hi = (verdict.checked.lo, verdict.checked.hi) if verdict.checked else (None, None)
     return {"verdict": "unknown", "witness": None, "justification": None,
@@ -75,24 +71,13 @@ def _verdict_json(verdict) -> dict:
                         "reason": verdict.reason, "seed": verdict.seed}}
 
 
-def _verdict_exit(verdict) -> int:
-    from .decide import Equivalent, Inequivalent
-
-    if isinstance(verdict, Equivalent):
-        return EX_OK
-    if isinstance(verdict, Inequivalent):
-        return EX_INEQUIV
-    return EX_UNKNOWN
-
-
 def _print_verdict(verdict, as_json: bool) -> int:
     from .decide import Equivalent, Inequivalent
     from .semantics import structure_to_json
 
     if as_json:
         print(json.dumps(_verdict_json(verdict)))
-        return _verdict_exit(verdict)
-    if isinstance(verdict, Equivalent):
+    elif isinstance(verdict, Equivalent):
         print(f"equivalent ({verdict.justification['kind']})")
     elif isinstance(verdict, Inequivalent):
         print(f"inequivalent; witness: {structure_to_json(verdict.witness)}")
@@ -101,7 +86,8 @@ def _print_verdict(verdict, as_json: bool) -> int:
         exhausted = f"sizes {window.lo}..{window.hi}" if window else "no size"
         at = f" at sizes {','.join(map(str, verdict.sampled))}" if verdict.sampled else ""
         print(f"unknown (exhausted {exhausted}, {verdict.samples} samples{at})")
-    return _verdict_exit(verdict)
+    return (EX_OK if isinstance(verdict, Equivalent)
+            else EX_INEQUIV if isinstance(verdict, Inequivalent) else EX_UNKNOWN)
 
 
 def _rules_arg(args) -> str:

@@ -14,11 +14,11 @@ on the one variable-free structure of size 3 names that class, and
 ``classify_const`` reads the class off a table of the four
 representatives' values there.
 
-Classification evaluates at size 3 and never above, so that it costs
-the same under ``rel>=2000`` as under ``rel``: evaluating at
-max(3, M) instead takes 1.2 s on ``D ; D`` against ``top`` at
-M = 2000 (one core of a 2-vCPU Xeon host), where size 3 takes 0.1 ms.
-``decide_0vo`` evaluates the sizes below 3 directly.
+Classification evaluates at size 3 and never above, ``decide_0vo``
+evaluates the sizes below 3, and ``decide.decide_terms`` carries a
+witness to M unevaluated: the route costs the same under ``rel>=2000``
+as under ``rel`` (``D ; D`` against ``top`` takes 1.2 s to evaluate
+at M = 2000 on one core of a 2-vCPU Xeon host, and 0.1 ms at size 3).
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 ``Equivalent`` always carries a replayable justification (constant-class
 derivations, syntactic identity, or the sizes and number of structures
 an exact route checked); ``Inequivalent`` carries a separating
-structure that is re-checked on construction; everything else is
+structure, checked where its route found it, on at most 8 points, and
+carried to the mode's minimum (``_inequivalent``); everything else is
 ``Unknown`` with the sizes actually exhausted and sampled, the sampling
 seed, and the reason the small-model route did not apply.  Only the
 bounded route can answer ``Unknown``, and it never answers
@@ -23,7 +24,7 @@ ascending, to ``_separate``.  It merges them into one bit-sliced batch
 at the stride of the largest size, each entry keeping its own size
 (``bitrel.merge_batches``), evaluates each side once, and takes the
 structure at the first entry where the sides differ, at that entry's
-size, and re-checks it.  Sizes and entries keep their order, so that
+size, for ``_inequivalent``.  Sizes and entries keep their order, so that
 is the first separating structure of the first separating size.
 
 The one-occurrence route evaluates both sides on every assignment of
@@ -50,8 +51,7 @@ It does so at each size from the mode's minimum to 4, and once at size
   quantifier is eliminated in the same way on every universe with at
   least 5 points, and the images agree at size 5 iff they agree at
   every size from 5 on.  In a mode whose minimum is above 5, a size-5
-  witness is carried to the minimum with the same named points
-  (``_lift``): the pair it separates keeps its equality type with them.
+  witness is re-checked at 5 and carried to the minimum (``_lift``).
 * Sides in different variables, or in one variable with opposite
   polarities, are equal only when both are constant: one is monotone
   and the other antitone or independent of it.  The basis holds the
@@ -179,27 +179,27 @@ def parse_mode(text: str) -> Mode:
     raise ValueError(f"mode must be 'rel' or 'rel>=M', got {text!r}")
 
 
-def _checked_inequivalent(t1: Term, t2: Term, witness: Structure) -> Inequivalent:
+def _inequivalent(t1: Term, t2: Term, witness: Structure, min_size: int) -> Inequivalent:
+    """The one way to an ``Inequivalent``: the witness is re-checked with
+    the scalar evaluator at the size where its route found it, and only
+    then carried to ``min_size`` if it is smaller (``_lift``)."""
     if eval_term(t1, witness) == eval_term(t2, witness):
         raise AssertionError("claimed witness does not separate the terms")
+    if witness.size < min_size:
+        witness = Structure(min_size, {name: _lift(rel, min_size)
+                                       for name, rel in witness.assignment.items()})
     return Inequivalent(witness)
 
 
 def _separate(t1: Term, t2: Term, batches, min_size: int) -> Optional[Inequivalent]:
     """``first_separating`` on the (size, count, assignment) triples merged
-    into one batch in order.  The first witness, carried to ``min_size``
-    if it is smaller (see ``_lift``) and re-checked; None if no entry
-    separates."""
+    into one batch in order: the first witness, handed to
+    ``_inequivalent``; None if no entry separates."""
     from .bitrel import first_separating, merge_batches
 
     batches = list(batches)
     witness = first_separating(t1, t2, *merge_batches(batches)) if batches else None
-    if witness is None:
-        return None
-    if witness.size < min_size:
-        witness = Structure(min_size, {name: _lift(rel, min_size)
-                                       for name, rel in witness.assignment.items()})
-    return _checked_inequivalent(t1, t2, witness)
+    return None if witness is None else _inequivalent(t1, t2, witness, min_size)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,13 @@ def _basis_batch(names: list[str], n: int) -> tuple[int, int, dict]:
 
 def _lift(rel: Rel, n: int) -> Rel:
     """A basis relation carried to size n: the same pairs, or all pairs
-    but the same ones."""
+    but the same ones.  A witness lifted by ``_inequivalent`` still
+    separates, route by route.  One occurrence (5 to n > 5): the pair it
+    separates keeps its equality type with the named points, which fixes
+    the images from size 5 on (module docstring).  Constant classes (3
+    to n > 3): the assignment is empty, and no term's value changes
+    class from size 3 on (``constants``).  Small models and the bounded
+    search find witnesses of at least n points, so nothing is lifted."""
     if rel.bits.bit_count() <= 1:
         return Rel.from_pairs(n, rel.pairs())
     return Rel.from_pairs(n, rel.compl().pairs()).compl()
@@ -279,8 +285,7 @@ def _partitions(k: int) -> tuple[tuple[int, ...], ...]:
 def _small_model(t1: Term, t2: Term, min_size: int, names: list[str]) -> TUnion[str, Verdict]:
     """Exact verdict from the structures built in the module docstring
     for sides in the sorted ``names``, or why the route does not apply."""
-    from .fo import (FoAnd, FoAtom, FoEq, FoNot, ea_disjuncts, ea_profile, nnf,
-                     standard_translations, universal_polarities)
+    from .fo import FoAnd, FoAtom, FoEq, FoNot, ea_disjuncts, ea_profile, nnf, standard_translations
 
     f1, f2 = standard_translations((t1, t2))
     phis = [nnf(FoAnd(f1, FoNot(f2))), nnf(FoAnd(f2, FoNot(f1)))]
@@ -297,9 +302,10 @@ def _small_model(t1: Term, t2: Term, min_size: int, names: list[str]) -> TUnion[
         return "candidate budget"
 
     structures: dict[int, dict[tuple[int, ...], None]] = {}
-    for d in (d for phi in phis for d in ea_disjuncts(phi)):
+    for d, signs in ((d, p.universals) for phi, p in zip(phis, profiles)
+                     for d in ea_disjuncts(phi)):
         points = ("x0", "y0", *d.exists)
-        full = frozenset().union(*(universal_polarities(u)[0] for u in d.foralls))
+        full = frozenset().union(*(signs[u.var][0] for u in d.foralls))
         for classes in _partitions(len(points)):
             at = dict(zip(points, classes))
             n = max(min_size, max(classes) + 1)
@@ -343,7 +349,7 @@ def _bounded_separation(t1: Term, t2: Term, mode: Mode, cfg: OracleConfig,
             continue
         witness = exhaustive_check(t1, t2, [n], budget=budget)
         if witness is not None:
-            return _checked_inequivalent(t1, t2, witness)
+            return _inequivalent(t1, t2, witness, mode.min_size)
         exhausted.append(n)
     samples = 0
     sizes = sorted({n for n in (max(s, mode.min_size) for s in
@@ -353,7 +359,7 @@ def _bounded_separation(t1: Term, t2: Term, mode: Mode, cfg: OracleConfig,
         witness = random_check(t1, t2, n, cfg.samples_per_size, cfg.seed)
         samples += cfg.samples_per_size
         if witness is not None:
-            return _checked_inequivalent(t1, t2, witness)
+            return _inequivalent(t1, t2, witness, mode.min_size)
     # the structure count grows with the size, so the exhausted sizes
     # are a run from the mode's minimum
     checked = SizeWindow(exhausted[0], exhausted[-1]) if exhausted else None
@@ -367,13 +373,10 @@ def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
     if info1.vo == 0 and info2.vo == 0:
         z = decide_0vo(t1, t2, mode.min_size)
         if z.equivalent:
-            return Equivalent({
-                "kind": "constant-classes",
-                "class": z.left_class.value,
-                "checked_small_sizes": list(z.checked_small_sizes),
-            })
-        assert z.witness is not None
-        return _checked_inequivalent(t1, t2, z.witness)
+            return Equivalent({"kind": "constant-classes", "class": z.left_class.value,
+                               "checked_small_sizes": list(z.checked_small_sizes)})
+        # the classes were read at size 3 (smaller witnesses at their own size)
+        return _inequivalent(t1, t2, Structure(min(z.witness.size, 3), {}), mode.min_size)
 
     if info1.vo <= 1 and info2.vo <= 1 and info1.sigma_level <= 1 and info2.sigma_level <= 1:
         return _one_occurrence(t1, t2, mode.min_size, names)

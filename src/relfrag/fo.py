@@ -221,12 +221,15 @@ class EaProfile(NamedTuple):
     them.  ``exists`` maps a number of existential names to the number
     of disjuncts with that many; ``positive`` and ``negative`` hold the
     predicates with that polarity in the universal parts of some
-    disjunct, ``mixed`` those with both in the universal parts of one."""
+    disjunct, ``mixed`` those with both in the universal parts of one;
+    ``universals`` maps each maximal universal subformula's bound name
+    to its ``universal_polarities``."""
 
     exists: dict[int, int]
     positive: frozenset[str]
     negative: frozenset[str]
     mixed: frozenset[str]
+    universals: Optional[dict[str, tuple[frozenset[str], frozenset[str]]]] = None
 
 
 def _profile_of_pair(f: TUnion[FoAnd, FoOr], c, left: Optional[EaProfile],
@@ -248,11 +251,12 @@ def _profile_of_pair(f: TUnion[FoAnd, FoOr], c, left: Optional[EaProfile],
                      left.negative | right.negative, mixed)
 
 
-# a literal and a universal subformula are read whole
+# a literal and a universal subformula are read whole; the profile's
+# context collects each universal subformula's polarities by bound name
 _DISJUNCT_DOWN = dict.fromkeys((FoNot, FoIff, FoForall), lambda f, c: (c, ()))
 _PROFILE = {FoFalse: lambda f, c: EaProfile({}, _NONE, _NONE, _NONE),
-            FoForall: lambda f, c: (None if (signs := universal_polarities(f)) is None
-                                    else EaProfile({0: 1}, *signs, signs[0] & signs[1])),
+            FoForall: lambda f, c: (None if (signs := c.setdefault(f.var, universal_polarities(f)))
+                                    is None else EaProfile({0: 1}, *signs, signs[0] & signs[1])),
             FoExists: lambda f, c, body: None if body is None else EaProfile(
                 {k + 1: count for k, count in body.exists.items()}, *body[1:]),
             **dict.fromkeys((FoAnd, FoOr), _profile_of_pair),
@@ -262,8 +266,11 @@ _PROFILE = {FoFalse: lambda f, c: EaProfile({}, _NONE, _NONE, _NONE),
 
 def ea_profile(f: FoFormula) -> Optional[EaProfile]:
     """Profile of an NNF formula whose bound names are distinct; None if
-    an existential sits below a universal."""
-    return fold(f, _PROFILE, None, _DISJUNCT_DOWN)
+    an existential sits below a universal.  It walks each universal
+    subformula once; ``universals`` keeps what the walk read."""
+    signs: dict = {}
+    profile = fold(f, _PROFILE, signs, _DISJUNCT_DOWN)
+    return profile and profile._replace(universals=signs)
 
 
 _DISJUNCTS = {FoFalse: lambda f, c: [],

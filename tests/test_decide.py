@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 from naive import naive_eval
 from strategies import (complemented_daggers, near_pairs, one_occurrence_terms,
                         two_variable_terms)
-from relfrag import bitrel
+from relfrag import bitrel, decide, semantics
 from relfrag.decide import (Equivalent, Inequivalent, Mode, REL, Unknown, _basis_batch,
                             _separate, decide_terms, decide_word_equiv, parse_mode,
                             replay_justification)
@@ -14,7 +17,7 @@ from relfrag.rewriting import enumerate_irreducibles, figure1_rules
 from relfrag.search import OracleConfig
 from relfrag.semantics import (Rel, Structure, eval_term, exhaustive_check, random_check,
                                structure_count)
-from relfrag.terms import BOT, Var, dotdagger_level, parse_term, variables, vo
+from relfrag.terms import BOT, TOP, Var, dotdagger_level, parse_term, variables, vo
 from relfrag.words import apply_word, parse_word
 
 CFG = OracleConfig()
@@ -279,18 +282,68 @@ def test_one_occurrence_route_complement_above_dagger(lhs, rhs, m):
         assert not _differs_naively(lhs, rhs, range(m, 4))
 
 
-@given(one_occurrence_terms, one_occurrence_terms, st.sampled_from([9, 10, 13]))
-@settings(max_examples=100, deadline=None)
+@given(one_occurrence_terms, one_occurrence_terms, st.sampled_from([6, 9, 10, 12, 13, 40]))
+# a full relation at size 5 separates only while it stays full
+@example(parse_term("a~ ; top"), TOP, 6)
+@example(parse_term("D ; D"), parse_term("I"), 40)
+@settings(max_examples=150, deadline=None)
 def test_one_occurrence_witness_carried_past_packed_sizes(lhs, rhs, m):
-    # past size 8 the verdict is the one at size 5, and a size-5 witness
-    # carried to size m still separates under the set semantics
-    assume(_in_gate(lhs) and _in_gate(rhs) and vo(lhs) + vo(rhs) > 0)
+    # past size 5 the verdict is the one at size 5, and a witness found
+    # at size 5 (constant classes: at size 3) and carried to size m
+    # still separates at m: under eval_term, and up to 12 points under
+    # the set semantics
+    assume(vo(lhs) + vo(rhs) == 0 or _in_gate(lhs) and _in_gate(rhs))
     v = decide_terms(lhs, rhs, Mode(m), FAST)
     assert type(v) is type(decide_terms(lhs, rhs, Mode(5), FAST))
     if isinstance(v, Inequivalent):
         assert v.witness.size == m
-        env = {name: set(rel.pairs()) for name, rel in v.witness.assignment.items()}
-        assert naive_eval(lhs, m, env) != naive_eval(rhs, m, env)
+        assert eval_term(lhs, v.witness) != eval_term(rhs, v.witness)
+        if m <= 12:
+            env = {name: set(rel.pairs()) for name, rel in v.witness.assignment.items()}
+            assert naive_eval(lhs, m, env) != naive_eval(rhs, m, env)
+
+
+@contextmanager
+def _evaluated_sizes():
+    """Every size at which a term is evaluated inside the block, by the
+    scalar evaluator or a batch (at the batch's stride)."""
+    sizes, scalar, batch = [], semantics.eval_term, bitrel.eval_term_batch
+
+    def scalar_spy(t, m):
+        sizes.append(m.size)
+        return scalar(t, m)
+
+    def batch_spy(t, assignment, masks):
+        sizes.append(isqrt(len(masks)))
+        return batch(t, assignment, masks)
+
+    semantics.eval_term = decide.eval_term = scalar_spy
+    bitrel.eval_term_batch = batch_spy
+    try:
+        yield sizes
+    finally:
+        semantics.eval_term = decide.eval_term = scalar
+        bitrel.eval_term_batch = batch
+
+
+@pytest.mark.parametrize("lhs, rhs, pairs", [("D;D", "I", None), ("(a~)^", "(a~)^;D", [(0, 0)])])
+def test_large_modes_evaluate_on_at_most_8_points(lhs, rhs, pairs):
+    # the witness is checked where its route found it and lifted to 2000
+    with _evaluated_sizes() as sizes:
+        v = decide_terms(parse_term(lhs), parse_term(rhs), Mode(2000), FAST)
+    assert sizes and max(sizes) <= 8
+    relations = {} if pairs is None else {"a": Rel.from_pairs(2000, pairs)}
+    assert v == Inequivalent(Structure(2000, relations))
+
+
+@given(st.one_of(st.tuples(one_occurrence_terms, one_occurrence_terms),
+                 st.tuples(two_variable_terms, two_variable_terms), near_pairs()),
+       st.sampled_from([9, 40]))
+@settings(max_examples=200, deadline=None)
+def test_no_route_evaluates_above_8_points(pair, m):
+    with _evaluated_sizes() as sizes:
+        decide_terms(*pair, Mode(m), FAST)
+    assert max(sizes, default=0) <= 8, sizes
 
 
 @given(one_occurrence_terms, one_occurrence_terms, st.sampled_from([6, 7, 8]))

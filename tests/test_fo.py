@@ -223,6 +223,9 @@ def test_ea_split_keeps_the_meaning_and_matches_its_profile(lhs, rhs):
         return
     disjuncts = ea_disjuncts(normal)
     assert profile.exists == dict(Counter(len(d.exists) for d in disjuncts))
+    # the profile's polarities are those of the disjuncts' universal parts
+    assert profile.universals == {u.var: universal_polarities(u)
+                                  for d in disjuncts for u in d.foralls}
     signs = [[universal_polarities(u) for u in d.foralls] for d in disjuncts]
     positive = [frozenset().union(*(p for p, _ in s)) for s in signs]
     negative = [frozenset().union(*(n for _, n in s)) for s in signs]
