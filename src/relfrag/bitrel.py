@@ -32,8 +32,9 @@ differs, and if j is the lowest such entry then ``1 << j`` is the
 numerically first separating relation of size n (a smaller relation
 has only bits below j, whose images agree).
 ``rule_counterexamples`` evaluates each word once over all the sizes
-asked for.  The literal scan over all 2^(n^2) relations lives in the
-test suite as an independent oracle.
+asked for; ``search.verify_rules`` and ``decide.decide_word_equiv``
+decide with it.  The literal scan over all 2^(n^2) relations lives in
+the test suite as an independent oracle.
 
 *Terms.*  ``eval_term_batch`` evaluates a term on a batch of
 structures.  ``first_separating`` takes the lowest set bit of the OR of
@@ -322,11 +323,16 @@ def enumerated_batches(names: list[str],
 # Seeded samples
 
 
+def sample_count(total: int) -> int:
+    """What ``sampled_batches`` draws for ``total``: at least its four fixed entries."""
+    return max(total, 4)
+
+
 def sampled_batches(names: Iterable[str], size: int, total: int,
                     seed: int | str) -> Iterator[tuple[dict[str, list[int]], list[int]]]:
-    """max(total, 4) seeded random structures of one size, as batches
-    of up to ``_CHUNK`` entries with their masks, drawn one batch at a
-    time.  Each pair of each variable is present with probability 1/2,
+    """``sample_count(total)`` seeded random structures of one size, as
+    batches of up to ``_CHUNK`` entries with their masks, drawn one batch
+    at a time.  Each pair of each variable is present with probability 1/2,
     except that entries 0-3 of the first batch hold the empty, full,
     identity and difference relations in every variable.
 
@@ -335,7 +341,7 @@ def sampled_batches(names: Iterable[str], size: int, total: int,
     ``getrandbits(count)`` for the batch's count entries, bit i for
     entry i.  The four fixed entries overwrite bits that were drawn."""
     rng = random.Random(seed)
-    total = max(total, 4)
+    total = sample_count(total)
     for start in range(0, total, _CHUNK):
         count = min(_CHUNK, total - start)
         batch = {name: [rng.getrandbits(count) for _ in range(size * size)]
@@ -350,9 +356,9 @@ def sampled_batches(names: Iterable[str], size: int, total: int,
 
 
 def sample_panel(n: int, count: int, seed: int) -> tuple[int, ...]:
-    """Deterministic panel of max(count, 4) relations of size n, as pair
-    integers: the ``sampled_batches`` of one variable on the stream
-    seeded with the string ``f"{seed}/{n}"``, one after the other."""
+    """Deterministic panel of ``sample_count(count)`` relations of size
+    n, as pair integers: the ``sampled_batches`` of one variable on the
+    stream seeded with the string ``f"{seed}/{n}"``, one after the other."""
     rels = [0] * (n * n)
     for k, (batch, _) in enumerate(sampled_batches(["a"], n, count, f"{seed}/{n}")):
         rels = [r | c << k * _CHUNK for r, c in zip(rels, batch["a"])]
@@ -369,7 +375,7 @@ def sampled_counterexample(w1: Word, w2: Word, n: int, count: int,
     if words_equal_all_relations(w1, w2, n):
         return None
     panel = sample_panel(n, count, seed)
-    masks = batch_masks([(n, max(count, 4))])
+    masks = batch_masks([(n, sample_count(count))])
     bad = reduce(or_, map(xor, apply_word_packed(panel, w1, masks),
                           apply_word_packed(panel, w2, masks)))
     if not bad:

@@ -15,7 +15,7 @@ on the one variable-free structure of size 3 names that class, and
 representatives' values there.
 
 Classification evaluates at size 3 and never above, ``decide_0vo``
-evaluates the sizes below 3, and ``decide.decide_terms`` carries a
+the sizes below 3 and then 3, and ``decide.decide_terms`` carries its
 witness to M unevaluated: the route costs the same under ``rel>=2000``
 as under ``rel`` (``D ; D`` against ``top`` takes 1.2 s to evaluate
 at M = 2000 on one core of a 2-vCPU Xeon host, and 0.1 ms at size 3).
@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .terms import BOT, DI, ID, TOP, Term, TermError, Var, record, subterms, vo
+from .terms import BOT, DI, ID, TOP, Term, TermError, Var, subterms, vo
+
+if TYPE_CHECKING:
+    from .semantics import Structure
 
 
 class ConstClass(enum.Enum):
@@ -53,52 +56,30 @@ def _classes_at_3() -> dict:
     return {eval_term(rep, three): c for c, rep in REPRESENTATIVES.items()}
 
 
-def _class_at_3(t: Term) -> ConstClass:
-    from .semantics import Structure, eval_term  # only when a class is needed; scalar, no kernel
-    return _classes_at_3()[eval_term(t, Structure(3, {}))]
-
-
 def classify_const(t: Term) -> ConstClass:
     """Equivalence class of a variable-free term on universes of size
     at least three: the class of its value at size 3."""
+    from .semantics import Structure, eval_term  # only when a class is needed; scalar, no kernel
+
     for s in subterms(t):
         if isinstance(s, Var):
             raise ConstError(f"term contains the variable {s.name!r}; classification needs vo = 0")
-    return _class_at_3(t)
+    return _classes_at_3()[eval_term(t, Structure(3, {}))]
 
 
-@record
-class ZeroVoVerdict:
-    """Outcome of the exact variable-free decision."""
-
-    equivalent: bool
-    left_class: ConstClass
-    right_class: ConstClass
-    witness: Optional[Structure]  # separating structure when inequivalent
-    checked_small_sizes: tuple[int, ...]
-
-
-def decide_0vo(t1: Term, t2: Term, min_size: int = 1) -> ZeroVoVerdict:
-    """Exact equivalence of two variable-free terms over all structures
-    of size >= min_size.
-
-    The size-3 classes decide every size from 3 on; for min_size < 3
-    the (unique) variable-free structures of the remaining small sizes
-    are evaluated as well.  Nothing is evaluated above size 3.
-    """
+def decide_0vo(t1: Term, t2: Term, min_size: int = 1) -> Optional[Structure]:
+    """The first variable-free structure of the sizes min_size..2, then
+    3, on which the two variable-free terms differ; None if there is
+    none.  Equal values at size 3 are equal classes, which decide every
+    size from 3 on, so None means equal on every size >= min_size."""
     from .semantics import Structure, eval_term
 
     if vo(t1) != 0 or vo(t2) != 0:
         raise ConstError("decide_0vo needs variable-free terms on both sides")
     if min_size < 1:
         raise ConstError("min_size must be at least 1")
-    c1, c2 = _class_at_3(t1), _class_at_3(t2)
-    small = tuple(range(min_size, 3))
-    for s in small:
-        m = Structure(s, {})
+    for n in (*range(min_size, 3), 3):
+        m = Structure(n, {})
         if eval_term(t1, m) != eval_term(t2, m):
-            return ZeroVoVerdict(False, c1, c2, m, small)
-    if c1 == c2:
-        return ZeroVoVerdict(True, c1, c2, None, small)
-    # Classes differ, so the terms differ on every structure of size >= 3.
-    return ZeroVoVerdict(False, c1, c2, Structure(max(3, min_size), {}), small)
+            return m
+    return None

@@ -16,8 +16,10 @@ occurrence each and existential level at most one take the
 one-occurrence route (exact).  Two identical terms are equivalent.
 Every other pair takes the small-model route (exact) when it applies,
 and the bounded counterexample search otherwise.  Words
-(``decide_word_equiv``) take the one-occurrence route on the terms
-they make from one variable, on universes of size at least five.
+(``decide_word_equiv``) are decided on universes of size at least five
+from their singleton images at size 5 (``bitrel``), as ``verify-rules``
+decides rules; ``replay_justification`` re-derives them by the
+one-occurrence route, on the terms they make from one variable.
 
 The exact routes hand (size, count, assignment batch) triples, sizes
 ascending, to ``_separate``.  It merges them into one bit-sliced batch
@@ -115,7 +117,7 @@ from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Optional, Union as TUnion
 
-from .constants import decide_0vo
+from .constants import classify_const, decide_0vo
 from .semantics import (MAX_SIZE, OracleConfig, Rel, SizeWindow, Structure, eval_term,
                         exhaustive_check, full_mask, random_check, structure_count)
 from .terms import Term, Var, fragment, print_term, record, variables
@@ -257,12 +259,17 @@ def _one_occurrence(t1: Term, t2: Term, min_size: int, names: list[str]) -> Verd
 
 def decide_word_equiv(w1: Word, w2: Word, cfg: OracleConfig = OracleConfig()) -> Verdict:
     """Exact verdict on universes of size at least 5 for the words
-    filled with one variable: Equivalent, or Inequivalent with a size-5
-    witness.  ``cfg`` is accepted for compatibility and ignored."""
+    filled with the variable a, from their singleton images at size 5:
+    Equivalent, or Inequivalent with the numerically first separating
+    relation of size 5.  ``cfg`` is accepted for compatibility and ignored."""
+    from .bitrel import rule_counterexamples
     from .words import apply_word
 
+    bad = rule_counterexamples([(w1, w2)], (5,))[5][0]
+    if bad is None:
+        return Equivalent({"kind": "one-occurrence", "exhausted_sizes": []})
     a = Var("a")
-    return _one_occurrence(apply_word(w1, a), apply_word(w2, a), 5, [a.name])
+    return _inequivalent(apply_word(w1, a), apply_word(w2, a), Structure(5, {"a": Rel(5, bad)}), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +347,8 @@ def _bounded_separation(t1: Term, t2: Term, mode: Mode, cfg: OracleConfig,
     sampling (including any small sizes the budget skipped); an oracle
     size below the mode's minimum is sampled at the minimum instead.
     Never answers Equivalent.  An Unknown carries ``reason``."""
+    from .bitrel import sample_count
+
     num_vars = max(1, num_vars)
     budget = 1 << 26
     exhausted, skipped_small = [], []
@@ -357,7 +366,7 @@ def _bounded_separation(t1: Term, t2: Term, mode: Mode, cfg: OracleConfig,
                     if n <= MAX_SIZE})
     for n in sizes:
         witness = random_check(t1, t2, n, cfg.samples_per_size, cfg.seed)
-        samples += cfg.samples_per_size
+        samples += sample_count(cfg.samples_per_size)
         if witness is not None:
             return _inequivalent(t1, t2, witness, mode.min_size)
     # the structure count grows with the size, so the exhausted sizes
@@ -371,12 +380,11 @@ def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
     (info1, names1), (info2, names2) = fragment(t1), fragment(t2)
     names = sorted(names1 | names2)
     if info1.vo == 0 and info2.vo == 0:
-        z = decide_0vo(t1, t2, mode.min_size)
-        if z.equivalent:
-            return Equivalent({"kind": "constant-classes", "class": z.left_class.value,
-                               "checked_small_sizes": list(z.checked_small_sizes)})
-        # the classes were read at size 3 (smaller witnesses at their own size)
-        return _inequivalent(t1, t2, Structure(min(z.witness.size, 3), {}), mode.min_size)
+        witness = decide_0vo(t1, t2, mode.min_size)
+        if witness is None:
+            return Equivalent({"kind": "constant-classes", "class": classify_const(t1).value,
+                               "checked_small_sizes": list(range(mode.min_size, 3))})
+        return _inequivalent(t1, t2, witness, mode.min_size)
 
     if info1.vo <= 1 and info2.vo <= 1 and info1.sigma_level <= 1 and info2.sigma_level <= 1:
         return _one_occurrence(t1, t2, mode.min_size, names)
@@ -399,8 +407,8 @@ def replay_justification(verdict: Equivalent, t1: Term, t2: Term) -> bool:
     j = verdict.justification
     names = sorted(variables(t1) | variables(t2))
     if j["kind"] == "constant-classes":
-        z = decide_0vo(t1, t2, min(j["checked_small_sizes"], default=3))
-        return z.equivalent and z.left_class.value == j["class"]
+        return (decide_0vo(t1, t2, min(j["checked_small_sizes"], default=3)) is None
+                and classify_const(t1).value == j["class"])
     if j["kind"] == "one-occurrence":
         return _one_occurrence(t1, t2, min(j["exhausted_sizes"], default=5), names) == verdict
     if j["kind"] == "syntactic":

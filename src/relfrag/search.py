@@ -44,7 +44,8 @@ letters.
 
 ``verify_rules`` re-certifies any rule set exactly at the exhaustive
 size and at each sample size, evaluating each word once over all of
-those sizes (``bitrel.rule_counterexamples``).
+those sizes (``bitrel.rule_counterexamples``, which also decides
+``decide.decide_word_equiv`` at size 5).
 """
 
 from __future__ import annotations

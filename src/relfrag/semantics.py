@@ -310,7 +310,7 @@ def random_check(t1: Term, t2: Term, size: int, samples: int,
                  seed: int) -> Optional[Structure]:
     """Seeded random search for a separating structure: the
     ``bitrel.sampled_batches`` of the terms' variables (constant terms
-    keep one dummy variable ``a``, drawn and reported), max(samples, 4)
+    keep one dummy variable ``a``, drawn and reported), ``sample_count``
     of them at ``size`` on ``random.Random(seed)``, drawn one batch at a
     time and stopping at the first batch that separates the terms."""
     if seed < 0:

@@ -113,25 +113,17 @@ class GeneralLetter:
         return Proj(t, self.proj)
 
 
-def _context(letter: Letter) -> GeneralLetter:
-    if letter is CAP_I:
-        return GeneralLetter("inter", 1, ID)
-    if letter is CAP_D:
-        return GeneralLetter("inter", 1, DI)
-    if letter is DOT_D:
-        return GeneralLetter("comp", 1, DI)
-    return GeneralLetter("proj", proj=PROJ_SWAP)
-
-
-def as_general(letter: "Letter | GeneralLetter") -> GeneralLetter:
-    return _context(letter) if isinstance(letter, Letter) else letter
+# the core letters' contexts, built and validated once
+_CONTEXTS = {CAP_I: GeneralLetter("inter", 1, ID), CAP_D: GeneralLetter("inter", 1, DI),
+             DOT_D: GeneralLetter("comp", 1, DI), CONV: GeneralLetter("proj", proj=PROJ_SWAP)}
 
 
 def apply_word(w: Sequence["Letter | GeneralLetter"], t: Term) -> Term:
     """Fill the word's hole with t; the first letter of the word is the
     outermost constructor of the result."""
     for letter in reversed(w):
-        t = as_general(letter).build(t)
+        # only core letters are looked up: a GeneralLetter's hash walks its filler
+        t = (_CONTEXTS[letter] if isinstance(letter, Letter) else letter).build(t)
     return t
 
 

@@ -572,6 +572,11 @@ def test_unknown_separates_sampled_from_exhausted_sizes(run):
                                           "seed": 0}
     code, out, _ = run("equiv", "--lhs", "(a;(b$c))^", "--rhs", "(c^$b^);a^", "--samples", "64")
     assert out == "unknown (exhausted sizes 1..2, 256 samples at sizes 3,4,5,6)\n"
+    # fewer than four samples asked for still draw the four fixed ones
+    for samples in ("1", "3", "4"):
+        code, out, _ = run("equiv", "--lhs", "(a;(b$c))^", "--rhs", "(c^$b^);a^",
+                           "--samples", samples)
+        assert out == "unknown (exhausted sizes 1..2, 16 samples at sizes 3,4,5,6)\n", samples
 
 
 def test_equiv_syntactic_equality(run):

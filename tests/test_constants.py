@@ -11,9 +11,9 @@ import pytest
 from relfrag import decide, semantics
 from relfrag.constants import (ConstClass, ConstError, REPRESENTATIVES, classify_const,
                                decide_0vo)
-from relfrag.decide import Equivalent, Mode, decide_terms
+from relfrag.decide import Equivalent, Inequivalent, Mode, decide_terms, replay_justification
 from relfrag.normalforms import complement_nf
-from relfrag.semantics import eval_term
+from relfrag.semantics import Structure, eval_term
 from relfrag.terms import (ALL_PROJECTIONS, BOT, DI, ID, TOP, Comp, Compl,
                            Dagger, Inter, Proj, Union, Var, parse_term)
 
@@ -88,9 +88,8 @@ def test_classify_agrees_with_evaluation_at_3_to_6():
     for _ in range(500):
         t1 = _random_const_term(rng, 6)
         t2 = _random_const_term(rng, 6)
-        verdict = decide_0vo(t1, t2, 3)
         naively = all(_naive(t1, n) == _naive(t2, n) for n in _SIZES)
-        assert verdict.equivalent == naively
+        assert (decide_0vo(t1, t2, 3) is None) == naively
 
 
 def test_classify_stable_under_complement_normal_form():
@@ -113,10 +112,11 @@ def test_differential_against_naive_evaluation():
             rep = REPRESENTATIVES[classify_const(t)]
             assert all(v[n] == _naive(rep, n) for n in _SIZES), t
         for m in range(1, 5):
-            z = decide_0vo(t1, t2, m)
+            witness = decide_0vo(t1, t2, m)
             first = next((n for n in range(m, 7) if v1[n] != v2[n]), None)
-            assert z.equivalent == (first is None), (t1, t2, m)
-            assert (z.witness.size if z.witness else None) == first, (t1, t2, m)
+            # a difference from size 3 on is a class difference, found at 3
+            assert (witness.size if witness else None) == (first and min(first, 3)), (t1, t2, m)
+            assert witness is None or v1[witness.size] != v2[witness.size]
 
 
 def test_classification_never_evaluates_above_size_3(monkeypatch):
@@ -135,26 +135,49 @@ def test_classification_never_evaluates_above_size_3(monkeypatch):
 
 
 def test_decide_0vo_examples():
-    v = decide_0vo(parse_term("D ; D"), TOP, 1)
-    assert not v.equivalent and v.witness is not None and v.witness.size == 1
-    assert decide_0vo(parse_term("D ; D"), TOP, 3).equivalent
-    assert decide_0vo(parse_term("bot"), parse_term("I & D"), 1).equivalent
+    witness = decide_0vo(parse_term("D ; D"), TOP, 1)
+    assert witness == Structure(1, {})
+    assert decide_0vo(parse_term("D ; D"), TOP, 3) is None
+    assert decide_0vo(parse_term("bot"), parse_term("I & D"), 1) is None
 
 
 def test_decide_0vo_intermediate_min_size():
     # D ; D differs from top exactly below size 3
-    v = decide_0vo(parse_term("D ; D"), TOP, 2)
-    assert not v.equivalent and v.witness.size == 2
-    assert decide_0vo(parse_term("D ; D"), TOP, 4).equivalent
+    assert decide_0vo(parse_term("D ; D"), TOP, 2) == Structure(2, {})
+    assert decide_0vo(parse_term("D ; D"), TOP, 4) is None
 
 
 def test_decide_0vo_class_difference_witness():
-    v = decide_0vo(ID, DI, 1)
-    assert not v.equivalent
-    assert _naive(ID, v.witness.size) != _naive(DI, v.witness.size)
-    assert decide_0vo(ID, DI, 7).witness.size == 7
+    witness = decide_0vo(ID, DI, 1)
+    assert witness is not None and _naive(ID, witness.size) != _naive(DI, witness.size)
+    # a class difference is found at size 3 whatever the minimum
+    assert decide_0vo(ID, DI, 7) == Structure(3, {})
 
 
 def test_decide_0vo_rejects_variables():
     with pytest.raises(ConstError):
         decide_0vo(Var("a"), TOP, 1)
+    with pytest.raises(ConstError):
+        decide_0vo(TOP, TOP, 0)
+
+
+_MINIMA = [1, 2, 3, 4, 7, 2000]
+# per pair, the mode minima at which it is inequivalent, and its class:
+# D ; D is I at size 2 and full from 3 on, I and D differ at every size
+_PINNED = {("D;D", "top"): ({1, 2}, "top"), ("I", "D"): (set(_MINIMA), None),
+           ("I;D", "D"): (set(), "D")}
+
+
+@pytest.mark.parametrize("pair", list(_PINNED), ids="/".join)
+@pytest.mark.parametrize("m", _MINIMA)
+def test_decide_terms_constant_verdicts_pinned(pair, m):
+    t1, t2 = map(parse_term, pair)
+    separated, cls = _PINNED[pair]
+    v = decide_terms(t1, t2, Mode(m))
+    if m in separated:
+        # found at size min(m, 3) and carried to m unevaluated
+        assert v == Inequivalent(Structure(m, {}))
+    else:
+        assert v == Equivalent({"kind": "constant-classes", "class": cls,
+                                "checked_small_sizes": list(range(m, 3))})
+        assert replay_justification(v, t1, t2)

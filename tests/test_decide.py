@@ -18,7 +18,7 @@ from relfrag.search import OracleConfig
 from relfrag.semantics import (Rel, Structure, eval_term, exhaustive_check, random_check,
                                structure_count)
 from relfrag.terms import BOT, TOP, Var, dotdagger_level, parse_term, variables, vo
-from relfrag.words import apply_word, parse_word
+from relfrag.words import LETTERS, apply_word, parse_word
 
 CFG = OracleConfig()
 FAST = OracleConfig(samples_per_size=512)
@@ -56,6 +56,32 @@ def test_word_equiv_witness_separates():
     assert isinstance(v, Inequivalent)
     t1, t2 = apply_word(w1, Var("a")), apply_word(w2, Var("a"))
     assert eval_term(t1, v.witness) != eval_term(t2, v.witness)
+
+
+def _naive_word(w, pairs):
+    return naive_eval(apply_word(w, Var("a")), 5, {"a": set(pairs)})
+
+
+@given(st.lists(st.sampled_from(LETTERS), max_size=8).map(tuple),
+       st.lists(st.sampled_from(LETTERS), max_size=8).map(tuple))
+@example(parse_word("cD"), parse_word("cv cD"))
+# in the one-occurrence basis order the full relation separates these first
+@example(parse_word("cD cD"), parse_word("iD cD"))
+@settings(max_examples=200, deadline=None)
+def test_word_oracle_agrees_with_the_one_occurrence_route(w1, w2):
+    t1, t2 = apply_word(w1, Var("a")), apply_word(w2, Var("a"))
+    v = decide_word_equiv(w1, w2, CFG)
+    assert type(v) is type(decide._one_occurrence(t1, t2, 5, ["a"]))
+    if isinstance(v, Equivalent):
+        assert replay_justification(v, t1, t2)
+        return
+    # letters preserve unions and fix the empty relation, so a separating
+    # one-pair relation with no lower one separating is numerically first
+    rel = v.witness.assignment["a"]
+    assert v.witness.size == 5 and rel.bits.bit_count() == 1
+    assert _naive_word(w1, rel.pairs()) != _naive_word(w2, rel.pairs())
+    for j in range(rel.bits.bit_length() - 1):
+        assert _naive_word(w1, [divmod(j, 5)]) == _naive_word(w2, [divmod(j, 5)]), j
 
 
 def test_decide_terms_constant_route():
@@ -397,6 +423,24 @@ def test_small_model_separating_structure_defers_to_the_bounded_witness():
     # witness is returned
     v = decide_terms(lhs, rhs, Mode(7), OracleConfig(sample_sizes=(3,), samples_per_size=1))
     assert isinstance(v, Inequivalent) and v.witness.size == 7
+
+
+@pytest.mark.parametrize("samples", [1, 3, 4])
+def test_unknown_reports_the_samples_drawn(monkeypatch, samples):
+    # sampled_batches draws at least its four fixed structures per size
+    drawn = []
+    original = bitrel.sampled_batches
+
+    def counting(*args):
+        for batch, masks in original(*args):
+            drawn.append(masks[0].bit_length())
+            yield batch, masks
+
+    monkeypatch.setattr(bitrel, "sampled_batches", counting)
+    v = decide_terms(parse_term("(a;(b$c))^"), parse_term("(c^$b^);a^"), REL,
+                     OracleConfig(samples_per_size=samples))
+    assert isinstance(v, Unknown) and v.sampled == (3, 4, 5, 6)
+    assert v.samples == sum(drawn) == 16
 
 
 def test_syntactic_equality():

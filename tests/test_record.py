@@ -14,7 +14,6 @@ from itertools import product
 import pytest
 
 from relfrag.automata import CofinitenessReport, Dfa, Lasso
-from relfrag.constants import ConstClass, ZeroVoVerdict
 from relfrag.decide import Equivalent, Inequivalent, Mode, Unknown
 from relfrag.fo import (FoAnd, FoAtom, FoEq, FoExists, FoFalse, FoForall, FoIff, FoNot, FoOr,
                         FoTrue)
@@ -75,8 +74,6 @@ SAMPLES = {
     SearchReport: [(rules, True, 10, 5, "cofinite", 2, 0), (rules, False, 3, 1, "budget", None, 4)],
     RuleCheck: [(1, (CAP_I,), (CAP_I, CAP_I), 5, True, None, True, ()),
                 (2, (CONV,), (CONV, CONV), 5, False, 3, False, ((6, 9),))],
-    ZeroVoVerdict: [(True, ConstClass.TOP, ConstClass.TOP, None, (3, 4)),
-                    (False, ConstClass.BOT, ConstClass.TOP, Structure(1, {}), ())],
     GeneralLetter: [("compl", 1, None, None), ("inter", 2, ID, None), ("proj", 1, None, PROJ_SWAP)],
 }
 
@@ -107,7 +104,7 @@ def _hash(x):
 
 def test_every_record_class_has_samples():
     classes = _record_classes()
-    assert len(classes) == 40
+    assert len(classes) == 39
     assert set(classes) == set(SAMPLES)
 
 
