@@ -14,7 +14,9 @@ entry's square AND with the mask: complement, ``top``, ``I``, ``D``,
 dagger, the projections [1,1] and [2,2], which copy the diagonal along
 each row or column, and the letter ``cD``.  Composition, converse,
 union, intersection, ``iI`` and ``iD`` keep the pairs outside an
-entry's square empty.  No kernel limits the size.
+entry's square empty.  So no batch value holds a pair outside its
+entry's square, and no kernel writes its inputs: each returns a new
+list or one of its inputs unchanged.  No kernel limits the size.
 
 *Context words.*  ``iI`` / ``iD`` keep or clear the diagonal; ``cv`` is
 converse; ``{(x, y)} ; D`` is row x minus (x, y), so ``cD`` sets (x, y)
@@ -37,7 +39,13 @@ decide with it.  The literal scan over all 2^(n^2) relations lives in
 the test suite as an independent oracle.
 
 *Terms.*  ``eval_term_batch`` evaluates a term on a batch of
-structures.  ``first_separating`` takes the lowest set bit of the OR of
+structures.  A composition with ``D`` or ``I`` runs on the letters:
+``R ; D`` is ``cD`` with its mask, ``D ; R`` is ``(R^ ; D)^`` (the
+masks are symmetric, so the conjugation keeps them), and ``R ; I`` and
+``I ; R`` are R's own list, which is exact because R holds no pair
+outside its square and safe because no kernel writes its inputs.  Every
+other composition, and the one inside a dagger, takes the general
+kernel.  ``first_separating`` takes the lowest set bit of the OR of
 the pairwise XORs of the two sides, the first entry that separates
 them, and reads that structure back at its own size.  The oracles of
 ``semantics`` hand it batches of one size, and the exact routes of
@@ -222,6 +230,22 @@ def _project(r: list[int], img1: int, img2: int, masks: Sequence[int], m: int) -
     return list(map(and_, spread, masks))
 
 
+def _comp_term(t: Comp, batch, left: list[int], right: list[int]) -> list[int]:
+    # an operand D makes the composition the letter cD, and an operand I
+    # the identity; D ; R is (R^ ; D)^, the masks being symmetric
+    masks = batch[1]
+    if type(t.right) is Di:
+        return apply_letter(left, DOT_D, masks)
+    if type(t.right) is Id:
+        return left
+    if type(t.left) is Id:
+        return right
+    if type(t.left) is Di:
+        return apply_letter(apply_letter(apply_letter(right, CONV, masks), DOT_D, masks),
+                            CONV, masks)
+    return _comp(left, right, batch[2])
+
+
 def _batch_variable(t: Var, batch) -> list[int]:
     try:
         return list(batch[0][t.name])
@@ -237,7 +261,7 @@ _BATCH = {Var: _batch_variable,
           Union: lambda t, batch, left, right: list(map(or_, left, right)),
           Inter: lambda t, batch, left, right: list(map(and_, left, right)),
           Compl: lambda t, batch, arg: list(map(xor, arg, batch[1])),
-          Comp: lambda t, batch, left, right: _comp(left, right, batch[2]),
+          Comp: _comp_term,
           # De Morgan dual of composition: R $ S = ~(~R ; ~S)
           Dagger: lambda t, batch, left, right: list(map(xor, batch[1], _comp(
               list(map(xor, left, batch[1])), list(map(xor, right, batch[1])), batch[2]))),

@@ -21,13 +21,16 @@ from their singleton images at size 5 (``bitrel``), as ``verify-rules``
 decides rules; ``replay_justification`` re-derives them by the
 one-occurrence route, on the terms they make from one variable.
 
-The exact routes hand (size, count, assignment batch) triples, sizes
-ascending, to ``_separate``.  It merges them into one bit-sliced batch
-at the stride of the largest size, each entry keeping its own size
-(``bitrel.merge_batches``), evaluates each side once, and takes the
+The exact routes merge their (size, count, assignment batch) triples,
+sizes ascending, into one bit-sliced batch at the stride of the largest
+size, each entry keeping its own size (``bitrel.merge_batches``), and
+hand it to ``_separate``.  It evaluates each side once and takes the
 structure at the first entry where the sides differ, at that entry's
 size, for ``_inequivalent``.  Sizes and entries keep their order, so that
-is the first separating structure of the first separating size.
+is the first separating structure of the first separating size.  The
+one-occurrence basis depends only on the number of variables and the
+sizes, so its merged batch is built once for each (``_merged_basis``)
+and its variables renamed on every query.
 
 The one-occurrence route evaluates both sides on every assignment of
 *basis* relations to the variables: the empty relation, the full
@@ -117,7 +120,7 @@ from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Optional, Union as TUnion
 
-from .constants import classify_const, decide_0vo
+from .constants import ConstClass, decide_0vo
 from .semantics import (MAX_SIZE, OracleConfig, Rel, SizeWindow, Structure, eval_term,
                         exhaustive_check, full_mask, random_check, structure_count)
 from .terms import Term, Var, fragment, print_term, record, variables
@@ -193,14 +196,13 @@ def _inequivalent(t1: Term, t2: Term, witness: Structure, min_size: int) -> Ineq
     return Inequivalent(witness)
 
 
-def _separate(t1: Term, t2: Term, batches, min_size: int) -> Optional[Inequivalent]:
-    """``first_separating`` on the (size, count, assignment) triples merged
-    into one batch in order: the first witness, handed to
-    ``_inequivalent``; None if no entry separates."""
-    from .bitrel import first_separating, merge_batches
+def _separate(t1: Term, t2: Term, batch, min_size: int) -> Optional[Inequivalent]:
+    """``first_separating`` on one merged (assignment, masks) batch: the
+    first witness, handed to ``_inequivalent``; None if no entry
+    separates."""
+    from .bitrel import first_separating
 
-    batches = list(batches)
-    witness = first_separating(t1, t2, *merge_batches(batches)) if batches else None
+    witness = first_separating(t1, t2, *batch)
     return None if witness is None else _inequivalent(t1, t2, witness, min_size)
 
 
@@ -216,22 +218,14 @@ def _basis(n: int) -> tuple[int, ...]:
     return (0, fm, *singles, *(fm ^ s for s in singles))
 
 
-@lru_cache(maxsize=None)
-def _basis_slots(k: int, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The number of assignments of basis relations at size n to k
-    variables, and each variable's pair integers over them, the first
-    variable slowest."""
+def _basis_batch(names: list, n: int) -> tuple[int, int, dict]:
+    """Every assignment of basis relations at size n to the ``names``,
+    the first name slowest, as a (size, count, assignment) triple."""
     from .bitrel import pair_integers
 
-    assignments = list(product(_basis(n), repeat=k))
-    return len(assignments), tuple(tuple(pair_integers(rels, n)) for rels in zip(*assignments))
-
-
-def _basis_batch(names: list[str], n: int) -> tuple[int, int, dict]:
-    """Every assignment of basis relations at size n, first variable by
-    name slowest, as a (size, count, assignment) triple."""
-    count, slots = _basis_slots(len(names), n)
-    return n, count, dict(zip(names, slots))
+    assignments = list(product(_basis(n), repeat=len(names)))
+    return n, len(assignments), {name: pair_integers(rels, n)
+                                 for name, rels in zip(names, zip(*assignments))}
 
 
 def _lift(rel: Rel, n: int) -> Rel:
@@ -248,13 +242,26 @@ def _lift(rel: Rel, n: int) -> Rel:
     return Rel.from_pairs(n, rel.compl().pairs()).compl()
 
 
+@lru_cache(maxsize=None)
+def _merged_basis(k: int, sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...],
+                                                           tuple[int, ...]]:
+    """The ``_basis_batch``es of k variables at the sizes in turn, merged
+    once: each variable's pair integers and the masks.  Every mode from
+    ``rel>=5`` on asks for the sizes (5,), so they share one entry."""
+    from .bitrel import merge_batches
+
+    merged, masks = merge_batches(_basis_batch(list(range(k)), n) for n in sizes)
+    return tuple(tuple(merged[i]) for i in range(k)), tuple(masks)
+
+
 def _one_occurrence(t1: Term, t2: Term, min_size: int, names: list[str]) -> Verdict:
     """Exact verdict for two sides with at most one variable occurrence
     each and level at most one (see the module docstring), in the sorted
     ``names``; a witness is at the mode's minimum size."""
-    small = list(range(min_size, 5))
-    found = _separate(t1, t2, (_basis_batch(names, n) for n in (*small, 5)), min_size)
-    return found or Equivalent({"kind": "one-occurrence", "exhausted_sizes": small})
+    small = tuple(range(min_size, 5))
+    slots, masks = _merged_basis(len(names), (*small, 5))
+    found = _separate(t1, t2, (dict(zip(names, slots)), masks), min_size)
+    return found or Equivalent({"kind": "one-occurrence", "exhausted_sizes": list(small)})
 
 
 def decide_word_equiv(w1: Word, w2: Word, cfg: OracleConfig = OracleConfig()) -> Verdict:
@@ -327,12 +334,12 @@ def _small_model(t1: Term, t2: Term, min_size: int, names: list[str]) -> TUnion[
                     bits[atom.rel] = bits[atom.rel] | pair if lit is atom else bits[atom.rel] & ~pair
             else:
                 structures.setdefault(n, {})[tuple(bits[name] for name in names)] = None
-    from .bitrel import pair_integers
+    from .bitrel import merge_batches, pair_integers
 
     batches = [(n, len(structures[n]), dict(zip(names, (pair_integers(rels, n)
                                                          for rels in zip(*structures[n])))))
                for n in sorted(structures)]
-    found = _separate(t1, t2, batches, min_size)
+    found = _separate(t1, t2, merge_batches(batches), min_size) if batches else None
     return found or Equivalent({"kind": "small-model", "sizes": sorted(structures),
                                 "structures": sum(map(len, structures.values()))})
 
@@ -380,11 +387,11 @@ def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
     (info1, names1), (info2, names2) = fragment(t1), fragment(t2)
     names = sorted(names1 | names2)
     if info1.vo == 0 and info2.vo == 0:
-        witness = decide_0vo(t1, t2, mode.min_size)
-        if witness is None:
-            return Equivalent({"kind": "constant-classes", "class": classify_const(t1).value,
+        found = decide_0vo(t1, t2, mode.min_size)
+        if isinstance(found, ConstClass):
+            return Equivalent({"kind": "constant-classes", "class": found.value,
                                "checked_small_sizes": list(range(mode.min_size, 3))})
-        return _inequivalent(t1, t2, witness, mode.min_size)
+        return _inequivalent(t1, t2, found, mode.min_size)
 
     if info1.vo <= 1 and info2.vo <= 1 and info1.sigma_level <= 1 and info2.sigma_level <= 1:
         return _one_occurrence(t1, t2, mode.min_size, names)
@@ -407,8 +414,8 @@ def replay_justification(verdict: Equivalent, t1: Term, t2: Term) -> bool:
     j = verdict.justification
     names = sorted(variables(t1) | variables(t2))
     if j["kind"] == "constant-classes":
-        return (decide_0vo(t1, t2, min(j["checked_small_sizes"], default=3)) is None
-                and classify_const(t1).value == j["class"])
+        found = decide_0vo(t1, t2, min(j["checked_small_sizes"], default=3))
+        return isinstance(found, ConstClass) and found.value == j["class"]
     if j["kind"] == "one-occurrence":
         return _one_occurrence(t1, t2, min(j["exhausted_sizes"], default=5), names) == verdict
     if j["kind"] == "syntactic":

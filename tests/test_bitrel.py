@@ -6,23 +6,28 @@ stay clear.  The kernel has no size limit, so the sizes run past 8.
 The pinned examples put a smaller size under every map that ANDs with
 the masks.  ``cD`` skips its mask when every entry has the full size,
 so it also runs on one size, on two segments of one size, and on sizes
-given largest first.
+given largest first.  A composition with ``D`` or ``I`` runs on the
+letter kernels, so it is checked against the general kernel on the
+same batch as well.
 """
 
 import random
+from math import isqrt
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brute import entries
+from relfrag import bitrel
 from relfrag.bitrel import (apply_letter, apply_word_packed, batch_masks, eval_term_batch,
                             first_separating, merge_batches, one_pair_relations, pair_integers,
                             rule_counterexamples, scan_rule_pairs, singleton_images)
 from relfrag.semantics import Rel, Structure, eval_term
-from relfrag.terms import Var, parse_term, variables
+from relfrag.terms import (DI, ID, PROJ_BOTH_1, PROJ_BOTH_2, PROJ_SWAP, Comp, Compl, Proj, Var,
+                           fold, parse_term, variables)
 from relfrag.words import DOT_D, apply_word, parse_word
 
-from strategies import near_pairs, terms, words
+from strategies import near_pairs, terms, two_variable_terms, words
 
 size_sets = st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted)
 seeds = st.integers(0, 2**32 - 1)
@@ -159,3 +164,47 @@ def test_singleton_images_match_scalar_past_8_points(w, n):
 def test_rule_counterexamples_match_each_size_alone(pairs, sizes):
     found = rule_counterexamples(pairs, sizes)
     assert found == {n: scan_rule_pairs(pairs, n) for n in sizes}
+
+
+# the compositions that run on the letter kernels, and the maps above them
+_LETTER_COMPS = {"R;D": lambda r: Comp(r, DI), "D;R": lambda r: Comp(DI, r),
+                 "R;I": lambda r: Comp(r, ID), "I;R": lambda r: Comp(ID, r)}
+_ABOVE = {"": lambda t: t, "~": Compl, "^": lambda t: Proj(t, PROJ_SWAP),
+          "[1,1]": lambda t: Proj(t, PROJ_BOTH_1), "[2,2]": lambda t: Proj(t, PROJ_BOTH_2)}
+# sizes in any order, besides one size, two segments of one size and
+# largest first
+any_order = st.lists(st.integers(1, 8), min_size=2, max_size=4, unique=True)
+
+
+def _general_eval(t, assignment, masks):
+    """``eval_term_batch`` with every composition on the general kernel."""
+    table = {**bitrel._BATCH,
+             Comp: lambda t, batch, left, right: bitrel._comp(left, right, batch[2])}
+    return fold(t, table, (assignment, masks, isqrt(len(masks))))
+
+
+@given(two_variable_terms, st.sampled_from(sorted(_LETTER_COMPS)), st.sampled_from(sorted(_ABOVE)),
+       layouts | any_order, seeds)
+# cD masks a smaller size; D ; a is not a ; D; a ; I is a, not I
+@example(Var("a"), "R;D", "", [2, 5], 0)
+@example(Var("a"), "D;R", "~", [5, 2], 0)
+@example(Var("a"), "D;R", "", [3], 0)
+@example(Var("a"), "R;I", "", [4, 4], 0)
+@example(Var("a"), "I;R", "[2,2]", [1, 6, 3], 0)
+@settings(max_examples=120, deadline=None)
+def test_letter_compositions_match_the_general_kernel(r, comp, above, sizes, seed):
+    rng = random.Random(seed)
+    names = sorted(variables(r) | {"a"})
+    structures, batches = [], []
+    for n in sizes:
+        ms, batch = _random_batch(rng, names, n, 5)
+        structures += ms
+        batches.append(batch)
+    assignment, masks = merge_batches(batches)
+    before = {name: list(rels) for name, rels in assignment.items()}
+    t = _ABOVE[above](_LETTER_COMPS[comp](r))
+    out = eval_term_batch(t, assignment, masks)
+    assert out == _general_eval(t, assignment, masks)
+    assert entries(out, masks) == [eval_term(t, s).bits for s in structures]
+    # no kernel writes its inputs, R ; I hands back R's list included
+    assert assignment == before

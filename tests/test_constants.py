@@ -89,7 +89,10 @@ def test_classify_agrees_with_evaluation_at_3_to_6():
         t1 = _random_const_term(rng, 6)
         t2 = _random_const_term(rng, 6)
         naively = all(_naive(t1, n) == _naive(t2, n) for n in _SIZES)
-        assert (decide_0vo(t1, t2, 3) is None) == naively
+        found = decide_0vo(t1, t2, 3)
+        assert isinstance(found, ConstClass) == naively
+        # an equal pair's class is that of both sides
+        assert not naively or _agrees(t1, found) and _agrees(t2, found)
 
 
 def test_classify_stable_under_complement_normal_form():
@@ -112,7 +115,9 @@ def test_differential_against_naive_evaluation():
             rep = REPRESENTATIVES[classify_const(t)]
             assert all(v[n] == _naive(rep, n) for n in _SIZES), t
         for m in range(1, 5):
-            witness = decide_0vo(t1, t2, m)
+            found = decide_0vo(t1, t2, m)
+            witness = None if isinstance(found, ConstClass) else found
+            assert witness is not None or found is classify_const(t1) is classify_const(t2)
             first = next((n for n in range(m, 7) if v1[n] != v2[n]), None)
             # a difference from size 3 on is a class difference, found at 3
             assert (witness.size if witness else None) == (first and min(first, 3)), (t1, t2, m)
@@ -137,14 +142,14 @@ def test_classification_never_evaluates_above_size_3(monkeypatch):
 def test_decide_0vo_examples():
     witness = decide_0vo(parse_term("D ; D"), TOP, 1)
     assert witness == Structure(1, {})
-    assert decide_0vo(parse_term("D ; D"), TOP, 3) is None
-    assert decide_0vo(parse_term("bot"), parse_term("I & D"), 1) is None
+    assert decide_0vo(parse_term("D ; D"), TOP, 3) is T
+    assert decide_0vo(parse_term("bot"), parse_term("I & D"), 1) is B
 
 
 def test_decide_0vo_intermediate_min_size():
     # D ; D differs from top exactly below size 3
     assert decide_0vo(parse_term("D ; D"), TOP, 2) == Structure(2, {})
-    assert decide_0vo(parse_term("D ; D"), TOP, 4) is None
+    assert decide_0vo(parse_term("D ; D"), TOP, 4) is T
 
 
 def test_decide_0vo_class_difference_witness():
@@ -155,8 +160,11 @@ def test_decide_0vo_class_difference_witness():
 
 
 def test_decide_0vo_rejects_variables():
-    with pytest.raises(ConstError):
+    with pytest.raises(ConstError, match="variable 'a'"):
         decide_0vo(Var("a"), TOP, 1)
+    # on the right side too
+    with pytest.raises(ConstError, match="variable 'b'"):
+        decide_0vo(TOP, parse_term("I ; b"), 2)
     with pytest.raises(ConstError):
         decide_0vo(TOP, TOP, 0)
 

@@ -379,9 +379,43 @@ def test_one_occurrence_size_five_stands_for_larger_sizes(lhs, rhs, m):
     # the basis evaluated at m itself gives the same verdict and witness
     assume(_in_gate(lhs) and _in_gate(rhs) and vo(lhs) + vo(rhs) > 0)
     names = sorted(variables(lhs) | variables(rhs))
-    native = _separate(lhs, rhs, [_basis_batch(names, m)], m)
+    native = _separate(lhs, rhs, bitrel.merge_batches([_basis_batch(names, m)]), m)
     v = decide_terms(lhs, rhs, Mode(m), FAST)
     assert v == (native or Equivalent({"kind": "one-occurrence", "exhausted_sizes": []}))
+
+
+_MODES = [1, 2, 3, 4, 5, 6, 9, 2000]
+
+
+@given(one_occurrence_terms, one_occurrence_terms, st.sampled_from(_MODES))
+@example(parse_term("a~ ; D"), parse_term("a~ ; top"), 3)
+@example(parse_term("a ; D"), parse_term("D ; b"), 2000)
+@settings(max_examples=150, deadline=None)
+def test_cached_basis_matches_freshly_merged_batches(lhs, rhs, m):
+    # the route reads one cached merged basis with its variables renamed;
+    # the basis batches merged afresh in the same order give the same
+    # verdict and witness
+    assume(_in_gate(lhs) and _in_gate(rhs) and vo(lhs) + vo(rhs) > 0)
+    names = sorted(variables(lhs) | variables(rhs))
+    small = list(range(m, 5))
+    fresh = bitrel.merge_batches([_basis_batch(names, n) for n in (*small, 5)])
+    expected = (_separate(lhs, rhs, fresh, m)
+                or Equivalent({"kind": "one-occurrence", "exhausted_sizes": small}))
+    v = decide._one_occurrence(lhs, rhs, m, names)
+    assert v == expected
+    if isinstance(v, Equivalent):
+        assert replay_justification(v, lhs, rhs)
+
+
+def test_modes_from_5_on_share_one_cached_basis():
+    # every mode from rel>=5 on evaluates the basis at size 5 alone, so
+    # they add at most one merged batch per number of variables
+    for pair in (("a ; D", "a"), ("a ; D", "D ; b")):
+        lhs, rhs = map(parse_term, pair)
+        before = decide._merged_basis.cache_info().currsize
+        for m in (6, 9, 2000):
+            decide_terms(lhs, rhs, Mode(m), FAST)
+        assert decide._merged_basis.cache_info().currsize - before <= 1, pair
 
 
 # the identities of the decide benchmark's bounded queries, over three
