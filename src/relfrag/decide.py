@@ -258,10 +258,10 @@ def _one_occurrence(t1: Term, t2: Term, min_size: int, names: list[str]) -> Verd
     """Exact verdict for two sides with at most one variable occurrence
     each and level at most one (see the module docstring), in the sorted
     ``names``; a witness is at the mode's minimum size."""
-    small = tuple(range(min_size, 5))
+    small = list(range(min_size, 5))
     slots, masks = _merged_basis(len(names), (*small, 5))
     found = _separate(t1, t2, (dict(zip(names, slots)), masks), min_size)
-    return found or Equivalent({"kind": "one-occurrence", "exhausted_sizes": list(small)})
+    return found or Equivalent({"kind": "one-occurrence", "exhausted_sizes": small})
 
 
 def decide_word_equiv(w1: Word, w2: Word, cfg: OracleConfig = OracleConfig()) -> Verdict:
