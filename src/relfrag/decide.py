@@ -66,11 +66,25 @@ It does so at each size from the mode's minimum to 4, and once at size
 The small-model route checks both inclusions.  t1 ⊆ t2 fails on a
 structure of size at least M exactly when φ = T1(x0, y0) ∧ ¬T2(x0, y0)
 holds there for some points x0, y0, where T1 and T2 are the standard
-translations (``fo``), their bound names drawn from one pool.  In
-negation normal form, with no existential below a universal, φ is
-equivalent to ∃x0 ∃y0 of a disjunction of formulas ∃z̄ (L ∧ U1 ∧ ... ∧
-Ur): the literals L are quantifier-free and the Ui are universal
-formulas (``fo.ea_disjuncts``).  Call x0, y0 and z̄ the disjunct's
+translations (``fo.standard_translation``): ``;`` is an existential
+middle point over ∧, ``$`` a universal one over ∨, ``|`` and ``&`` are
+∨ and ∧, ``~`` is ¬, I and D are x = y and x ≠ y, top and bot are
+true and false, and a projection renames the points.  The route reads
+the negation normal form of φ off the terms, without building a
+formula.  Negation passes through ∨, ∧, ∃ and ∀ by the same De Morgan
+laws by which a complement passes through ``|``, ``&``, ``;`` and
+``$`` (``terms.complement_nf``), so the translation of the complement
+normal form of t1 & ~t2 is φ with its negations pushed to the atoms;
+what NNF adds is the folding of constants: a zero absorbs, a unit drops
+out, and a quantifier over a constant is that constant, since universes
+are not empty.  One walk of t1 & ~t2 does both: it carries the
+polarity, under which ``;`` acts as ``$``, ``|`` as ``&``, I as D and
+top as bot, and it folds the constants as it goes up.  With no
+existential below a universal, φ is then equivalent to ∃x0 ∃y0 of a
+disjunction of formulas ∃z̄ (L ∧ U1 ∧ ... ∧ Ur): ``&`` is distributed
+over ``|`` above the universals, the literals L are the variables, the
+complemented variables and the I and D there, and each maximal
+universal subterm is one Ui.  Call x0, y0 and z̄ the disjunct's
 witnesses.  For every disjunct and every partition of its witnesses
 into k classes, the route builds one structure C on max(M, k) points:
 the classes are the points 0..k-1 in order of first appearance, a
@@ -108,7 +122,8 @@ polarities in the universal parts of one disjunct, when a structure
 would have more than ``MAX_SIZE`` (8) points (no kernel limits the
 size; the bound stays until a proof of its own lifts it), or when there
 would be more than ``_CANDIDATE_CAP`` structures.  All four are read
-from ``fo.ea_profile`` before any disjunct is expanded.  When a built
+from the profile, a first walk that reads the shape of the disjuncts
+without expanding them; a second walk expands them.  When a built
 structure separates the sides, the bounded search runs all the same,
 so that its witness is the one reported; the built witness is reported
 only when that search comes back ``Unknown``.
@@ -117,13 +132,14 @@ only when that search comes back ``Unknown``.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from typing import TYPE_CHECKING, Optional, Union as TUnion
 
 from .constants import ConstClass, decide_0vo
 from .semantics import (MAX_SIZE, OracleConfig, Rel, SizeWindow, Structure, eval_term,
                         exhaustive_check, full_mask, random_check, structure_count)
-from .terms import Term, Var, fragment, print_term, record, variables
+from .terms import (Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term, Top, Union, Var, fold,
+                    fragment, print_term, record, variables)
 
 if TYPE_CHECKING:
     from .words import Word
@@ -296,44 +312,164 @@ def _partitions(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _small_model(t1: Term, t2: Term, min_size: int, names: list[str]) -> TUnion[str, Verdict]:
-    """Exact verdict from the structures built in the module docstring
-    for sides in the sorted ``names``, or why the route does not apply."""
-    from .fo import FoAnd, FoAtom, FoEq, FoNot, ea_disjuncts, ea_profile, nnf, standard_translations
+# The ∃*∀* reading of t1 ⊆ t2: the negation normal form of T1 ∧ ¬T2, read
+# off the complement normal forms of t1 and ~t2 in one walk of t1 & ~t2
+# (module docstring).  The walk carries the polarity (True under an odd
+# number of complements), whether a universal lies above, the two points
+# and a counter that names each middle point.  A node's value is True or
+# False where the reading folds to a constant.  Below a universal it is
+# the variables with each polarity, or None below an existential too;
+# above, the table's own.
 
-    f1, f2 = standard_translations((t1, t2))
-    phis = [nnf(FoAnd(f1, FoNot(f2))), nnf(FoAnd(f2, FoNot(f1)))]
-    profiles = [ea_profile(phi) for phi in phis]
+
+def _conj(t: Term, c) -> bool:
+    # & and ; are a conjunction and an existential under even polarity,
+    # | and $ under odd
+    return isinstance(t, (Inter, Comp)) != c[0]
+
+
+def _junction(conj: bool, left, right, combine):
+    # the conjunction (disjunction) of two readings, constants folded as
+    # in negation normal form: a zero absorbs and a unit drops out; what
+    # is left of an existential below a universal is None
+    if left is (not conj) or right is (not conj):
+        return not conj
+    if left is conj:
+        return right
+    if right is conj:
+        return left
+    return None if left is None or right is None else combine(conj, left, right)
+
+
+def _middle_point(t: TUnion[Comp, Dagger], c):
+    # the node's own up reads its middle point; a universal puts its
+    # children below it
+    neg, inside, x, y, pool = c
+    z, below = next(pool), inside or not _conj(t, c)
+    return (neg, inside, z), ((t.left, (neg, below, x, z, pool)),
+                              (t.right, (neg, below, z, y, pool)))
+
+
+_EA_DOWN = {Compl: lambda t, c: (c, ((t.arg, (not c[0], *c[1:])),)),
+            Comp: _middle_point, Dagger: _middle_point,
+            Proj: lambda t, c: (c, ((t.arg, (*c[:2], c[1 + t.proj.img1], c[1 + t.proj.img2],
+                                                c[4])),))}
+_NONE = frozenset()
+
+
+def _signs(conj: bool, left, right):
+    return left[0] | right[0], left[1] | right[1]
+
+
+def _reading(literal, pair, exists, universal):
+    """A table of the walk: ``literal(t, c)`` reads a variable or an
+    equality above the universals, ``pair(conj, left, right)`` two
+    readings, ``exists(z, body)`` an existential and ``universal(signs)``
+    a maximal universal."""
+    def quantifier(t, c, left, right):
+        conj, inside = _conj(t, c), c[1]
+        body = _junction(conj, left, right, _signs if inside or not conj else pair)
+        if isinstance(body, bool) or body is None:
+            return body
+        if inside:
+            return None if conj else body
+        return exists(c[2], body) if conj else universal(body)
+
+    return {Var: lambda t, c: ((_NONE, frozenset({t.name})) if c[0] and c[1] else
+                               (frozenset({t.name}), _NONE) if c[1] else literal(t, c)),
+            **dict.fromkeys((Bot, Top), lambda t, c: isinstance(t, Top) != c[0]),
+            **dict.fromkeys((Id, Di), lambda t, c: (_NONE, _NONE) if c[1] else literal(t, c)),
+            **dict.fromkeys((Union, Inter), lambda t, c, left, right: _junction(
+                _conj(t, c), left, right, _signs if c[1] else pair)),
+            **dict.fromkeys((Comp, Dagger), quantifier),
+            **dict.fromkeys((Compl, Proj), lambda t, c, arg: arg)}
+
+
+def _profile_pair(conj: bool, left, right):
+    mixed = left[3] | right[3]
+    if conj:
+        exists = {}
+        for j, m in left[0].items():
+            for k, n in right[0].items():
+                exists[j + k] = exists.get(j + k, 0) + m * n
+        mixed |= (left[1] & right[2]) | (left[2] & right[1])
+    else:
+        exists = dict(left[0])
+        for k, n in right[0].items():
+            exists[k] = exists.get(k, 0) + n
+    return exists, left[1] | right[1], left[2] | right[2], mixed
+
+
+# the shape of the disjuncts, read without expanding them: (number of
+# existentials -> number of disjuncts, the positive, the negative and
+# the mixed variables of the universal parts), None if an existential
+# sits below a universal; a literal, or True, is one disjunct
+_LITERAL = ({0: 1}, _NONE, _NONE, _NONE)
+_PROFILE = _reading(lambda t, c: _LITERAL, _profile_pair,
+                    lambda z, body: ({k + 1: n for k, n in body[0].items()}, *body[1:]),
+                    lambda signs: ({0: 1}, *signs, signs[0] & signs[1]))
+# each disjunct: its existential points, its literals (the variable, or
+# None for equality, the two points and whether it holds positively) and
+# the variables positive in its universal parts
+_DISJUNCTS = _reading(
+    lambda t, c: [((), ((t.name if isinstance(t, Var) else None, c[2], c[3],
+                         isinstance(t, (Var, Id)) != c[0]),), _NONE)],
+    lambda conj, left, right: ([(a[0] + b[0], a[1] + b[1], a[2] | b[2])
+                                for a in left for b in right] if conj else left + right),
+    lambda z, body: [((z, *points), literals, full) for points, literals, full in body],
+    lambda signs: [((), (), signs[0])])
+
+
+def _ea_read(t1: Term, t2: Term, up, true, false):
+    """The reading of t1 ⊆ t2 by the table ``up``, with ``true`` and
+    ``false`` for the constants; points 0 and 1 are x0 and y0."""
+    value = fold(Inter(t1, Compl(t2)), up, (False, False, 0, 1, count(2)), _EA_DOWN)
+    return true if value is True else false if value is False else value
+
+
+def _small_model_structures(t1: Term, t2: Term, min_size: int, names: list[str]
+                            ) -> TUnion[str, dict[int, dict[tuple[int, ...], None]]]:
+    """The structures built in the module docstring for sides in the
+    sorted ``names``, by size, each the tuple of the names' relations;
+    or why the route does not apply."""
+    pairs = ((t1, t2), (t2, t1))
+    profiles = [_ea_read(*pair, _PROFILE, _LITERAL, ({}, _NONE, _NONE, _NONE)) for pair in pairs]
     if None in profiles:
         return "not exists-forall"
-    mixed = sorted(frozenset().union(*(p.mixed for p in profiles)))
+    mixed = sorted(frozenset().union(*(p[3] for p in profiles)))
     if mixed:
         return f"mixed polarity in {mixed[0]}"
-    witnesses = [(k + 2, count) for p in profiles for k, count in p.exists.items()]
+    witnesses = [(k + 2, n) for p in profiles for k, n in p[0].items()]
     if max((max(min_size, k) for k, _ in witnesses), default=0) > MAX_SIZE:
         return "beyond 8 points"
-    if sum(len(_partitions(k)) * count for k, count in witnesses) > _CANDIDATE_CAP:
+    if sum(len(_partitions(k)) * n for k, n in witnesses) > _CANDIDATE_CAP:
         return "candidate budget"
 
     structures: dict[int, dict[tuple[int, ...], None]] = {}
-    for d, signs in ((d, p.universals) for phi, p in zip(phis, profiles)
-                     for d in ea_disjuncts(phi)):
-        points = ("x0", "y0", *d.exists)
-        full = frozenset().union(*(signs[u.var][0] for u in d.foralls))
-        for classes in _partitions(len(points)):
-            at = dict(zip(points, classes))
+    for exists, literals, full in (d for pair in pairs
+                                   for d in _ea_read(*pair, _DISJUNCTS, [((), (), _NONE)], [])):
+        for classes in _partitions(len(exists) + 2):
+            at = dict(zip((0, 1, *exists), classes))
             n = max(min_size, max(classes) + 1)
             bits = {name: full_mask(n) if name in full else 0 for name in names}
-            for lit in d.literals:
-                atom = lit.arg if isinstance(lit, FoNot) else lit
-                if isinstance(atom, FoEq):
-                    if (at[atom.left] == at[atom.right]) != (lit is atom):
+            for name, left, right, positive in literals:
+                if name is None:
+                    if (at[left] == at[right]) != positive:
                         break
-                elif isinstance(atom, FoAtom):
-                    pair = 1 << (at[atom.left] * n + at[atom.right])
-                    bits[atom.rel] = bits[atom.rel] | pair if lit is atom else bits[atom.rel] & ~pair
+                else:
+                    bit = 1 << (at[left] * n + at[right])
+                    bits[name] = bits[name] | bit if positive else bits[name] & ~bit
             else:
                 structures.setdefault(n, {})[tuple(bits[name] for name in names)] = None
+    return structures
+
+
+def _small_model(t1: Term, t2: Term, min_size: int, names: list[str]) -> TUnion[str, Verdict]:
+    """Exact verdict from the structures built in the module docstring
+    for sides in the sorted ``names``, or why the route does not apply."""
+    structures = _small_model_structures(t1, t2, min_size, names)
+    if isinstance(structures, str):
+        return structures
     from .bitrel import merge_batches, pair_integers
 
     batches = [(n, len(structures[n]), dict(zip(names, (pair_integers(rels, n)

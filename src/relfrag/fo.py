@@ -10,15 +10,6 @@ y1, y2, ..., allocated left to right; a middle point draws from the
 pool opposite to the current source argument, which reproduces the
 conventional layout (x0 free source, y0 free target, existentials
 named y1, y2, ... in a plain composition chain).
-``standard_translations`` draws the bound names of several terms from
-one pool, so that no bound name occurs in two of the formulas.
-
-``nnf`` pushes negations down to the atoms.  ``ea_profile`` and
-``ea_disjuncts`` read a formula in negation normal form with no
-existential below a universal (an ∃*∀* formula, once prenexed) as a
-disjunction: each disjunct has its existential names, its
-quantifier-free literals and its maximal universal subformulas.  The
-profile reads the shape of those disjuncts without expanding them.
 
 ``export_equation_smt2`` / ``export_equation_tptp`` emit a script whose
 unsatisfiability (resp. theoremhood) certifies that the two sides agree
@@ -30,7 +21,7 @@ byte-stable.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union as TUnion
+from typing import Union as TUnion
 
 from .terms import (Bot, Comp, Compl, Dagger, Di, Id, Inter, Proj, Term, Top, Union, Var,
                     CHILDREN, fold, record, variables)
@@ -112,14 +103,6 @@ def standard_translation(t: Term, x: str = "x0", y: str = "y0") -> FoFormula:
     return fold(t, _TRANSLATE, (x, y, {"x": 0, "y": 0}), _TRANSLATE_DOWN)
 
 
-def standard_translations(terms: tuple[Term, ...]) -> tuple[FoFormula, ...]:
-    """Standard translations of several terms in x0 and y0, with their
-    bound names drawn from one pool, so no bound name occurs in two of
-    them."""
-    pool = {"x": 0, "y": 0}
-    return tuple(fold(t, _TRANSLATE, ("x0", "y0", pool), _TRANSLATE_DOWN) for t in terms)
-
-
 def _middle_point(t: TUnion[Comp, Dagger], points):
     # drawn when the walk reaches the node, so in preorder, from the pool
     # opposite to the source argument, and handed to the node's own up
@@ -143,154 +126,6 @@ _TRANSLATE = {Var: lambda t, p: FoAtom(t.name, p[0], p[1]),
               Comp: lambda t, z, left, right: FoExists(z, FoAnd(left, right)),
               Dagger: lambda t, z, left, right: FoForall(z, FoOr(left, right)),
               Proj: lambda t, p, arg: arg}
-
-
-# ---------------------------------------------------------------------------
-# Negation normal form and the disjuncts of an ∃*∀* formula
-
-
-def _junction(conj: bool, left: FoFormula, right: FoFormula) -> FoFormula:
-    # a conjunction (disjunction) of two NNF formulas, constants folded
-    zero, unit = (FoFalse, FoTrue) if conj else (FoTrue, FoFalse)
-    if isinstance(left, zero) or isinstance(right, zero):
-        return zero()
-    if isinstance(left, unit):
-        return right
-    if isinstance(right, unit):
-        return left
-    return FoAnd(left, right) if conj else FoOr(left, right)
-
-
-# the walk carries the polarity; a <=> b is (a & b) | (~a & ~b), so its
-# children are a and b under each polarity
-_NNF_DOWN = {FoNot: lambda f, pos: (pos, ((f.arg, not pos),)),
-             FoIff: lambda f, pos: (pos, ((f.left, pos), (f.right, pos),
-                                          (f.left, not pos), (f.right, not pos)))}
-_NNF = {**dict.fromkeys((FoAtom, FoEq), lambda f, pos: f if pos else FoNot(f)),
-        **dict.fromkeys((FoTrue, FoFalse), lambda f, pos: (FoTrue if isinstance(f, FoTrue) == pos
-                                                           else FoFalse)()),
-        FoNot: lambda f, pos, arg: arg,
-        FoAnd: lambda f, pos, left, right: _junction(pos, left, right),
-        FoOr: lambda f, pos, left, right: _junction(not pos, left, right),
-        FoIff: lambda f, pos, left, right, left_neg, right_neg: _junction(
-            not pos, _junction(pos, left, right), _junction(pos, left_neg, right_neg)),
-        **dict.fromkeys((FoExists, FoForall), lambda f, pos, body: (
-            body if isinstance(body, (FoTrue, FoFalse))
-            else (FoExists if isinstance(f, FoExists) == pos else FoForall)(f.var, body)))}
-
-
-def nnf(f: FoFormula, positive: bool = True) -> FoFormula:
-    """Negation normal form of f (of its negation when ``positive`` is
-    False): negations only on atoms and equalities, no FoIff, and FoTrue
-    or FoFalse only as the whole formula.  Universes are non-empty, so
-    a quantifier over a constant is that constant."""
-    return fold(f, _NNF, positive, _NNF_DOWN)
-
-
-_NONE = frozenset()
-# a literal and an existential are read whole, without their children
-_SIGNS_DOWN = dict.fromkeys((FoNot, FoIff, FoExists), lambda f, c: (c, ()))
-_SIGNS = {FoExists: lambda f, c: None,
-          FoAtom: lambda f, c: (frozenset({f.rel}), _NONE),
-          FoNot: lambda f, c: (_NONE, frozenset({f.arg.rel} if isinstance(f.arg, FoAtom) else ())),
-          **dict.fromkeys((FoAnd, FoOr), lambda f, c, a, b: (
-              None if a is None or b is None else (a[0] | b[0], a[1] | b[1]))),
-          FoForall: lambda f, c, body: body,
-          **dict.fromkeys((FoEq, FoIff, FoTrue, FoFalse), lambda f, c: (_NONE, _NONE))}
-
-
-def universal_polarities(f: FoFormula) -> Optional[tuple[frozenset[str], frozenset[str]]]:
-    """The predicates that occur positively and those that occur
-    negatively in an NNF formula; None if it has an existential."""
-    return fold(f, _SIGNS, None, _SIGNS_DOWN)
-
-
-# named tuples: like the ``terms.record`` classes, each is built with one
-# ``exec``, so neither adds much to the import every CLI process pays
-class EaDisjunct(NamedTuple):
-    """One disjunct of an ∃*∀* formula in NNF: its existential names, its
-    quantifier-free literals and its maximal universal subformulas."""
-
-    exists: tuple[str, ...]
-    literals: tuple[FoFormula, ...]
-    foralls: tuple[FoFormula, ...]
-
-
-class EaProfile(NamedTuple):
-    """The shape of an NNF formula's disjuncts, read without expanding
-    them.  ``exists`` maps a number of existential names to the number
-    of disjuncts with that many; ``positive`` and ``negative`` hold the
-    predicates with that polarity in the universal parts of some
-    disjunct, ``mixed`` those with both in the universal parts of one;
-    ``universals`` maps each maximal universal subformula's bound name
-    to its ``universal_polarities``."""
-
-    exists: dict[int, int]
-    positive: frozenset[str]
-    negative: frozenset[str]
-    mixed: frozenset[str]
-    universals: Optional[dict[str, tuple[frozenset[str], frozenset[str]]]] = None
-
-
-def _profile_of_pair(f: TUnion[FoAnd, FoOr], c, left: Optional[EaProfile],
-                     right: Optional[EaProfile]) -> Optional[EaProfile]:
-    if left is None or right is None:
-        return None
-    mixed = left.mixed | right.mixed
-    if isinstance(f, FoOr):
-        exists = dict(left.exists)
-        for k, n in right.exists.items():
-            exists[k] = exists.get(k, 0) + n
-    else:
-        exists = {}
-        for j, m in left.exists.items():
-            for k, n in right.exists.items():
-                exists[j + k] = exists.get(j + k, 0) + m * n
-        mixed |= (left.positive & right.negative) | (left.negative & right.positive)
-    return EaProfile(exists, left.positive | right.positive,
-                     left.negative | right.negative, mixed)
-
-
-# a literal and a universal subformula are read whole; the profile's
-# context collects each universal subformula's polarities by bound name
-_DISJUNCT_DOWN = dict.fromkeys((FoNot, FoIff, FoForall), lambda f, c: (c, ()))
-_PROFILE = {FoFalse: lambda f, c: EaProfile({}, _NONE, _NONE, _NONE),
-            FoForall: lambda f, c: (None if (signs := c.setdefault(f.var, universal_polarities(f)))
-                                    is None else EaProfile({0: 1}, *signs, signs[0] & signs[1])),
-            FoExists: lambda f, c, body: None if body is None else EaProfile(
-                {k + 1: count for k, count in body.exists.items()}, *body[1:]),
-            **dict.fromkeys((FoAnd, FoOr), _profile_of_pair),
-            **dict.fromkeys((FoTrue, FoAtom, FoEq, FoNot, FoIff),
-                            lambda f, c: EaProfile({0: 1}, _NONE, _NONE, _NONE))}
-
-
-def ea_profile(f: FoFormula) -> Optional[EaProfile]:
-    """Profile of an NNF formula whose bound names are distinct; None if
-    an existential sits below a universal.  It walks each universal
-    subformula once; ``universals`` keeps what the walk read."""
-    signs: dict = {}
-    profile = fold(f, _PROFILE, signs, _DISJUNCT_DOWN)
-    return profile and profile._replace(universals=signs)
-
-
-_DISJUNCTS = {FoFalse: lambda f, c: [],
-              FoTrue: lambda f, c: [EaDisjunct((), (), ())],
-              FoForall: lambda f, c: [EaDisjunct((), (), (f,))],
-              FoExists: lambda f, c, body: [EaDisjunct((f.var, *d.exists), d.literals, d.foralls)
-                                            for d in body],
-              FoOr: lambda f, c, left, right: left + right,
-              FoAnd: lambda f, c, left, right: [
-                  EaDisjunct(a.exists + b.exists, a.literals + b.literals, a.foralls + b.foralls)
-                  for a in left for b in right],
-              **dict.fromkeys((FoAtom, FoEq, FoNot, FoIff),
-                              lambda f, c: [EaDisjunct((), (f,), ())])}
-
-
-def ea_disjuncts(f: FoFormula) -> list[EaDisjunct]:
-    """The disjuncts of an NNF formula whose profile is not None, with
-    conjunction distributed over disjunction outside the universal
-    parts."""
-    return fold(f, _DISJUNCTS, None, _DISJUNCT_DOWN)
 
 
 # ---------------------------------------------------------------------------

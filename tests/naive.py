@@ -20,14 +20,29 @@ climbing, as the package parsed it before ``terms.parse_term`` became
 one loop on an explicit stack.  It reads the package's tokenizer and
 operator table, and it recurses once per parenthesis and per operator
 level.
+
+``standard_translations``, ``nnf``, ``universal_polarities``,
+``ea_profile`` and ``ea_disjuncts``: the ∃*∀* reading of an inclusion
+on first-order formulas, as ``decide`` computed it before it read the
+terms.  The standard translations of both sides draw their bound names
+from one pool; ``nnf`` pushes negations down to the atoms and folds the
+constants; the profile reads the shape of the NNF's disjuncts and each
+universal subformula's polarities without expanding them, and
+``ea_disjuncts`` expands them.  ``small_model_structures_ref`` builds
+the small-model structures from that reading, so a test can check that
+``decide``'s two walks of the terms build the same structures in the
+same order, or give the same reason.
 """
 
+from typing import NamedTuple, Optional, Union as TUnion
+
+from relfrag.decide import _CANDIDATE_CAP, _partitions
 from relfrag.fo import (FoAnd, FoAtom, FoEq, FoExists, FoFalse, FoForall,
-                        FoFormula, FoIff, FoNot, FoOr, FoTrue)
-from relfrag.semantics import Structure
+                        FoFormula, FoIff, FoNot, FoOr, FoTrue, _TRANSLATE, _TRANSLATE_DOWN)
+from relfrag.semantics import MAX_SIZE, Structure, full_mask
 from relfrag.terms import (BOT, DI, ID, PROJ_SWAP, TOP, Bot, Comp, Compl, Dagger, Di, Id,
                            Inter, ParseError, Proj, Projection, Term, Top, Union, Var,
-                           _BY_SYMBOL, _CONSTANTS, _tokenize)
+                           _BY_SYMBOL, _CONSTANTS, _tokenize, fold)
 
 
 def naive_eval(t: Term, size: int, assignment: dict[str, set]) -> set:
@@ -223,3 +238,199 @@ def parse_term_ref(text: str) -> Term:
     if kind != "end":
         raise ParseError(off, frozenset({"operator", "end of input"}), repr(val))
     return node
+
+
+# ---------------------------------------------------------------------------
+# The ∃*∀* reading on first-order formulas: translations from one pool,
+# negation normal form, the disjuncts and the small-model structures
+
+
+def standard_translations(terms: tuple[Term, ...]) -> tuple[FoFormula, ...]:
+    """Standard translations of several terms in x0 and y0, with their
+    bound names drawn from one pool, so no bound name occurs in two of
+    them."""
+    pool = {"x": 0, "y": 0}
+    return tuple(fold(t, _TRANSLATE, ("x0", "y0", pool), _TRANSLATE_DOWN) for t in terms)
+
+
+def _junction(conj: bool, left: FoFormula, right: FoFormula) -> FoFormula:
+    # a conjunction (disjunction) of two NNF formulas, constants folded
+    zero, unit = (FoFalse, FoTrue) if conj else (FoTrue, FoFalse)
+    if isinstance(left, zero) or isinstance(right, zero):
+        return zero()
+    if isinstance(left, unit):
+        return right
+    if isinstance(right, unit):
+        return left
+    return FoAnd(left, right) if conj else FoOr(left, right)
+
+
+# the walk carries the polarity; a <=> b is (a & b) | (~a & ~b), so its
+# children are a and b under each polarity
+_NNF_DOWN = {FoNot: lambda f, pos: (pos, ((f.arg, not pos),)),
+             FoIff: lambda f, pos: (pos, ((f.left, pos), (f.right, pos),
+                                          (f.left, not pos), (f.right, not pos)))}
+_NNF = {**dict.fromkeys((FoAtom, FoEq), lambda f, pos: f if pos else FoNot(f)),
+        **dict.fromkeys((FoTrue, FoFalse), lambda f, pos: (FoTrue if isinstance(f, FoTrue) == pos
+                                                           else FoFalse)()),
+        FoNot: lambda f, pos, arg: arg,
+        FoAnd: lambda f, pos, left, right: _junction(pos, left, right),
+        FoOr: lambda f, pos, left, right: _junction(not pos, left, right),
+        FoIff: lambda f, pos, left, right, left_neg, right_neg: _junction(
+            not pos, _junction(pos, left, right), _junction(pos, left_neg, right_neg)),
+        **dict.fromkeys((FoExists, FoForall), lambda f, pos, body: (
+            body if isinstance(body, (FoTrue, FoFalse))
+            else (FoExists if isinstance(f, FoExists) == pos else FoForall)(f.var, body)))}
+
+
+def nnf(f: FoFormula, positive: bool = True) -> FoFormula:
+    """Negation normal form of f (of its negation when ``positive`` is
+    False): negations only on atoms and equalities, no FoIff, and FoTrue
+    or FoFalse only as the whole formula.  Universes are non-empty, so
+    a quantifier over a constant is that constant."""
+    return fold(f, _NNF, positive, _NNF_DOWN)
+
+
+_NONE = frozenset()
+# a literal and an existential are read whole, without their children
+_SIGNS_DOWN = dict.fromkeys((FoNot, FoIff, FoExists), lambda f, c: (c, ()))
+_SIGNS = {FoExists: lambda f, c: None,
+          FoAtom: lambda f, c: (frozenset({f.rel}), _NONE),
+          FoNot: lambda f, c: (_NONE, frozenset({f.arg.rel} if isinstance(f.arg, FoAtom) else ())),
+          **dict.fromkeys((FoAnd, FoOr), lambda f, c, a, b: (
+              None if a is None or b is None else (a[0] | b[0], a[1] | b[1]))),
+          FoForall: lambda f, c, body: body,
+          **dict.fromkeys((FoEq, FoIff, FoTrue, FoFalse), lambda f, c: (_NONE, _NONE))}
+
+
+def universal_polarities(f: FoFormula) -> Optional[tuple[frozenset[str], frozenset[str]]]:
+    """The predicates that occur positively and those that occur
+    negatively in an NNF formula; None if it has an existential."""
+    return fold(f, _SIGNS, None, _SIGNS_DOWN)
+
+
+class EaDisjunct(NamedTuple):
+    """One disjunct of an ∃*∀* formula in NNF: its existential names, its
+    quantifier-free literals and its maximal universal subformulas."""
+
+    exists: tuple[str, ...]
+    literals: tuple[FoFormula, ...]
+    foralls: tuple[FoFormula, ...]
+
+
+class EaProfile(NamedTuple):
+    """The shape of an NNF formula's disjuncts, read without expanding
+    them.  ``exists`` maps a number of existential names to the number
+    of disjuncts with that many; ``positive`` and ``negative`` hold the
+    predicates with that polarity in the universal parts of some
+    disjunct, ``mixed`` those with both in the universal parts of one;
+    ``universals`` maps each maximal universal subformula's bound name
+    to its ``universal_polarities``."""
+
+    exists: dict[int, int]
+    positive: frozenset[str]
+    negative: frozenset[str]
+    mixed: frozenset[str]
+    universals: Optional[dict[str, tuple[frozenset[str], frozenset[str]]]] = None
+
+
+def _profile_of_pair(f: TUnion[FoAnd, FoOr], c, left: Optional[EaProfile],
+                     right: Optional[EaProfile]) -> Optional[EaProfile]:
+    if left is None or right is None:
+        return None
+    mixed = left.mixed | right.mixed
+    if isinstance(f, FoOr):
+        exists = dict(left.exists)
+        for k, n in right.exists.items():
+            exists[k] = exists.get(k, 0) + n
+    else:
+        exists = {}
+        for j, m in left.exists.items():
+            for k, n in right.exists.items():
+                exists[j + k] = exists.get(j + k, 0) + m * n
+        mixed |= (left.positive & right.negative) | (left.negative & right.positive)
+    return EaProfile(exists, left.positive | right.positive,
+                     left.negative | right.negative, mixed)
+
+
+# a literal and a universal subformula are read whole; the profile's
+# context collects each universal subformula's polarities by bound name
+_DISJUNCT_DOWN = dict.fromkeys((FoNot, FoIff, FoForall), lambda f, c: (c, ()))
+_PROFILE = {FoFalse: lambda f, c: EaProfile({}, _NONE, _NONE, _NONE),
+            FoForall: lambda f, c: (None if (signs := c.setdefault(f.var, universal_polarities(f)))
+                                    is None else EaProfile({0: 1}, *signs, signs[0] & signs[1])),
+            FoExists: lambda f, c, body: None if body is None else EaProfile(
+                {k + 1: count for k, count in body.exists.items()}, *body[1:]),
+            **dict.fromkeys((FoAnd, FoOr), _profile_of_pair),
+            **dict.fromkeys((FoTrue, FoAtom, FoEq, FoNot, FoIff),
+                            lambda f, c: EaProfile({0: 1}, _NONE, _NONE, _NONE))}
+
+
+def ea_profile(f: FoFormula) -> Optional[EaProfile]:
+    """Profile of an NNF formula whose bound names are distinct; None if
+    an existential sits below a universal.  It walks each universal
+    subformula once; ``universals`` keeps what the walk read."""
+    signs: dict = {}
+    profile = fold(f, _PROFILE, signs, _DISJUNCT_DOWN)
+    return profile and profile._replace(universals=signs)
+
+
+_DISJUNCTS = {FoFalse: lambda f, c: [],
+              FoTrue: lambda f, c: [EaDisjunct((), (), ())],
+              FoForall: lambda f, c: [EaDisjunct((), (), (f,))],
+              FoExists: lambda f, c, body: [EaDisjunct((f.var, *d.exists), d.literals, d.foralls)
+                                            for d in body],
+              FoOr: lambda f, c, left, right: left + right,
+              FoAnd: lambda f, c, left, right: [
+                  EaDisjunct(a.exists + b.exists, a.literals + b.literals, a.foralls + b.foralls)
+                  for a in left for b in right],
+              **dict.fromkeys((FoAtom, FoEq, FoNot, FoIff),
+                              lambda f, c: [EaDisjunct((), (f,), ())])}
+
+
+def ea_disjuncts(f: FoFormula) -> list[EaDisjunct]:
+    """The disjuncts of an NNF formula whose profile is not None, with
+    conjunction distributed over disjunction outside the universal
+    parts."""
+    return fold(f, _DISJUNCTS, None, _DISJUNCT_DOWN)
+
+
+def small_model_structures_ref(t1: Term, t2: Term, min_size: int, names: list[str]):
+    """The small-model structures of ``decide`` built from the FO
+    reading: the standard translations of both sides from one pool, the
+    NNF of T1 ∧ ¬T2 and of T2 ∧ ¬T1, their profiles and disjuncts.  By
+    size, each the tuple of the names' relations; or the reason."""
+    f1, f2 = standard_translations((t1, t2))
+    phis = [nnf(FoAnd(f1, FoNot(f2))), nnf(FoAnd(f2, FoNot(f1)))]
+    profiles = [ea_profile(phi) for phi in phis]
+    if None in profiles:
+        return "not exists-forall"
+    mixed = sorted(frozenset().union(*(p.mixed for p in profiles)))
+    if mixed:
+        return f"mixed polarity in {mixed[0]}"
+    witnesses = [(k + 2, count) for p in profiles for k, count in p.exists.items()]
+    if max((max(min_size, k) for k, _ in witnesses), default=0) > MAX_SIZE:
+        return "beyond 8 points"
+    if sum(len(_partitions(k)) * count for k, count in witnesses) > _CANDIDATE_CAP:
+        return "candidate budget"
+
+    structures: dict = {}
+    for d, signs in ((d, p.universals) for phi, p in zip(phis, profiles)
+                     for d in ea_disjuncts(phi)):
+        points = ("x0", "y0", *d.exists)
+        full = frozenset().union(*(signs[u.var][0] for u in d.foralls))
+        for classes in _partitions(len(points)):
+            at = dict(zip(points, classes))
+            n = max(min_size, max(classes) + 1)
+            bits = {name: full_mask(n) if name in full else 0 for name in names}
+            for lit in d.literals:
+                atom = lit.arg if isinstance(lit, FoNot) else lit
+                if isinstance(atom, FoEq):
+                    if (at[atom.left] == at[atom.right]) != (lit is atom):
+                        break
+                elif isinstance(atom, FoAtom):
+                    pair = 1 << (at[atom.left] * n + at[atom.right])
+                    bits[atom.rel] = bits[atom.rel] | pair if lit is atom else bits[atom.rel] & ~pair
+            else:
+                structures.setdefault(n, {})[tuple(bits[name] for name in names)] = None
+    return structures

@@ -461,9 +461,12 @@ def test_quick_commands_start_without_dataclasses_or_inspect(tmp_path):
 
 
 def test_batch_route_loads_the_kernel(tmp_path):
+    # the small-model route reads its disjuncts off the terms, not off
+    # first-order formulas
     got = _loaded_by([["equiv", "--lhs", "a;(b;c)", "--rhs", "(a;b);c"]], tmp_path)
     assert got["codes"] == [0]
     assert "relfrag.bitrel" in got["loaded"] and "numpy" not in got["loaded"]
+    assert "relfrag.fo" not in got["loaded"]
 
 
 # every route runs on the bit-sliced kernel and the standard library's
@@ -481,6 +484,8 @@ def test_no_command_loads_numpy(tmp_path):
     got = _loaded_by(KERNEL_WITHOUT_NUMPY, tmp_path)
     assert got["codes"] == [0, 1, 0, 0, 2]
     assert "relfrag.bitrel" in got["loaded"] and "numpy" not in got["loaded"]
+    # nor the first-order module: only the export commands load it
+    assert "relfrag.fo" not in got["loaded"]
 
 
 def test_negative_seed_is_an_input_error_once_sampling_starts(run):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from naive import naive_eval
+from naive import naive_eval, small_model_structures_ref
 from strategies import (complemented_daggers, near_pairs, one_occurrence_terms,
                         two_variable_terms)
 from relfrag import bitrel, decide, semantics
@@ -548,3 +548,29 @@ def test_small_model_route_differential(pair, m):
     elif isinstance(v, Equivalent) and v.justification["kind"] in ("small-model", "syntactic"):
         assert _scan_or_sample(lhs, rhs, m), v.justification
         assert replay_justification(v, lhs, rhs)
+
+
+def _in_order(structures):
+    # a reason, or each size in turn with its structures in order
+    return structures if isinstance(structures, str) else [
+        (n, list(by_size)) for n, by_size in structures.items()]
+
+
+@given(st.one_of(st.tuples(two_variable_terms, two_variable_terms), near_pairs()),
+       st.integers(1, 8))
+@example((parse_term("a ; top"), parse_term("a")), 1)
+@example((parse_term("a $ (top ; top)"), parse_term("b & a $ (top ; top)")), 1)
+@example((parse_term("a $ (bot ; b)"), parse_term("a")), 2)
+@example((parse_term("(b $ I)~"), parse_term("b")), 1)
+@example((parse_term("a[1,1]"), parse_term("a ; b[2,1]")), 3)
+@example((parse_term("a$a~"), parse_term("(a$a~)^^")), 1)
+@settings(max_examples=300, deadline=None)
+def test_small_model_reads_the_fo_reference_off_the_terms(pair, m):
+    # the term reading builds the structures of the FO reading (standard
+    # translations, NNF, profile, disjuncts), in the same order, or
+    # gives the same reason; the examples fold constants under each
+    # polarity, rename points and mix polarities
+    lhs, rhs = pair
+    names = sorted(variables(lhs) | variables(rhs))
+    assert _in_order(decide._small_model_structures(lhs, rhs, m, names)) == \
+        _in_order(small_model_structures_ref(lhs, rhs, m, names))

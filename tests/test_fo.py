@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 
 from relfrag.fo import (FoAnd, FoAtom, FoEq, FoError, FoExists, FoFalse, FoForall,
-                        FoIff, FoNot, FoOr, FoTrue, ea_disjuncts,
-                        ea_profile, export_equation_smt2, export_equation_tptp, nnf,
-                        standard_translation, standard_translations,
-                        universal_polarities)
+                        FoIff, FoNot, FoOr, FoTrue, export_equation_smt2, export_equation_tptp,
+                        standard_translation)
 from relfrag.rewriting import figure1_rules
 from relfrag.semantics import Rel, Structure, eval_term
 from relfrag.terms import TOP, Var, parse_term, variables
 from relfrag.words import apply_word, parse_word
 
 from checkers import alpha_equivalent, check_smt2, check_tptp
-from naive import evaluate_formula
+from naive import (ea_disjuncts, ea_profile, evaluate_formula, nnf, standard_translations,
+                   universal_polarities)
 from strategies import two_variable_terms
 
 
