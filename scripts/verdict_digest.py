@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""The verdict digest of the ``decide`` benchmark workload: the sha256 of
+``repr`` of the list of verdict summaries (``perfbench/workloads.py``
+``_verdict_summary``) of its first 5,000 queries at a seed.  A change
+that keeps every verdict, justification and witness keeps the digest.
+
+Examples:
+    python3 scripts/verdict_digest.py --seed 1         # print the digest
+    python3 scripts/verdict_digest.py --check          # seeds 1, 2, 3
+    python3 scripts/verdict_digest.py --check --seed 1 # seed 1 only
+
+``--check`` compares with the committed digests and exits 1 on any
+difference.  The workload's code is imported from ``perfbench/``, not
+copied.
+"""
+
+import argparse
+import hashlib
+import itertools
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+QUERIES = 5000
+# committed digests of the first QUERIES queries, by seed
+DIGESTS = {
+    1: "4b3fbdecdbdf8d6e4ac20a783034a4d8cc52ac9198b3e1c470b68d069cf411af",
+    2: "6ca1c9ec2c999b16ac0604da179dbb6410c496094f1359c568771bf01c3d8da7",
+    3: "77654e34a8437e97e20111acf9238ce06e42493eee1a388ba41cca18ac1d783a",
+}
+
+
+def verdict_digest(seed: int, queries: int = QUERIES) -> str:
+    for path in (ROOT / "src", ROOT / "perfbench"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import workloads
+
+    workload = workloads.Decide(seed)
+    summaries = [workload.run(q) for q in itertools.islice(workload.inputs(), queries)]
+    return hashlib.sha256(repr(summaries).encode()).hexdigest()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seed", type=int, action="append",
+                    help="a workload seed (repeatable; default: the committed seeds)")
+    ap.add_argument("--check", action="store_true",
+                    help="compare with the committed digests; exit 1 on a difference")
+    args = ap.parse_args()
+    seeds = args.seed or sorted(DIGESTS)
+    if args.check and not set(seeds) <= DIGESTS.keys():
+        ap.error(f"no committed digest for seed(s) {sorted(set(seeds) - DIGESTS.keys())}")
+    failed = False
+    for seed in seeds:
+        digest = verdict_digest(seed)
+        if args.check and digest != DIGESTS[seed]:
+            failed = True
+            print(f"seed {seed}: {digest} differs from the committed {DIGESTS[seed]}")
+        else:
+            print(f"seed {seed}: {digest}" + (" ok" if args.check else ""))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

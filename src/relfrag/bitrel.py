@@ -49,7 +49,7 @@ kernel.  ``first_separating`` takes the lowest set bit of the OR of
 the pairwise XORs of the two sides, the first entry that separates
 them, and reads that structure back at its own size.  The oracles of
 ``semantics`` hand it batches of one size, and the exact routes of
-``decide`` merge theirs into one batch (``merge_batches``).
+``decide`` one batch of several (``merge_batches``, ``pack_structures``).
 
 *Samples.*  ``sampled_batches`` draws seeded random structures straight
 into batches, one ``random.getrandbits`` integer per pair and variable;
@@ -313,6 +313,23 @@ def merge_batches(batches: Iterable[tuple[int, int, Mapping[str, Sequence[int]]]
                     out[x * m + y] |= rels[x * n + y] << offset
         offset += count
     return merged, batch_masks((n, count) for n, count, _ in batches)
+
+
+def pack_structures(structures: Mapping[int, Iterable[Sequence[int]]], names: Sequence[str]):
+    """``merge_batches`` of the ``pair_integers`` of structures (a relation
+    per name, row-major) by size, sizes ascending, written straight at the
+    stride m of the largest size: bit j of pair x*m+y for entry j."""
+    m, j = max(structures), 0
+    out = [[0] * (m * m) for _ in names]
+    for n in sorted(structures):
+        at = [x * m + y for x in range(n) for y in range(n)]
+        for rels in structures[n]:
+            for pairs, r in zip(out, rels):
+                while r:  # each set bit, lowest first
+                    pairs[at[(r & -r).bit_length() - 1]] |= 1 << j
+                    r &= r - 1
+            j += 1
+    return dict(zip(names, out)), batch_masks((n, len(structures[n])) for n in sorted(structures))
 
 
 @lru_cache(maxsize=None)

@@ -21,16 +21,16 @@ from their singleton images at size 5 (``bitrel``), as ``verify-rules``
 decides rules; ``replay_justification`` re-derives them by the
 one-occurrence route, on the terms they make from one variable.
 
-The exact routes merge their (size, count, assignment batch) triples,
-sizes ascending, into one bit-sliced batch at the stride of the largest
-size, each entry keeping its own size (``bitrel.merge_batches``), and
-hand it to ``_separate``.  It evaluates each side once and takes the
-structure at the first entry where the sides differ, at that entry's
-size, for ``_inequivalent``.  Sizes and entries keep their order, so that
-is the first separating structure of the first separating size.  The
-one-occurrence basis depends only on the number of variables and the
-sizes, so its merged batch is built once for each (``_merged_basis``)
-and its variables renamed on every query.
+The exact routes pack their structures, sizes ascending, into one
+bit-sliced batch at the stride of the largest size, each entry keeping
+its own size, and hand it to ``_separate``.  It evaluates each side once
+and takes the structure at the first entry where the sides differ, at
+that entry's size, for ``_inequivalent``.  Sizes and entries keep their
+order, so that is the first separating structure of the first
+separating size.  The one-occurrence basis depends only on the number of
+variables and the sizes, so it is merged once for each
+(``_merged_basis``) and its variables renamed on every query; the small
+models are written straight into their batch (``bitrel.pack_structures``).
 
 The one-occurrence route evaluates both sides on every assignment of
 *basis* relations to the variables: the empty relation, the full
@@ -116,17 +116,17 @@ The sides are equivalent iff no C separates them:
    structures, each of which has at least M points; and any structure
    that separates the sides is a witness.
 
-The route does not apply, and the pair goes to the bounded search,
-when an existential sits below a universal, when a variable has both
+The route does not apply, and the pair goes to the bounded search, when
+an existential sits below a universal, when a variable has both
 polarities in the universal parts of one disjunct, when a structure
-would have more than ``MAX_SIZE`` (8) points (no kernel limits the
-size; the bound stays until a proof of its own lifts it), or when there
-would be more than ``_CANDIDATE_CAP`` structures.  All four are read
-from the profile, a first walk that reads the shape of the disjuncts
-without expanding them; a second walk expands them.  When a built
-structure separates the sides, the bounded search runs all the same,
-so that its witness is the one reported; the built witness is reported
-only when that search comes back ``Unknown``.
+would have more than ``MAX_SIZE`` (8) points (no kernel limits the size;
+the bound stays until a proof of its own lifts it), or when there would
+be more than ``_CANDIDATE_CAP`` structures.  One walk of each inclusion
+reads the shape of its disjuncts, from which all four are read, and an
+and/or tree of their pieces, which is multiplied out only when none
+applies.  When a built structure separates the sides, the bounded search
+runs all the same, so that its witness is the one reported; the built
+witness is reported only when that search comes back ``Unknown``.
 """
 
 from __future__ import annotations
@@ -300,6 +300,7 @@ def decide_word_equiv(w1: Word, w2: Word, cfg: OracleConfig = OracleConfig()) ->
 
 # the most structures the small-model route builds for one pair
 _CANDIDATE_CAP = 1 << 14
+_FULL = tuple(map(full_mask, range(MAX_SIZE + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -319,7 +320,9 @@ def _partitions(k: int) -> tuple[tuple[int, ...], ...]:
 # and a counter that names each middle point.  A node's value is True or
 # False where the reading folds to a constant.  Below a universal it is
 # the variables with each polarity, or None below an existential too;
-# above, the table's own.
+# above, the profile (number of existentials -> number of disjuncts, the
+# positive, negative and mixed variables of the universal parts) and an
+# and/or tree of the disjuncts' pieces (``_pair``, ``_expand``).
 
 
 def _conj(t: Term, c) -> bool:
@@ -355,76 +358,67 @@ _EA_DOWN = {Compl: lambda t, c: (c, ((t.arg, (not c[0], *c[1:])),)),
             Proj: lambda t, c: (c, ((t.arg, (*c[:2], c[1 + t.proj.img1], c[1 + t.proj.img2],
                                                 c[4])),))}
 _NONE = frozenset()
+_LITERAL = ({0: 1}, _NONE, _NONE, _NONE)  # a literal, or True, is one disjunct
+_CONSTANT = {True: (_LITERAL, [((), (), _NONE)]), False: (({}, _NONE, _NONE, _NONE), [])}
 
 
 def _signs(conj: bool, left, right):
     return left[0] | right[0], left[1] | right[1]
 
 
-def _reading(literal, pair, exists, universal):
-    """A table of the walk: ``literal(t, c)`` reads a variable or an
-    equality above the universals, ``pair(conj, left, right)`` two
-    readings, ``exists(z, body)`` an existential and ``universal(signs)``
-    a maximal universal."""
-    def quantifier(t, c, left, right):
-        conj, inside = _conj(t, c), c[1]
-        body = _junction(conj, left, right, _signs if inside or not conj else pair)
-        if isinstance(body, bool) or body is None:
-            return body
-        if inside:
-            return None if conj else body
-        return exists(c[2], body) if conj else universal(body)
+def _pair(conj: bool, left, right):
+    (lx, lp, ln, lm), (rx, rp, rn, rm) = left[0], right[0]
+    exists = {} if conj else dict(lx)
+    for j, m in lx.items() if conj else ((0, 1),):
+        for k, n in rx.items():
+            exists[j + k] = exists.get(j + k, 0) + m * n
+    mixed = lm | rm | ((lp & rn) | (ln & rp) if conj else _NONE)
+    return (exists, lp | rp, ln | rn, mixed), (conj, left[1], right[1])
 
-    return {Var: lambda t, c: ((_NONE, frozenset({t.name})) if c[0] and c[1] else
-                               (frozenset({t.name}), _NONE) if c[1] else literal(t, c)),
+
+def _quantifier(t, c, left, right):
+    conj, inside = _conj(t, c), c[1]
+    body = _junction(conj, left, right, _signs if inside or not conj else _pair)
+    if isinstance(body, bool) or body is None:
+        return body
+    if inside:
+        return None if conj else body
+    if conj:  # an existential: the conjunction of its point and its body
+        return _pair(True, (({1: 1}, _NONE, _NONE, _NONE), [((c[2],), (), _NONE)]), body)
+    return ({0: 1}, *body, body[0] & body[1]), [((), (), body[0])]
+
+
+def _literal(t: Term, c):
+    return _LITERAL, [((), ((t.name if isinstance(t, Var) else None, c[2], c[3],
+                             isinstance(t, (Var, Id)) != c[0]),), _NONE)]
+
+
+_READING = {Var: lambda t, c: ((_NONE, frozenset({t.name})) if c[0] and c[1] else
+                               (frozenset({t.name}), _NONE) if c[1] else _literal(t, c)),
             **dict.fromkeys((Bot, Top), lambda t, c: isinstance(t, Top) != c[0]),
-            **dict.fromkeys((Id, Di), lambda t, c: (_NONE, _NONE) if c[1] else literal(t, c)),
+            **dict.fromkeys((Id, Di), lambda t, c: (_NONE, _NONE) if c[1] else _literal(t, c)),
             **dict.fromkeys((Union, Inter), lambda t, c, left, right: _junction(
-                _conj(t, c), left, right, _signs if c[1] else pair)),
-            **dict.fromkeys((Comp, Dagger), quantifier),
+                _conj(t, c), left, right, _signs if c[1] else _pair)),
+            **dict.fromkeys((Comp, Dagger), _quantifier),
             **dict.fromkeys((Compl, Proj), lambda t, c, arg: arg)}
 
 
-def _profile_pair(conj: bool, left, right):
-    mixed = left[3] | right[3]
-    if conj:
-        exists = {}
-        for j, m in left[0].items():
-            for k, n in right[0].items():
-                exists[j + k] = exists.get(j + k, 0) + m * n
-        mixed |= (left[1] & right[2]) | (left[2] & right[1])
-    else:
-        exists = dict(left[0])
-        for k, n in right[0].items():
-            exists[k] = exists.get(k, 0) + n
-    return exists, left[1] | right[1], left[2] | right[2], mixed
-
-
-# the shape of the disjuncts, read without expanding them: (number of
-# existentials -> number of disjuncts, the positive, the negative and
-# the mixed variables of the universal parts), None if an existential
-# sits below a universal; a literal, or True, is one disjunct
-_LITERAL = ({0: 1}, _NONE, _NONE, _NONE)
-_PROFILE = _reading(lambda t, c: _LITERAL, _profile_pair,
-                    lambda z, body: ({k + 1: n for k, n in body[0].items()}, *body[1:]),
-                    lambda signs: ({0: 1}, *signs, signs[0] & signs[1]))
-# each disjunct: its existential points, its literals (the variable, or
-# None for equality, the two points and whether it holds positively) and
-# the variables positive in its universal parts
-_DISJUNCTS = _reading(
-    lambda t, c: [((), ((t.name if isinstance(t, Var) else None, c[2], c[3],
-                         isinstance(t, (Var, Id)) != c[0]),), _NONE)],
-    lambda conj, left, right: ([(a[0] + b[0], a[1] + b[1], a[2] | b[2])
-                                for a in left for b in right] if conj else left + right),
-    lambda z, body: [((z, *points), literals, full) for points, literals, full in body],
-    lambda signs: [((), (), signs[0])])
-
-
-def _ea_read(t1: Term, t2: Term, up, true, false):
-    """The reading of t1 ⊆ t2 by the table ``up``, with ``true`` and
-    ``false`` for the constants; points 0 and 1 are x0 and y0."""
-    value = fold(Inter(t1, Compl(t2)), up, (False, False, 0, 1, count(2)), _EA_DOWN)
-    return true if value is True else false if value is False else value
+def _expand(tree) -> list:
+    """A tree's disjuncts (existential points, literals, variables positive
+    in the universal parts), on an explicit stack: a leaf lists them,
+    (True, l, r) gives the products, l the outer loop, (False, l, r) l's then r's."""
+    values, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        if type(t) is list:
+            values.append(t)
+        elif len(t) == 3:  # the node again, below its children
+            stack += ((t[0],), t[2], t[1])
+        else:
+            right = values.pop()
+            values[-1] = ([(a[0] + b[0], a[1] + b[1], a[2] | b[2]) for a in values[-1]
+                           for b in right] if t[0] else values[-1] + right)
+    return values[0]
 
 
 def _small_model_structures(t1: Term, t2: Term, min_size: int, names: list[str]
@@ -432,35 +426,42 @@ def _small_model_structures(t1: Term, t2: Term, min_size: int, names: list[str]
     """The structures built in the module docstring for sides in the
     sorted ``names``, by size, each the tuple of the names' relations;
     or why the route does not apply."""
-    pairs = ((t1, t2), (t2, t1))
-    profiles = [_ea_read(*pair, _PROFILE, _LITERAL, ({}, _NONE, _NONE, _NONE)) for pair in pairs]
-    if None in profiles:
+    # the readings of t1 ⊆ t2 and t2 ⊆ t1; points 0 and 1 are x0 and y0
+    readings = [fold(Inter(a, Compl(b)), _READING, (False, False, 0, 1, count(2)), _EA_DOWN)
+                for a, b in ((t1, t2), (t2, t1))]
+    readings = [_CONSTANT[r] if isinstance(r, bool) else r for r in readings]
+    if None in readings:
         return "not exists-forall"
-    mixed = sorted(frozenset().union(*(p[3] for p in profiles)))
+    mixed = sorted(frozenset().union(*(p[3] for p, _ in readings)))
     if mixed:
         return f"mixed polarity in {mixed[0]}"
-    witnesses = [(k + 2, n) for p in profiles for k, n in p[0].items()]
+    witnesses = [(k + 2, n) for p, _ in readings for k, n in p[0].items()]
     if max((max(min_size, k) for k, _ in witnesses), default=0) > MAX_SIZE:
         return "beyond 8 points"
     if sum(len(_partitions(k)) * n for k, n in witnesses) > _CANDIDATE_CAP:
         return "candidate budget"
 
+    index = {name: i for i, name in enumerate(names)}
     structures: dict[int, dict[tuple[int, ...], None]] = {}
-    for exists, literals, full in (d for pair in pairs
-                                   for d in _ea_read(*pair, _DISJUNCTS, [((), (), _NONE)], [])):
+    for exists, literals, full in (d for _, tree in readings for d in _expand(tree)):
+        # each literal's name by index and its points by position in (x0,
+        # y0, *exists); a name's fill is -1 (full) or 0 (empty), ANDed per size
+        at = {p: i for i, p in enumerate((0, 1, *exists))}
+        literals = [(index.get(name), at[left], at[right], positive)
+                    for name, left, right, positive in literals]
+        full = [-(name in full) for name in names]
         for classes in _partitions(len(exists) + 2):
-            at = dict(zip((0, 1, *exists), classes))
             n = max(min_size, max(classes) + 1)
-            bits = {name: full_mask(n) if name in full else 0 for name in names}
-            for name, left, right, positive in literals:
-                if name is None:
-                    if (at[left] == at[right]) != positive:
+            bits = [_FULL[n] & f for f in full]
+            for i, left, right, positive in literals:
+                if i is None:
+                    if (classes[left] == classes[right]) != positive:
                         break
                 else:
-                    bit = 1 << (at[left] * n + at[right])
-                    bits[name] = bits[name] | bit if positive else bits[name] & ~bit
+                    bit = 1 << (classes[left] * n + classes[right])
+                    bits[i] = bits[i] | bit if positive else bits[i] & ~bit
             else:
-                structures.setdefault(n, {})[tuple(bits[name] for name in names)] = None
+                structures.setdefault(n, {})[tuple(bits)] = None
     return structures
 
 
@@ -470,12 +471,9 @@ def _small_model(t1: Term, t2: Term, min_size: int, names: list[str]) -> TUnion[
     structures = _small_model_structures(t1, t2, min_size, names)
     if isinstance(structures, str):
         return structures
-    from .bitrel import merge_batches, pair_integers
+    from .bitrel import pack_structures
 
-    batches = [(n, len(structures[n]), dict(zip(names, (pair_integers(rels, n)
-                                                         for rels in zip(*structures[n])))))
-               for n in sorted(structures)]
-    found = _separate(t1, t2, merge_batches(batches), min_size) if batches else None
+    found = _separate(t1, t2, pack_structures(structures, names), min_size) if structures else None
     return found or Equivalent({"kind": "small-model", "sizes": sorted(structures),
                                 "structures": sum(map(len, structures.values()))})
 

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from brute import entries
 from relfrag import bitrel
 from relfrag.bitrel import (apply_letter, apply_word_packed, batch_masks, eval_term_batch,
-                            first_separating, merge_batches, one_pair_relations, pair_integers,
-                            rule_counterexamples, scan_rule_pairs, singleton_images)
+                            first_separating, merge_batches, one_pair_relations, pack_structures,
+                            pair_integers, rule_counterexamples, scan_rule_pairs,
+                            singleton_images)
 from relfrag.semantics import Rel, Structure, eval_term
 from relfrag.terms import (DI, ID, PROJ_BOTH_1, PROJ_BOTH_2, PROJ_SWAP, Comp, Compl, Proj, Var,
                            fold, parse_term, variables)
@@ -107,6 +108,34 @@ def test_merge_keeps_one_size_unmasked():
     base, masks = one_pair_relations((4,))
     assert masks == tuple(batch_masks([(4, 16)])) == ((1 << 16) - 1,) * 16
     assert base == tuple(1 << j for j in range(16))
+
+
+@st.composite
+def deduped_structures(draw):
+    """k and structures of k relations by size, 1 to 8, each size's
+    distinct and in drawn order, the sizes in any order (the shape of
+    ``decide._small_model_structures``)."""
+    k = draw(st.integers(1, 3))
+    out = {}
+    for n in draw(st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True)):
+        rel = st.integers(0, (1 << n * n) - 1) | st.sampled_from([0, (1 << n * n) - 1])
+        out[n] = dict.fromkeys(draw(st.lists(st.tuples(*[rel] * k), min_size=1, max_size=8,
+                                             unique=True)))
+    return k, out
+
+
+@given(deduped_structures())
+@example((1, {3: {(0b100010001,): None, (0,): None}, 1: {(1,): None}}))
+@settings(max_examples=150, deadline=None)
+def test_pack_structures_matches_merged_pair_integers(drawn):
+    # written straight at the largest stride, the same batch as the
+    # (size, count, pair integers) triples merged, sizes ascending
+    k, structures = drawn
+    names = [f"v{i}" for i in range(k)]
+    batches = [(n, len(structures[n]), dict(zip(names, (pair_integers(rels, n)
+                                                        for rels in zip(*structures[n])))))
+               for n in sorted(structures)]
+    assert pack_structures(structures, names) == merge_batches(batches)
 
 
 @given(words, size_sets | layouts)

@@ -493,8 +493,9 @@ def _chain(n, left):
     return t
 
 
-def test_small_model_reasons_for_unknown():
-    cases = [
+def _reason_cases():
+    # (lhs, rhs, mode, reason) for each reason the small-model route gives
+    return [
         (parse_term("(a;(b$c))^"), parse_term("(c^$b^);a^"), REL, "not exists-forall"),
         (parse_term("a$a~"), parse_term("(a$a~)^^"), REL, "mixed polarity in a"),
         (parse_term("a;(b;c)"), parse_term("(a;b);c"), Mode(9), "beyond 8 points"),
@@ -502,13 +503,34 @@ def test_small_model_reasons_for_unknown():
         (parse_term(f"({_chain(6, True)});(a|b)"), parse_term(f"({_chain(6, False)});(a|b)"),
          Mode(8), "candidate budget"),
     ]
-    for lhs, rhs, mode, reason in cases:
+
+
+def test_small_model_reasons_for_unknown():
+    for lhs, rhs, mode, reason in _reason_cases():
         v = decide_terms(lhs, rhs, mode, OracleConfig(samples_per_size=16, seed=5))
         assert isinstance(v, Unknown), (lhs, rhs)
         assert (v.reason, v.seed) == (reason, 5)
     # within the budget, a longer chain is still decided
     v = decide_terms(_chain(7, True), _chain(7, False), REL, FAST)
     assert v.justification["kind"] == "small-model"
+
+
+def test_no_disjunct_is_expanded_when_a_gate_fails(monkeypatch):
+    # every reason is read off the profiles before a tree is multiplied
+    # out; the 20 factors of (a | b) would make 2^20 disjuncts
+    expanded = []
+    expand = decide._expand
+    monkeypatch.setattr(decide, "_expand", lambda tree: expanded.append(tree) or expand(tree))
+    wide = parse_term(" & ".join(["(a | b)"] * 20))
+    for lhs, rhs, mode, reason in [*_reason_cases(), (wide, parse_term("a | b"), REL,
+                                                      "candidate budget")]:
+        names = sorted(variables(lhs) | variables(rhs))
+        assert decide._small_model_structures(lhs, rhs, mode.min_size, names) == reason
+    assert expanded == []
+    # the spy sees both trees where the route applies
+    structures = decide._small_model_structures(parse_term("a;(b;c)"), parse_term("(a;b);c"), 1,
+                                                ["a", "b", "c"])
+    assert sum(map(len, structures.values())) == 17 and len(expanded) == 2
 
 
 def _scan_or_sample(lhs, rhs, m):
@@ -564,12 +586,16 @@ def _in_order(structures):
 @example((parse_term("(b $ I)~"), parse_term("b")), 1)
 @example((parse_term("a[1,1]"), parse_term("a ; b[2,1]")), 3)
 @example((parse_term("a$a~"), parse_term("(a$a~)^^")), 1)
+@example((parse_term("(a&D);(b|I)"), parse_term("((a&D);b)|(a&D)")), 2)
+@example((parse_term("a;(b&D);c"), parse_term("(a;b;c)&(a;(b&D);c)")), 2)
+@example((parse_term("(a;b)|(b;a)"), parse_term("(b;a)|(a;b)")), 3)
 @settings(max_examples=300, deadline=None)
 def test_small_model_reads_the_fo_reference_off_the_terms(pair, m):
     # the term reading builds the structures of the FO reading (standard
     # translations, NNF, profile, disjuncts), in the same order, or
     # gives the same reason; the examples fold constants under each
-    # polarity, rename points and mix polarities
+    # polarity, rename points and mix polarities, and the last three
+    # pin the expansion order, the skipped partitions and the dedupe
     lhs, rhs = pair
     names = sorted(variables(lhs) | variables(rhs))
     assert _in_order(decide._small_model_structures(lhs, rhs, m, names)) == \
