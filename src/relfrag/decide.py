@@ -389,8 +389,8 @@ def _quantifier(t, c, left, right):
 
 
 def _literal(t: Term, c):
-    return _LITERAL, [((), ((t.name if isinstance(t, Var) else None, c[2], c[3],
-                             isinstance(t, (Var, Id)) != c[0]),), _NONE)]
+    name, positive = t.name if isinstance(t, Var) else None, isinstance(t, (Var, Id)) != c[0]
+    return _LITERAL, [((), ((name, c[2], c[3], positive),), _NONE)]  # None is equality
 
 
 _READING = {Var: lambda t, c: ((_NONE, frozenset({t.name})) if c[0] and c[1] else
