@@ -49,7 +49,9 @@ kernel.  ``first_separating`` takes the lowest set bit of the OR of
 the pairwise XORs of the two sides, the first entry that separates
 them, and reads that structure back at its own size.  The oracles of
 ``semantics`` hand it batches of one size, and the exact routes of
-``decide`` one batch of several (``merge_batches``, ``pack_structures``).
+``decide`` one batch of several sizes.  ``pack_structures`` is the one
+way from structures to a batch: the one-pair relations and both exact
+routes of ``decide`` pack with it.
 
 *Samples.*  ``sampled_batches`` draws seeded random structures straight
 into batches, one ``random.getrandbits`` integer per pair and variable;
@@ -87,15 +89,23 @@ def batch_masks(layout: Iterable[tuple[int, int]]) -> list[int]:
     return out
 
 
-def pair_integers(relations: Sequence[int], n: int) -> list[int]:
-    """The pair integers of a sequence of relations of size n, each a
-    row-major bitset (``Rel.bits``): bit i of pair p's integer is bit p
-    of relation i."""
-    nn = n * n
-    # the relations' binary digits, last relation first, so that the
-    # digits of one pair, read every nn characters, form its integer
-    text = "".join([format(r, f"0{nn}b") for r in reversed(relations)])
-    return [int(text[nn - 1 - p::nn], 2) for p in range(nn)]
+def pack_structures(structures: Mapping[int, Iterable[Sequence[int]]], names: Sequence):
+    """One batch of structures by size, each a relation per name in turn
+    (row-major, ``Rel.bits``): the sizes ascending, the structures of a
+    size in the order given, at the stride m of the largest size, so that
+    bit j of pair x*m+y holds (x, y) of entry j.  Returns each name's
+    pair integers and the batch's masks."""
+    m, j = max(structures), 0
+    out = [[0] * (m * m) for _ in names]
+    for n in sorted(structures):
+        at = [x * m + y for x in range(n) for y in range(n)]
+        for rels in structures[n]:
+            for pairs, r in zip(out, rels):
+                while r:  # each set bit, lowest first
+                    pairs[at[(r & -r).bit_length() - 1]] |= 1 << j
+                    r &= r - 1
+            j += 1
+    return dict(zip(names, out)), batch_masks((n, len(structures[n])) for n in sorted(structures))
 
 
 @lru_cache(maxsize=None)
@@ -149,13 +159,11 @@ def apply_word_packed(rels: Sequence[int], w: Word, masks: Sequence[int]) -> lis
 
 @lru_cache(maxsize=None)
 def one_pair_relations(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The one-pair relations of each size in turn, (x, y) of size n as
-    entry x*n + y of that size's segment, at the stride of the largest
-    size, and the batch's masks."""
-    # at one size, entry p holds pair p alone: pair p's integer is bit p
-    merged, masks = merge_batches((n, n * n, {"": [1 << p for p in range(n * n)]})
-                                  for n in sizes)
-    return tuple(merged[""]), tuple(masks)
+    """The one-pair relations of each size, sizes ascending, (x, y) of
+    size n as entry x*n + y of that size's segment, at the stride of the
+    largest size, and the batch's masks."""
+    batch, masks = pack_structures({n: [(1 << p,) for p in range(n * n)] for n in sizes}, [""])
+    return tuple(batch[""]), tuple(masks)
 
 
 def singleton_images(w: Word, n: int) -> list[int]:
@@ -294,42 +302,6 @@ def first_separating(t1: Term, t2: Term, assignment: Mapping[str, Sequence[int]]
     return Structure(k, {name: Rel(k, sum((rels[x * m + y] >> i & 1) << (x * k + y)
                                           for x in range(k) for y in range(k)))
                          for name, rels in assignment.items()})
-
-
-def merge_batches(batches: Iterable[tuple[int, int, Mapping[str, Sequence[int]]]]):
-    """One batch from (size, count, assignment) triples, each sliced at
-    its own size, in the order given: the entries of each triple follow
-    those of the triples before it.  Returns the merged assignment and
-    its masks."""
-    batches = list(batches)
-    m = max(n for n, _, _ in batches)
-    merged = {name: [0] * (m * m) for name in batches[0][2]}
-    offset = 0
-    for n, count, assignment in batches:
-        for name, rels in assignment.items():
-            out = merged[name]
-            for x in range(n):
-                for y in range(n):
-                    out[x * m + y] |= rels[x * n + y] << offset
-        offset += count
-    return merged, batch_masks((n, count) for n, count, _ in batches)
-
-
-def pack_structures(structures: Mapping[int, Iterable[Sequence[int]]], names: Sequence[str]):
-    """``merge_batches`` of the ``pair_integers`` of structures (a relation
-    per name, row-major) by size, sizes ascending, written straight at the
-    stride m of the largest size: bit j of pair x*m+y for entry j."""
-    m, j = max(structures), 0
-    out = [[0] * (m * m) for _ in names]
-    for n in sorted(structures):
-        at = [x * m + y for x in range(n) for y in range(n)]
-        for rels in structures[n]:
-            for pairs, r in zip(out, rels):
-                while r:  # each set bit, lowest first
-                    pairs[at[(r & -r).bit_length() - 1]] |= 1 << j
-                    r &= r - 1
-            j += 1
-    return dict(zip(names, out)), batch_masks((n, len(structures[n])) for n in sorted(structures))
 
 
 @lru_cache(maxsize=None)

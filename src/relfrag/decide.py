@@ -27,10 +27,10 @@ its own size, and hand it to ``_separate``.  It evaluates each side once
 and takes the structure at the first entry where the sides differ, at
 that entry's size, for ``_inequivalent``.  Sizes and entries keep their
 order, so that is the first separating structure of the first
-separating size.  The one-occurrence basis depends only on the number of
-variables and the sizes, so it is merged once for each
-(``_merged_basis``) and its variables renamed on every query; the small
-models are written straight into their batch (``bitrel.pack_structures``).
+separating size.  Both routes pack with ``bitrel.pack_structures``.  The
+one-occurrence basis depends only on the number of variables and the
+sizes, so it is packed once for each (``_merged_basis``) and its
+variables renamed on every query.
 
 The one-occurrence route evaluates both sides on every assignment of
 *basis* relations to the variables: the empty relation, the full
@@ -234,16 +234,6 @@ def _basis(n: int) -> tuple[int, ...]:
     return (0, fm, *singles, *(fm ^ s for s in singles))
 
 
-def _basis_batch(names: list, n: int) -> tuple[int, int, dict]:
-    """Every assignment of basis relations at size n to the ``names``,
-    the first name slowest, as a (size, count, assignment) triple."""
-    from .bitrel import pair_integers
-
-    assignments = list(product(_basis(n), repeat=len(names)))
-    return n, len(assignments), {name: pair_integers(rels, n)
-                                 for name, rels in zip(names, zip(*assignments))}
-
-
 def _lift(rel: Rel, n: int) -> Rel:
     """A basis relation carried to size n: the same pairs, or all pairs
     but the same ones.  A witness lifted by ``_inequivalent`` still
@@ -261,13 +251,14 @@ def _lift(rel: Rel, n: int) -> Rel:
 @lru_cache(maxsize=None)
 def _merged_basis(k: int, sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...],
                                                            tuple[int, ...]]:
-    """The ``_basis_batch``es of k variables at the sizes in turn, merged
-    once: each variable's pair integers and the masks.  Every mode from
-    ``rel>=5`` on asks for the sizes (5,), so they share one entry."""
-    from .bitrel import merge_batches
+    """Every assignment of basis relations to k variables, the first
+    slowest, at the sizes in turn, packed once: each variable's pair
+    integers and the masks.  Every mode from ``rel>=5`` on asks for the
+    sizes (5,), so they share one entry."""
+    from .bitrel import pack_structures
 
-    merged, masks = merge_batches(_basis_batch(list(range(k)), n) for n in sizes)
-    return tuple(tuple(merged[i]) for i in range(k)), tuple(masks)
+    batch, masks = pack_structures({n: list(product(_basis(n), repeat=k)) for n in sizes}, range(k))
+    return tuple(tuple(batch[i]) for i in range(k)), tuple(masks)
 
 
 def _one_occurrence(t1: Term, t2: Term, min_size: int, names: list[str]) -> Verdict:

@@ -161,11 +161,6 @@ def normalize(w: Word, rs: RewriteSystem) -> tuple[Word, list[tuple[int, int]]]:
         w = new
 
 
-def is_irreducible(w: Word, rs: RewriteSystem) -> bool:
-    """No rule's large side occurs as a contiguous factor."""
-    return _first_match(w, rs) is None
-
-
 # ---------------------------------------------------------------------------
 # The irreducible language
 

@@ -38,8 +38,8 @@ def consecutive(start, count, n):
 def sliced(relations, n):
     """A bit-sliced batch of one size from packed relations (ints or a
     numpy array), and its masks."""
-    relations = [int(r) for r in relations]
-    return bitrel.pair_integers(relations, n), bitrel.batch_masks([(n, len(relations))])
+    batch, masks = bitrel.pack_structures({n: [(int(r),) for r in relations]}, [""])
+    return batch[""], masks
 
 
 def entries(rels, masks):

@@ -22,7 +22,7 @@ from relfrag.fo import (FoAnd, FoAtom, FoEq, FoExists, FoNot,
                         export_equation_smt2, export_equation_tptp,
                         standard_translation)
 from relfrag.rewriting import (count_irreducibles, enumerate_irreducibles,
-                               figure1_rules, is_irreducible, normalize)
+                               figure1_rules, normalize, rewrite_step)
 from relfrag.search import OracleConfig, run_search, verify_rules
 from relfrag.semantics import exhaustive_check, random_check
 from relfrag.terms import (ALL_PROJECTIONS, Comp, Compl, Dagger, Inter, Proj,
@@ -68,7 +68,7 @@ def test_criterion_2_cofiniteness_boundary(capsys):
     elapsed = time.time() - t0
     assert report.cofinite
     assert report.max_complement_length == 28
-    assert is_irreducible(W28, RS) and len(W28) == 28
+    assert rewrite_step(W28, RS) is None and len(W28) == 28
     assert elapsed < 1.0
     code = cli_main(["cofinite", "builtin:figure1", "--json"])
     out = json.loads(capsys.readouterr().out)
@@ -164,7 +164,7 @@ def test_criterion_6_normalization_soundness(capsys):
     for _ in range(1000):
         w = tuple(LETTERS[i] for i in rng.integers(0, 4, size=int(rng.integers(0, 13))))
         nf, _ = normalize(w, RS)
-        ok = (is_irreducible(nf, RS)
+        ok = (rewrite_step(nf, RS) is None
               and shortlex_key(nf) <= shortlex_key(w)
               and bitrel.apply_word_packed(panel, w, masks) == bitrel.apply_word_packed(panel, nf, masks))
         violations += not ok

@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from itertools import product
 from math import isqrt
 
 import numpy as np
@@ -10,9 +11,8 @@ from naive import naive_eval, small_model_structures_ref
 from strategies import (complemented_daggers, near_pairs, one_occurrence_terms,
                         two_variable_terms)
 from relfrag import bitrel, decide, semantics
-from relfrag.decide import (Equivalent, Inequivalent, Mode, REL, Unknown, _basis_batch,
-                            _separate, decide_terms, decide_word_equiv, parse_mode,
-                            replay_justification)
+from relfrag.decide import (Equivalent, Inequivalent, Mode, REL, Unknown, _basis, _separate,
+                            decide_terms, decide_word_equiv, parse_mode, replay_justification)
 from relfrag.rewriting import enumerate_irreducibles, figure1_rules
 from relfrag.search import OracleConfig
 from relfrag.semantics import (Rel, Structure, eval_term, exhaustive_check, random_check,
@@ -372,6 +372,13 @@ def test_no_route_evaluates_above_8_points(pair, m):
     assert max(sizes, default=0) <= 8, sizes
 
 
+def _fresh_basis(names, sizes):
+    """Every assignment of basis relations to the ``names`` at the sizes,
+    packed afresh in the names themselves."""
+    return bitrel.pack_structures({n: list(product(_basis(n), repeat=len(names)))
+                                   for n in sizes}, names)
+
+
 @given(one_occurrence_terms, one_occurrence_terms, st.sampled_from([6, 7, 8]))
 @settings(max_examples=100, deadline=None)
 def test_one_occurrence_size_five_stands_for_larger_sizes(lhs, rhs, m):
@@ -379,7 +386,7 @@ def test_one_occurrence_size_five_stands_for_larger_sizes(lhs, rhs, m):
     # the basis evaluated at m itself gives the same verdict and witness
     assume(_in_gate(lhs) and _in_gate(rhs) and vo(lhs) + vo(rhs) > 0)
     names = sorted(variables(lhs) | variables(rhs))
-    native = _separate(lhs, rhs, bitrel.merge_batches([_basis_batch(names, m)]), m)
+    native = _separate(lhs, rhs, _fresh_basis(names, [m]), m)
     v = decide_terms(lhs, rhs, Mode(m), FAST)
     assert v == (native or Equivalent({"kind": "one-occurrence", "exhausted_sizes": []}))
 
@@ -392,13 +399,12 @@ _MODES = [1, 2, 3, 4, 5, 6, 9, 2000]
 @example(parse_term("a ; D"), parse_term("D ; b"), 2000)
 @settings(max_examples=150, deadline=None)
 def test_cached_basis_matches_freshly_merged_batches(lhs, rhs, m):
-    # the route reads one cached merged basis with its variables renamed;
-    # the basis batches merged afresh in the same order give the same
-    # verdict and witness
+    # the route reads one cached basis with its variables renamed; the
+    # basis packed afresh in the names gives the same verdict and witness
     assume(_in_gate(lhs) and _in_gate(rhs) and vo(lhs) + vo(rhs) > 0)
     names = sorted(variables(lhs) | variables(rhs))
     small = list(range(m, 5))
-    fresh = bitrel.merge_batches([_basis_batch(names, n) for n in (*small, 5)])
+    fresh = _fresh_basis(names, (*small, 5))
     expected = (_separate(lhs, rhs, fresh, m)
                 or Equivalent({"kind": "one-occurrence", "exhausted_sizes": small}))
     v = decide._one_occurrence(lhs, rhs, m, names)

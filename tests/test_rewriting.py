@@ -8,7 +8,7 @@ from relfrag import bitrel
 from relfrag.rewriting import (InfiniteIrreducibleSet, RewriteError, Rule,
                                count_irreducibles,
                                enumerate_irreducibles, figure1_rules,
-                               format_rules, is_irreducible, load_rules,
+                               format_rules, load_rules,
                                make_system, normalize, parse_rules,
                                rewrite_step)
 from relfrag.words import (CAP_D, CAP_I, CONV, DOT_D, format_word, parse_word,
@@ -101,7 +101,7 @@ def test_normalize_semantic_soundness_sampled():
             w = tuple(LETTERS[i] for i in rng.integers(0, 4, size=int(rng.integers(0, 13))))
             nf, trace = normalize(w, rs)
             assert shortlex_key(nf) <= shortlex_key(w)
-            assert is_irreducible(nf, rs)
+            assert rewrite_step(nf, rs) is None
             assert replay_trace(w, rs, trace) == nf
             assert bitrel.apply_word_packed(panel, w, masks) == bitrel.apply_word_packed(panel, nf, masks)
 
@@ -111,7 +111,7 @@ def test_normalize_semantic_soundness_sampled():
 def test_normalize_traces_replay(w):
     nf, trace = normalize(w, RS)
     assert replay_trace(w, RS, trace) == nf
-    assert is_irreducible(nf, RS)
+    assert rewrite_step(nf, RS) is None
 
 
 def test_replay_rejects_corrupt_traces():
@@ -120,10 +120,10 @@ def test_replay_rejects_corrupt_traces():
 
 
 def test_is_irreducible_examples():
-    assert is_irreducible(W28, RS)
+    assert rewrite_step(W28, RS) is None
     assert len(W28) == 28
-    assert not is_irreducible((CAP_I, CAP_I), RS)
-    assert is_irreducible((), RS)
+    assert rewrite_step((CAP_I, CAP_I), RS) is not None
+    assert rewrite_step((), RS) is None
 
 
 def test_enumerate_first_words():
@@ -144,7 +144,7 @@ def test_enumerate_and_count_agree():
     assert keys == sorted(keys)
     # exactly the irreducible words up to the length bound
     sample = irreducibles[::97]
-    assert all(is_irreducible(w, RS) for w in sample)
+    assert all(rewrite_step(w, RS) is None for w in sample)
 
 
 def test_enumeration_cross_validated_against_membership():
@@ -156,7 +156,7 @@ def test_enumeration_cross_validated_against_membership():
     for _ in range(10_000):
         length = int(rng.integers(0, 9))
         w = tuple(LETTERS[i] for i in rng.integers(0, 4, size=length))
-        assert (w in members) == is_irreducible(w, RS)
+        assert (w in members) == (rewrite_step(w, RS) is None)
 
 
 def test_two_letter_system_counts():

@@ -7,7 +7,7 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relfrag.bitrel import batch_masks, eval_term_batch, pair_integers
+from relfrag.bitrel import eval_term_batch, pack_structures
 from relfrag.semantics import Rel, Structure, eval_term
 from relfrag.terms import (ID, Compl, Dagger, FragmentInfo, Var, complement_nf,
                            dotdagger_level, parse_term, print_term, subterms, variables)
@@ -48,7 +48,7 @@ def test_walk_passes_match_the_references(t, seed):
         scalar = [set(eval_term(t, Structure(n, {k: Rel(n, b) for k, b in entry.items()})).pairs())
                   for entry in rels]
         assert scalar == expected
-        masks = batch_masks([(n, len(rels))])
-        batch = {name: pair_integers([entry[name] for entry in rels], n) for name in names}
+        batch, masks = pack_structures({n: [[entry[name] for name in names] for entry in rels]},
+                                       names)
         out = entries(eval_term_batch(t, batch, masks), masks)
         assert [set(Rel(n, bits).pairs()) for bits in out] == expected
