@@ -24,9 +24,9 @@ ROOT = Path(__file__).resolve().parent.parent
 QUERIES = 5000
 # committed digests of the first QUERIES queries, by seed
 DIGESTS = {
-    1: "4b3fbdecdbdf8d6e4ac20a783034a4d8cc52ac9198b3e1c470b68d069cf411af",
-    2: "6ca1c9ec2c999b16ac0604da179dbb6410c496094f1359c568771bf01c3d8da7",
-    3: "77654e34a8437e97e20111acf9238ce06e42493eee1a388ba41cca18ac1d783a",
+    1: "c0d87daf5ac5d5c69b43c97fa5b9d9866df2d0512b0a7dc05d2011806909be23",
+    2: "e5142ec2e2fd43f67c98794d68a05151e045b6b5a4bd8efe2bb27cf727d458b3",
+    3: "12b3bdb7effcdabf5ca79f86a53d41da2d0a47b1c69961a411f3fc7350f4f77d",
 }
 
 

@@ -15,7 +15,8 @@ constant classes (exact).  Two terms with at most one variable
 occurrence each and existential level at most one take the
 one-occurrence route (exact).  Two identical terms are equivalent.
 Every other pair takes the small-model route (exact) when it applies,
-and the bounded counterexample search otherwise.  Words
+and the bounded counterexample search otherwise.  The route that
+answers reports its own witness.  Words
 (``decide_word_equiv``) are decided on universes of size at least five
 from their singleton images at size 5 (``bitrel``), as ``verify-rules``
 decides rules; ``replay_justification`` re-derives them by the
@@ -124,9 +125,7 @@ the bound stays until a proof of its own lifts it), or when there would
 be more than ``_CANDIDATE_CAP`` structures.  One walk of each inclusion
 reads the shape of its disjuncts, from which all four are read, and an
 and/or tree of their pieces, which is multiplied out only when none
-applies.  When a built structure separates the sides, the bounded search
-runs all the same, so that its witness is the one reported; the built
-witness is reported only when that search comes back ``Unknown``.
+applies.
 """
 
 from __future__ import annotations
@@ -160,7 +159,7 @@ class Unknown:
     """No verdict.  ``checked`` is the window of sizes scanned
     exhaustively (None if there were none); ``samples`` structures were
     drawn with ``seed`` in all over the ``sampled`` sizes.  ``reason``
-    says why the small-model route did not apply."""
+    says why the small-model route did not apply; there always is one."""
 
     checked: Optional[SizeWindow]
     samples: int
@@ -524,13 +523,9 @@ def decide_terms(t1: Term, t2: Term, mode: Mode = REL,
     if info1 == info2 and print_term(t1) == print_term(t2):
         return Equivalent({"kind": "syntactic"})
     verdict = _small_model(t1, t2, mode.min_size, names)
-    if isinstance(verdict, Equivalent):
+    if not isinstance(verdict, str):
         return verdict
-    bounded = _bounded_separation(t1, t2, mode, cfg, verdict if isinstance(verdict, str) else "",
-                                  len(names))
-    if isinstance(verdict, Inequivalent) and isinstance(bounded, Unknown):
-        return verdict
-    return bounded
+    return _bounded_separation(t1, t2, mode, cfg, verdict, len(names))
 
 
 def replay_justification(verdict: Equivalent, t1: Term, t2: Term) -> bool:

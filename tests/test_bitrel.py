@@ -124,7 +124,8 @@ def structures_by_size(draw):
 
 
 @given(structures_by_size())
-@example((1, {3: [(0b100010001,), (0,)], 1: [(1,)]}))
+# the shape of decide._small_model_structures: each size's distinct structures as dict keys
+@example((1, {3: {(0b100010001,): None, (0,): None}, 1: {(1,): None}}))
 @example((0, {2: [(), ()], 5: [()]}))
 @settings(max_examples=150, deadline=None)
 def test_pack_structures_puts_each_pair_at_its_entry(drawn):
@@ -136,13 +137,13 @@ def test_pack_structures_puts_each_pair_at_its_entry(drawn):
     m = max(structures)
     layout = [(n, len(structures[n])) for n in sorted(structures)]
     assert masks == batch_masks(layout)
-    entries = [(n, rels) for n, _ in layout for rels in structures[n]]
+    packed = [(n, rels) for n, _ in layout for rels in structures[n]]
     assert list(assignment) == names
     for i, name in enumerate(names):
         pairs = assignment[name]
         assert len(pairs) == m * m
-        assert all(r >> len(entries) == 0 for r in pairs)
-        for j, (n, rels) in enumerate(entries):
+        assert all(r >> len(packed) == 0 for r in pairs)
+        for j, (n, rels) in enumerate(packed):
             for x in range(m):
                 for y in range(m):
                     inside = rels[i] >> (x * n + y) & 1 if x < n and y < n else 0

@@ -450,19 +450,18 @@ def test_small_model_decides_the_bounded_identities(m):
         assert replay_justification(v, lhs, rhs)
 
 
-def test_small_model_separating_structure_defers_to_the_bounded_witness():
-    # the candidate separates, and the bounded scan reports its own
-    # first witness, the one printed before the small-model route
+def test_small_model_reports_its_own_witness(monkeypatch):
+    # the first built structure that separates is the verdict, at the
+    # mode's minimum or the two points the disjunct needs, and the
+    # bounded search does not run
+    calls = []
+    monkeypatch.setattr(decide, "_bounded_separation", lambda *args: calls.append(args))
     lhs, rhs = parse_term("a ; b"), parse_term("b ; a")
-    v = decide_terms(lhs, rhs, REL, FAST)
-    assert v == decide_terms(lhs, rhs, REL, FAST)
-    assert v.witness == exhaustive_check(lhs, rhs, [1, 2])
-    # at size 7 the bounded route scans nothing and samples only the
-    # forced assignments (both oracle sizes are raised to 7), which give
-    # a and b one relation and so do not separate; the candidate's
-    # witness is returned
-    v = decide_terms(lhs, rhs, Mode(7), OracleConfig(sample_sizes=(3,), samples_per_size=1))
-    assert isinstance(v, Inequivalent) and v.witness.size == 7
+    for m, n in ((1, 2), (3, 3)):
+        v = decide_terms(lhs, rhs, Mode(m), FAST)
+        assert v == Inequivalent(Structure(n, {"a": Rel.from_pairs(n, [(0, 1)]),
+                                               "b": Rel.from_pairs(n, [(1, 0)])}))
+    assert calls == []
 
 
 @pytest.mark.parametrize("samples", [1, 3, 4])
