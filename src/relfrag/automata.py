@@ -4,16 +4,13 @@
 word contains a pattern iff its path from the root meets a state that
 matches one, so the leftover words (those containing no pattern) are
 the paths from the root through states that match none.
-``leftover_paths`` finds in one depth-first pass a cycle among those
-states, returned as a lasso (an infinite leftover word), or else how
-long and how numerous the leftover words are; that decides
-``is_cofinite``, and rewriting counts and enumerates its irreducible
-words from the same pass.  Both are linear in the total pattern
-length.  A lasso stays a witness of infiniteness for any larger
-pattern set that it avoids, which ``Lasso.contains`` checks.  The pass
-tries each state's successors from the last letter to the first, so
-that its lasso is made of the letters whose words the completion search
-draws last at each length (see ``leftover_paths``).
+``leftover_paths`` finds in one depth-first pass whether those states
+hold a cycle (infinitely many leftover words), or else how long and how
+numerous the leftover words are; that decides ``is_cofinite``, and
+rewriting counts and enumerates its irreducible words from the same
+pass.  Both are linear in the total pattern length.  The completion
+search decides cofiniteness on its own window graph and calls
+``is_cofinite`` only for its seed rules (see ``search``).
 ``build_pattern_dfa``, ``complement_and_trim`` and partition-refinement
 ``minimize`` build the explicit automata that ``export-dfa`` draws.
 """
@@ -21,14 +18,12 @@ draws last at each length (see ``leftover_paths``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from .terms import record
 from .words import LETTER_TOKENS, LETTERS, Word
 
 ALPHABET_SIZE = len(LETTERS)
-# the letter indices in the order ``leftover_paths`` visits successors
-_LAST_FIRST = tuple(range(ALPHABET_SIZE - 1, -1, -1))
 
 
 class AutomataError(ValueError):
@@ -66,28 +61,10 @@ class Dfa:
 
 
 @record
-class Lasso:
-    """The infinite word prefix·cycle·cycle·…, the cycle nonempty."""
-
-    prefix: Word
-    cycle: Word
-
-    def contains(self, w: Word) -> bool:
-        """Whether w occurs as a factor of the infinite word.  An
-        occurrence that starts after the prefix moves back by whole
-        cycles to start within the first one, so every occurrence ends
-        within prefix·cycle^(⌊|w|/|cycle|⌋+2)."""
-        reps = len(w) // len(self.cycle) + 2
-        return bytes(w) in bytes(self.prefix + self.cycle * reps)
-
-
-@record
 class CofinitenessReport:
     cofinite: bool
     max_complement_length: Optional[int] = None
     complement_count: Optional[int] = None
-    # when not cofinite: an infinite word containing no pattern
-    lasso: Optional[Lasso] = None
 
 
 def aho_corasick(patterns: Sequence[Word]) -> tuple[list[list[int]], list[list[int]]]:
@@ -196,44 +173,28 @@ def complement_and_trim(d: Dfa) -> Dfa:
 
 
 def leftover_paths(goto: Sequence[Sequence[int]], matches: Sequence[Sequence]
-                   ) -> Union[Lasso, tuple[dict[int, int], dict[int, int]]]:
+                   ) -> Optional[tuple[dict[int, int], dict[int, int]]]:
     """One depth-first pass over the leftover states of an Aho-Corasick
     machine: those that match no pattern and are reachable from the
     root through such states.  They are the states of the trimmed
-    complement DFA, and each of them accepts.  If they hold a cycle
-    (infinitely many leftover words), the first one met as a lasso: the
-    letters from the root to the cycle, then around it.  Otherwise, per
-    leftover state, the length of the longest path from it and the
-    number of paths from it, the empty path included.
-
-    Successors are tried from the last letter (``cv``) to the first
-    (``iI``), so the first cycle met is made of the letters that sort
-    last in shortlex order wherever the patterns allow.  ``run_search``
-    draws the words of each length in shortlex order and rebuilds the
-    machine only when an admitted large side occurs in the lasso; the
-    factors of this lasso come last in each length, so the lasso dies
-    late.  The lengths and counts do not depend on the order."""
+    complement DFA, and each of them accepts.  None if they hold a
+    cycle (infinitely many leftover words); otherwise, per leftover
+    state, the length of the longest path from it and the number of
+    paths from it, the empty path included."""
     longest: dict[int, int] = {}
     count: dict[int, int] = {}
     on_path = {0}
-    # (state, letter index into it, its remaining successors, from the
-    # last letter to the first)
-    stack = [(0, -1, zip(_LAST_FIRST, reversed(goto[0])))]
+    # (state, its successors still to try)
+    stack = [(0, iter(goto[0]))]
     while stack:
-        s, _, succ = stack[-1]
-        for c, t in succ:
+        s, succ = stack[-1]
+        for t in succ:
             if matches[t] or t in longest:
                 continue
             if t in on_path:
-                # built as lists: tuple() of a generator allocates a
-                # guessed size and shrinks it, which piles tuples onto
-                # CPython's free lists (about 1 MB more peak memory
-                # over a few thousand searches)
-                word = [LETTERS[i] for _, i, _ in stack[1:]] + [LETTERS[c]]
-                start = [u for u, _, _ in stack].index(t)
-                return Lasso(tuple(word[:start]), tuple(word[start:]))
+                return None
             on_path.add(t)
-            stack.append((t, c, zip(_LAST_FIRST, reversed(goto[t]))))
+            stack.append((t, iter(goto[t])))
             break
         else:
             stack.pop()
@@ -246,15 +207,14 @@ def leftover_paths(goto: Sequence[Sequence[int]], matches: Sequence[Sequence]
 
 def is_cofinite(patterns: Iterable[Word]) -> CofinitenessReport:
     """Whether all but finitely many words contain some pattern as a
-    factor; when they do, the longest leftover length and the leftover
-    count, and when they do not, a lasso avoiding every pattern.
-    Patterns must be nonempty words."""
+    factor, and when they do, the longest leftover length and the
+    leftover count.  Patterns must be nonempty words."""
     pats = [tuple(p) for p in patterns]
     if any(len(p) == 0 for p in pats):
         raise AutomataError("the empty word is not a valid pattern")
     paths = leftover_paths(*aho_corasick(pats))
-    if isinstance(paths, Lasso):
-        return CofinitenessReport(False, lasso=paths)
+    if paths is None:
+        return CofinitenessReport(False)
     longest, count = paths
     return CofinitenessReport(True, longest[0], count[0])
 

@@ -4,8 +4,9 @@ A batch of B structures at stride m holds, per variable, m^2 Python
 integers, one per pair (x, y) at index ``x*m + y``: bit i says whether
 entry i has the pair.  Entries may have different universe sizes up to
 m, the entries of one size consecutive.  Each pair also has a mask
-(``batch_masks``): the entries whose size covers the pair, which is all
-B bits when the batch has one size.  The operators are then plain
+(``batch_masks``): the entries whose size covers the pair, that is the
+entries whose size exceeds max(x, y), which is all B bits when the
+batch has one size.  The operators are then plain
 integer operations.  Union, intersection and complement (XOR with the
 mask) are one operation per pair; converse is a permutation of the
 list; composition is the OR over z of ``R[x][z] & S[z][y]`` and dagger
@@ -20,10 +21,13 @@ list or one of its inputs unchanged.  No kernel limits the size.
 
 *Context words.*  ``iI`` / ``iD`` keep or clear the diagonal; ``cv`` is
 converse; ``{(x, y)} ; D`` is row x minus (x, y), so ``cD`` sets (x, y)
-where row x has some other pair: where it has two pairs, or one that is
-not (x, y), masked.  The mask only clears the columns past a smaller
-entry's size, so on a batch whose entries all have the full size (the
-first and last pair have the same mask) ``cD`` skips it.  Every letter
+to the OR of row x's other pairs, those before y and those after it,
+masked.  It runs as straight-line code generated once per stride, the
+m^2 pair integers unpacked into locals and each row's prefix and
+suffix ORs built in one pass each.  The mask only clears the columns
+past a smaller entry's size, so on a batch whose entries all have the
+full size (the first and last pair have the same mask) ``cD`` skips
+it.  Every letter
 preserves unions and sends the empty relation to itself, so the n^2
 images of the one-pair relations (``one_pair_relations``,
 ``singleton_images``) fix a word's map at size n exactly.  Entry j of
@@ -65,7 +69,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache, reduce
 from math import isqrt
-from operator import and_, or_, xor
+from operator import and_, itemgetter, or_, xor
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .semantics import Rel, SemanticsError, Structure
@@ -78,15 +82,23 @@ def batch_masks(layout: Iterable[tuple[int, int]]) -> list[int]:
     (size, count) in turn, at the stride of the largest size."""
     layout = list(layout)
     m = max(n for n, _ in layout)
-    out = [0] * (m * m)
+    # wider[k]: the entries whose size exceeds k, which are the entries
+    # that cover every pair (x, y) with max(x, y) = k
+    wider = [0] * m
     offset = 0
     for n, count in layout:
-        block = ((1 << count) - 1) << offset
-        for x in range(n):
-            for y in range(n):
-                out[x * m + y] |= block
+        wider[n - 1] |= ((1 << count) - 1) << offset
         offset += count
-    return out
+    for k in range(m - 2, -1, -1):
+        wider[k] |= wider[k + 1]
+    return list(_by_larger_coordinate(m)(wider))
+
+
+@lru_cache(maxsize=None)
+def _by_larger_coordinate(m: int):
+    # reads item max(x, y) for pair x*m + y, as a tuple even when m is 1
+    at = [max(x, y) for x in range(m) for y in range(m)]
+    return itemgetter(*at) if m > 1 else lambda wider: (wider[0],)
 
 
 def pack_structures(structures: Mapping[int, Iterable[Sequence[int]]], names: Sequence):
@@ -114,6 +126,32 @@ def _converse_order(m: int) -> tuple[int, ...]:
     return tuple(y * m + x for x in range(m) for y in range(m))
 
 
+@lru_cache(maxsize=None)
+def _dot_d(m: int):
+    """``cD`` at stride m before masking, as straight-line code compiled
+    with one ``exec``: (x, y) is set where row x has a pair other than
+    (x, y), the OR of the row's pairs before y (``p``, built left to
+    right) and after it (``s``, built right to left)."""
+    lines, out = [], []
+    for x in range(0, m * m, m):
+        before = {1: f"r{x}"}
+        for y in range(2, m):
+            lines.append(f"p{x + y} = {before[y - 1]} | r{x + y - 1}")
+            before[y] = f"p{x + y}"
+        after = {m - 2: f"r{x + m - 1}"}
+        for y in range(m - 3, -1, -1):
+            lines.append(f"s{x + y} = {after[y + 1]} | r{x + y + 1}")
+            after[y] = f"s{x + y}"
+        out += [" | ".join(filter(None, (before.get(y), after.get(y)))) or "0"
+                for y in range(m)]
+    source = (f"def dot_d(rels):\n    {', '.join(f'r{i}' for i in range(m * m))}, = rels\n"
+              + "".join(f"    {line}\n" for line in lines)
+              + f"    return [{', '.join(out)}]\n")
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["dot_d"]
+
+
 def apply_letter(rels: Sequence[int], letter: Letter, masks: Sequence[int]) -> list[int]:
     """One letter on every entry of a batch."""
     m = isqrt(len(masks))
@@ -128,16 +166,7 @@ def apply_letter(rels: Sequence[int], letter: Letter, masks: Sequence[int]) -> l
     if letter is CONV:
         return [rels[i] for i in _converse_order(m)]
     if letter is DOT_D:
-        # (x, y) is set where row x has a pair other than (x, y): where
-        # the row has two pairs, or one pair and (x, y) is not it
-        out = []
-        for x in range(0, m * m, m):
-            row = rels[x:x + m]
-            one = two = 0
-            for v in row:
-                two |= one & v
-                one |= v
-            out += [two | (one ^ v) for v in row]
+        out = _dot_d(m)(rels)
         # the last pair covers the same entries as the first only when
         # every entry has the full size, and then nothing needs clearing
         return out if masks[0] == masks[-1] else list(map(and_, out, masks))

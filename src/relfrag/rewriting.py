@@ -171,7 +171,7 @@ def _leftover_paths(rs: RewriteSystem) -> tuple[dict[int, int], dict[int, int]]:
         raise InfiniteIrreducibleSet("with no rules every word is irreducible")
     goto, outputs, _ = rs._matcher
     paths = automata.leftover_paths(goto, outputs)
-    if isinstance(paths, automata.Lasso):
+    if paths is None:
         raise InfiniteIrreducibleSet("the irreducible language is infinite")
     return paths
 

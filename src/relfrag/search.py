@@ -28,19 +28,28 @@ v is drawn only when v[1:] survived, and letters preserve unions with
 the first letter acting last, so v's singleton images are the letter
 v[0] applied to those of v[1:]; each survivor keeps its images, and a
 key costs one letter application on the one batch that spans every key
-size.  Cofiniteness is re-decided only when the last infinite witness
-dies: while the admitted large sides leave infinitely many words,
-``is_cofinite`` returns a lasso, an infinite word
-prefix·cycle·cycle·… containing none of them.  A new large side that
-does not occur in it leaves that word irreducible, so the language
-stays infinite and the lasso stays a witness; admitting rules only
-shrinks the language, so the decision is never revisited.  Only a
-large side that occurs in the lasso rebuilds the automaton.  The lasso
-is made of the letters that sort last wherever the large sides allow
-(``automata.leftover_paths``), and the words of each length are drawn
-in shortlex order, so its factors are drawn last: with ``max_len`` 15
-the README search rebuilds 5 times, not 14 as with a lasso of the first
-letters.
+size.  And cofiniteness is decided on the window graph of the current
+length L, which the loop walks anyway, not on a rebuilt automaton.
+Its nodes are the survivors of length L-1.  A word is irreducible iff
+its prefix and suffix one letter shorter are and it is no large side
+itself; every word whose prefix and suffix survived was drawn unless
+it is a seed large side, and survived unless it was admitted, so by
+induction over the lengths the survivors of length L-1 are exactly the
+irreducible words of that length.
+Its edges are the candidates of length L not admitted, each from its
+prefix to its suffix.  When no large side is longer than L, every
+occurrence of a large side in a word of length at least L lies in one
+of its windows of length L, so the irreducible words of length at
+least L-1 are exactly the walks of this graph: the irreducible
+language is infinite iff the graph has a cycle, and otherwise its
+longest word has length L-1 plus the longest path.  The edge list is
+built once per length, in the order the loop draws the candidates;
+each admission deletes one edge, the sinks are peeled as edges go,
+and the loop stops as cofinite the moment every window is peeled.  A
+seed rule (``seed_rules``) may have a large side longer than L, which
+no window of length L can see; below the longest seed large side the
+loop therefore re-decides cofiniteness with ``automata.is_cofinite``
+after each admission, as it does once at the start for the seeds.
 
 ``verify_rules`` re-certifies any rule set exactly at the exhaustive
 size and at each sample size, evaluating each word once over all of
@@ -93,31 +102,79 @@ class SearchReport:
     survivors: int = 0
 
 
+class _Windows:
+    """The window graph of one length (see the module docstring) with
+    its sinks peeled: edge e runs from window ``src[e]`` to window
+    ``dst[e]``."""
+
+    def __init__(self, nodes: int, src: list[int], dst: list[int]):
+        self.src, self.dst = src, dst
+        self.alive = [True] * len(src)
+        self.out = [0] * nodes  # per window, its live edges to windows not peeled
+        self.into: list[list[int]] = [[] for _ in range(nodes)]
+        for e, (s, t) in enumerate(zip(src, dst)):
+            self.out[s] += 1
+            self.into[t].append(e)
+        self.peeled: list[int] = []  # in the order peeled
+        self.gone = [False] * nodes
+        self._peel([s for s, n in enumerate(self.out) if not n])
+
+    def _peel(self, sinks: list[int]) -> None:
+        out, src, alive = self.out, self.src, self.alive
+        while sinks:
+            t = sinks.pop()
+            self.gone[t] = True
+            self.peeled.append(t)
+            for e in self.into[t]:
+                if alive[e]:
+                    out[src[e]] -= 1
+                    if not out[src[e]]:
+                        sinks.append(src[e])
+
+    def delete(self, e: int) -> bool:
+        """Delete edge e; whether every window is now peeled."""
+        self.alive[e] = False
+        s = self.src[e]
+        if not self.gone[self.dst[e]]:
+            self.out[s] -= 1
+            if not self.out[s]:
+                self._peel([s])
+        return len(self.peeled) == len(self.out)
+
+    def longest_path(self) -> int:
+        """Edges on the longest path, once every window is peeled.  An
+        edge's target is peeled before its source, so each window's
+        longest path is final when the pass reaches it."""
+        longest = [0] * len(self.out)
+        for t in self.peeled:
+            for e in self.into[t]:
+                if self.alive[e] and longest[self.src[e]] <= longest[t]:
+                    longest[self.src[e]] = longest[t] + 1
+        return max(longest)
+
+
 def run_search(cfg: OracleConfig, max_len: int, budget: int,
                seed_rules: Optional[RewriteSystem] = None) -> SearchReport:
     """Deterministic completion loop up to the given candidate-pair
     budget and large-side length bound.
 
     A word is fresh when all its proper factors survived earlier rounds
-    and it is not itself an admitted large side; fresh words are drawn
-    in shortlex order.  A fresh word whose exact key is already taken
-    is admitted as a rule with the survivor of that key as its small
-    side; otherwise it survives.
+    and it is not itself a seed large side; fresh words are drawn in
+    shortlex order.  A fresh word whose exact key is already taken is
+    admitted as a rule with the survivor of that key as its small side;
+    otherwise it survives.
     """
     from .automata import is_cofinite
 
     rules: list[Rule] = list(seed_rules.rules) if seed_rules else []
-    larges = {r.large for r in rules}
+    seeds = {r.large for r in rules}
+    # the window graph of length L sees the seeds of length <= L
+    windows_from = max(map(len, seeds), default=0)
 
-    # recomputed whenever an admitted large side occurs in its lasso,
-    # so it always covers ``rules`` (see the module docstring)
-    rep = is_cofinite([r.large for r in rules])
-
-    def report(reason: str) -> SearchReport:
+    def report(reason: str, longest: Optional[int] = None) -> SearchReport:
         return SearchReport(RewriteSystem(tuple(rules)),
-                            rep.cofinite, examined, oracle_calls, reason,
-                            rep.max_complement_length,
-                            survivors=len(images))
+                            reason == "cofinite", examined, oracle_calls, reason,
+                            longest, survivors=len(images))
 
     base, masks = _key_base(cfg)
     # survivor -> its singleton images, which are also its key
@@ -132,8 +189,9 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
         by_fp[imgs] = v
         by_len.setdefault(len(v), []).append(v)
 
+    rep = is_cofinite([r.large for r in rules])
     if rep.cofinite:
-        return report("cofinite")
+        return report("cofinite", rep.max_complement_length)
 
     # the empty word always survives (nothing is below it)
     keep((), base)
@@ -142,27 +200,32 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
         parents = by_len.get(length - 1, [])
         if not parents:
             break
-        for p in parents:
-            for letter in LETTERS:
-                v = p + (letter,)
-                below = images.get(v[1:])
-                if below is None or v in larges:
-                    continue
-                if examined >= budget:
-                    return report("budget")
-                examined += len(images)
-                imgs = tuple(bitrel.apply_letter(below, v[0], masks))
-                u = by_fp.get(imgs)
-                if u is None:
-                    keep(v, imgs)
-                    continue
-                oracle_calls += 1
-                rules.append(Rule(u, v, len(rules) + 1))
-                larges.add(v)
-                if rep.lasso.contains(v):
-                    rep = is_cofinite([r.large for r in rules])
-                    if rep.cofinite:
-                        return report("cofinite")
+        window = {p: i for i, p in enumerate(parents)}
+        # the candidates in drawing order, each with its prefix and
+        # suffix window: the edges of the window graph
+        drawn = [(v, i, window[v[1:]]) for i, p in enumerate(parents)
+                 for v in [p + (letter,) for letter in LETTERS]
+                 if v[1:] in window and v not in seeds]
+        graph = (_Windows(len(parents), [i for _, i, _ in drawn], [j for _, _, j in drawn])
+                 if length >= windows_from else None)
+        for e, (v, _, j) in enumerate(drawn):
+            if examined >= budget:
+                return report("budget")
+            examined += len(images)
+            imgs = tuple(bitrel.apply_letter(images[parents[j]], v[0], masks))
+            u = by_fp.get(imgs)
+            if u is None:
+                keep(v, imgs)
+                continue
+            oracle_calls += 1
+            rules.append(Rule(u, v, len(rules) + 1))
+            if graph is not None:
+                if graph.delete(e):
+                    return report("cofinite", length - 1 + graph.longest_path())
+            else:
+                rep = is_cofinite([r.large for r in rules])
+                if rep.cofinite:
+                    return report("cofinite", rep.max_complement_length)
     return report("exhausted")
 
 

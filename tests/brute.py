@@ -1,6 +1,7 @@
 """Literal scan over every relation of one size, the independent oracle
-for word equality, and conversions between packed relations and the
-bit-sliced batches of ``bitrel``.
+for word equality, conversions between packed relations and the
+bit-sliced batches of ``bitrel``, and the plain loops that two of its
+kernels replace (``dot_d``, ``batch_masks``).
 
 ``bitrel`` decides equality at size n from the images of the n^2
 one-pair relations, which is only sound because every letter preserves
@@ -12,6 +13,7 @@ generic term evaluator.
 """
 
 from math import isqrt
+from operator import and_
 
 from relfrag import bitrel
 
@@ -51,6 +53,38 @@ def entries(rels, masks):
     for i in range(max(mask.bit_length() for mask in masks)):
         k = sum(masks[x * m + x] >> i & 1 for x in range(m))
         out.append(sum((rels[x * m + y] >> i & 1) << (x * k + y) for x in range(k) for y in range(k)))
+    return out
+
+
+def dot_d(rels, masks):
+    """``cD`` on a batch, row by row: (x, y) is set where row x has a
+    pair other than (x, y), that is where the row has two pairs, or one
+    pair and (x, y) is not it; then masked."""
+    m = isqrt(len(masks))
+    out = []
+    for x in range(0, m * m, m):
+        row = rels[x:x + m]
+        one = two = 0
+        for v in row:
+            two |= one & v
+            one |= v
+        out += [two | (one ^ v) for v in row]
+    return list(map(and_, out, masks))
+
+
+def batch_masks(layout):
+    """``bitrel.batch_masks`` pair by pair: each (size, count) block of
+    entries covers every pair inside its size's square."""
+    layout = list(layout)
+    m = max(n for n, _ in layout)
+    out = [0] * (m * m)
+    offset = 0
+    for n, count in layout:
+        block = ((1 << count) - 1) << offset
+        for x in range(n):
+            for y in range(n):
+                out[x * m + y] |= block
+        offset += count
     return out
 
 

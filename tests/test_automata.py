@@ -4,9 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from relfrag.automata import (AutomataError, CofinitenessReport, Dfa, Lasso,
-                              aho_corasick, build_pattern_dfa, complement_and_trim,
-                              export_dot, is_cofinite, leftover_paths, minimize)
+from relfrag.automata import (AutomataError, CofinitenessReport, Dfa, aho_corasick,
+                              build_pattern_dfa, complement_and_trim, export_dot,
+                              is_cofinite, leftover_paths, minimize)
 from relfrag.rewriting import (InfiniteIrreducibleSet, count_irreducibles,
                                enumerate_irreducibles, figure1_rules, make_system)
 from relfrag.words import CAP_D, CAP_I, CONV, DOT_D, LETTERS, parse_word, shortlex_key
@@ -99,28 +99,9 @@ def test_is_cofinite_examples():
     report = is_cofinite([tuple(p) for p in product(LETTERS, repeat=2)])
     assert (report.cofinite, report.max_complement_length, report.complement_count) == (True, 1, 5)
 
-    # the pass tries successors from the last letter to the first, so
-    # its first cycle is made of the last letters the patterns allow
-    assert is_cofinite([]) == CofinitenessReport(False, lasso=Lasso((), (CONV,)))
-    assert is_cofinite([(CONV,)]) == CofinitenessReport(False, lasso=Lasso((), (DOT_D,)))
-    assert is_cofinite([(CONV,), (DOT_D, DOT_D)]) == \
-        CofinitenessReport(False, lasso=Lasso((), (DOT_D, CAP_D)))
-
-
-def test_lasso_contains_matches_unrolled_word():
-    # an occurrence in prefix·cycle^ω ends within
-    # prefix·cycle^(⌊|w|/|cycle|⌋+2), so a long unrolling finds nothing more
-    rng = np.random.default_rng(44)
-    found = 0
-    for _ in range(300):
-        prefix = tuple(LETTERS[i] for i in rng.integers(0, 4, size=int(rng.integers(0, 4))))
-        cycle = tuple(LETTERS[i] for i in rng.integers(0, 2, size=int(rng.integers(1, 4))))
-        w = tuple(LETTERS[i] for i in rng.integers(0, 2, size=int(rng.integers(1, 8))))
-        lasso = Lasso(prefix, cycle)
-        unrolled = prefix + cycle * 12
-        assert lasso.contains(w) == _naive_contains_factor(unrolled, [w]), (prefix, cycle, w)
-        found += lasso.contains(w)
-    assert 30 <= found <= 270, found
+    assert is_cofinite([]) == CofinitenessReport(False)
+    assert is_cofinite([(CONV,)]) == CofinitenessReport(False)
+    assert is_cofinite([(CONV,), (DOT_D, DOT_D)]) == CofinitenessReport(False)
 
 
 def test_minimize_builtin_regression():
@@ -208,8 +189,7 @@ def _brute_leftovers(pats):
 def test_leftover_pass_matches_brute_force():
     # random sets of patterns of length 1 to 3, cofinite or not: the
     # cofiniteness report, the irreducible count and the exact shortlex
-    # enumeration all agree with literal enumeration, and an infinite
-    # set comes with a lasso whose unrolled word avoids every pattern
+    # enumeration all agree with literal enumeration
     rng = np.random.default_rng(31)
     cofinite = 0
     for _ in range(300):
@@ -219,13 +199,8 @@ def test_leftover_pass_matches_brute_force():
         report = is_cofinite(pats)
         rs = make_system([((), p) for p in pats])
         if words is None:
-            lasso = leftover_paths(*aho_corasick(pats))
-            assert isinstance(lasso, Lasso) and lasso.cycle
-            assert report == CofinitenessReport(False, lasso=lasso)
-            m = max(map(len, pats))
-            for k in range(m // len(lasso.cycle) + 3):
-                assert not _naive_contains_factor(lasso.prefix + lasso.cycle * k, pats), (pats, k)
-            assert not any(lasso.contains(p) for p in pats)
+            assert leftover_paths(*aho_corasick(pats)) is None
+            assert report == CofinitenessReport(False)
             with pytest.raises(InfiniteIrreducibleSet):
                 count_irreducibles(rs)
             with pytest.raises(InfiniteIrreducibleSet):

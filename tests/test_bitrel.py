@@ -18,6 +18,7 @@ from math import isqrt
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import brute
 from brute import entries
 from relfrag import bitrel
 from relfrag.bitrel import (apply_letter, apply_word_packed, batch_masks, eval_term_batch,
@@ -179,6 +180,40 @@ def test_cD_matches_scalar_on_one_and_merged_sizes(sizes, seed):
     out = apply_letter(assignment["a"], DOT_D, masks)
     t = apply_word((DOT_D,), Var("a"))
     assert entries(out, masks) == [eval_term(t, s).bits for s in structures]
+
+
+def _every_stride(*rest):
+    # one size and two sizes at each stride from 1 to 8
+    def wrap(f):
+        for m in range(1, 9):
+            f = example([m], [5, 1, 1, 1], *rest)(f)
+            if m > 1:
+                f = example([1, m], [3, 4, 1, 1], *rest)(f)
+        return f
+    return wrap
+
+
+counts = st.lists(st.integers(0, 40), min_size=4, max_size=4)
+
+
+@given(layouts, counts, seeds)
+@_every_stride(0)
+@settings(max_examples=100, deadline=None)
+def test_cD_kernel_matches_the_row_loop(sizes, counts, seed):
+    # random batches, each pair inside its entries' squares
+    masks = batch_masks(zip(sizes, counts))
+    rng = random.Random(seed)
+    rels = [rng.getrandbits(sum(counts)) & mask for mask in masks]
+    assert apply_letter(rels, DOT_D, masks) == brute.dot_d(rels, masks)
+
+
+@given(layouts, counts)
+@_every_stride()
+@example([2, 5], [0, 3, 0, 0])
+@settings(max_examples=100, deadline=None)
+def test_batch_masks_match_the_pair_loop(sizes, counts):
+    layout = list(zip(sizes, counts))
+    assert batch_masks(layout) == brute.batch_masks(layout)
 
 
 @given(words, st.integers(9, 12))

@@ -315,8 +315,8 @@ _GRID = ((15, 10**6), (2, 10**6), (6, 10**6), (15, 500), (15, 20_000))
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_search_matches_reference_loop(m):
-    # keys built from one letter and cofiniteness re-decided only when
-    # the lasso dies give the same report
+    # keys built from one letter and cofiniteness decided on the window
+    # graph give the same report
     cfg = OracleConfig(exhaustive_size=m)
     for max_len, budget in _GRID:
         assert run_search(cfg, max_len, budget) == _reference_search(cfg, max_len, budget), \
@@ -337,10 +337,32 @@ def test_search_matches_reference_loop_with_seed_rules():
     assert run_search(CFG, 15, 10**6, cofinite) == _reference_search(CFG, 15, 10**6, cofinite)
 
 
-@pytest.mark.parametrize("cfg, most", [(CFG, 5), (OracleConfig(exhaustive_size=1), 11)])
-def test_search_rebuilds_the_automaton_rarely(monkeypatch, cfg, most):
-    # the lasso is built from the letters that sort last, so the large
-    # sides the search admits at each length rarely occur in it
+def _long_seeds():
+    # Figure 1 rules 20 and 21 (large sides of length 16 and 10), alone
+    # and after the first seven rules
+    rules = figure1_rules().rules
+    pair = [(r.small, r.large) for r in rules[19:21]]
+    assert [len(large) for _, large in pair] == [16, 10]
+    first = [(r.small, r.large) for r in rules[:7]]
+    return {"20": make_system(pair[:1]), "21": make_system(pair[1:]),
+            "20+21": make_system(pair), "1-7+20+21": make_system(first + pair)}
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+@pytest.mark.parametrize("name", ["20", "21", "20+21", "1-7+20+21"])
+def test_search_matches_reference_loop_below_the_longest_seed(m, name):
+    # below the longest seed large side no window sees it, and the
+    # automaton decides cofiniteness after each admission
+    cfg, seeds = OracleConfig(exhaustive_size=m), _long_seeds()[name]
+    for max_len, budget in _GRID:
+        assert run_search(cfg, max_len, budget, seeds) == \
+            _reference_search(cfg, max_len, budget, seeds), (max_len, budget)
+
+
+@pytest.mark.parametrize("cfg", [CFG, OracleConfig(exhaustive_size=1)])
+def test_search_rebuilds_the_automaton_rarely(monkeypatch, cfg):
+    # an unseeded search builds the automaton once, for its empty seed
+    # set, and decides every later admission on the window graph
     from relfrag import automata
     calls = []
 
@@ -350,7 +372,7 @@ def test_search_rebuilds_the_automaton_rarely(monkeypatch, cfg, most):
 
     monkeypatch.setattr(automata, "is_cofinite", counted)
     report = run_search(cfg, 15, 10**6)
-    assert 1 <= len(calls) <= most, len(calls)
+    assert len(calls) == 1, len(calls)
     assert report.stop_reason == ("cofinite" if cfg is CFG else "exhausted")
 
 
