@@ -329,34 +329,26 @@ def test_reference_grid_reaches_every_stop_reason():
 
 
 def test_search_matches_reference_loop_with_seed_rules():
-    seven = make_system([(r.small, r.large) for r in figure1_rules().rules[:7]])
+    rules = figure1_rules().rules
+    seven = make_system([(r.small, r.large) for r in rules[:7]])
     for max_len, budget in ((2, 10**6), (15, 10**6), (15, 500)):
         assert run_search(CFG, max_len, budget, seven) == _reference_search(CFG, max_len, budget, seven)
     # a cofinite seed stops before any candidate
     cofinite = figure1_rules()
     assert run_search(CFG, 15, 10**6, cofinite) == _reference_search(CFG, 15, 10**6, cofinite)
-
-
-def _long_seeds():
-    # Figure 1 rules 20 and 21 (large sides of length 16 and 10), alone
-    # and after the first seven rules
-    rules = figure1_rules().rules
+    # below the longest seed large side no window sees it, and the
+    # automaton decides cofiniteness after each admission: Figure 1
+    # rules 20 and 21 (large sides of length 16 and 10), alone,
+    # together and after the first seven rules
     pair = [(r.small, r.large) for r in rules[19:21]]
     assert [len(large) for _, large in pair] == [16, 10]
     first = [(r.small, r.large) for r in rules[:7]]
-    return {"20": make_system(pair[:1]), "21": make_system(pair[1:]),
-            "20+21": make_system(pair), "1-7+20+21": make_system(first + pair)}
-
-
-@pytest.mark.parametrize("m", [1, 3, 5])
-@pytest.mark.parametrize("name", ["20", "21", "20+21", "1-7+20+21"])
-def test_search_matches_reference_loop_below_the_longest_seed(m, name):
-    # below the longest seed large side no window sees it, and the
-    # automaton decides cofiniteness after each admission
-    cfg, seeds = OracleConfig(exhaustive_size=m), _long_seeds()[name]
-    for max_len, budget in _GRID:
-        assert run_search(cfg, max_len, budget, seeds) == \
-            _reference_search(cfg, max_len, budget, seeds), (max_len, budget)
+    for seeds in (pair[:1], pair[1:], pair, first + pair):
+        for m in (1, 3, 5):
+            cfg = OracleConfig(exhaustive_size=m)
+            for max_len, budget in _GRID:
+                assert run_search(cfg, max_len, budget, make_system(seeds)) == \
+                    _reference_search(cfg, max_len, budget, make_system(seeds)), (len(seeds), m, max_len, budget)
 
 
 @pytest.mark.parametrize("cfg", [CFG, OracleConfig(exhaustive_size=1)])
