@@ -38,9 +38,20 @@ differs, and if j is the lowest such entry then ``1 << j`` is the
 numerically first separating relation of size n (a smaller relation
 has only bits below j, whose images agree).
 ``rule_counterexamples`` evaluates each word once over all the sizes
-asked for; ``search.verify_rules`` and ``decide.decide_word_equiv``
-decide with it.  The literal scan over all 2^(n^2) relations lives in
-the test suite as an independent oracle.
+asked for; ``search.verify_rules`` decides with it.  The literal scan
+over all 2^(n^2) relations lives in the test suite as an independent
+oracle.
+
+*The word monoid.*  The distinct images of the words are the elements
+of a finite monoid, and ``word_monoid`` keeps its Cayley table for one
+set of sizes, filled as it is read: ``times(e, letter)`` computes a
+cell with one ``apply_letter`` the first time it is asked for and
+interns the image, and ``element(w)`` walks w from its last letter,
+which acts first.  There is one table per size set, cached for the
+process.  ``search.run_search`` keys its candidates by element, and
+``decide.decide_word_equiv`` compares two words' elements at size 5.
+From 5 points on the monoid has 124 elements; the largest table asked
+for, that of sizes 1..5, closes at 1,239.
 
 *Terms.*  ``eval_term_batch`` evaluates a term on a batch of
 structures.  A composition with ``D`` or ``I`` runs on the letters:
@@ -106,18 +117,37 @@ def pack_structures(structures: Mapping[int, Iterable[Sequence[int]]], names: Se
     (row-major, ``Rel.bits``): the sizes ascending, the structures of a
     size in the order given, at the stride m of the largest size, so that
     bit j of pair x*m+y holds (x, y) of entry j.  Returns each name's
-    pair integers and the batch's masks."""
+    pair integers and the batch's masks.  The entries fill one block of
+    64 at a time, each pair's block a small integer, so no bit is ORed
+    into an integer that grows with the batch; a batch of more than one
+    block joins each pair's blocks once, as bytes."""
     m, j = max(structures), 0
-    out = [[0] * (m * m) for _ in names]
+    block = [[0] * (m * m) for _ in names]
+    joined: list[list[bytearray]] = []  # per name and pair, the full blocks so far
+
+    def flush() -> None:
+        if not joined:
+            joined.extend([bytearray() for _ in range(m * m)] for _ in names)
+        for pairs, done in zip(block, joined):
+            for p, r in enumerate(pairs):
+                done[p] += r.to_bytes(8, "little")
+                pairs[p] = 0
+
     for n in sorted(structures):
         at = [x * m + y for x in range(n) for y in range(n)]
         for rels in structures[n]:
-            for pairs, r in zip(out, rels):
+            if j and not j % 64:
+                flush()
+            bit = 1 << j % 64
+            for pairs, r in zip(block, rels):
                 while r:  # each set bit, lowest first
-                    pairs[at[(r & -r).bit_length() - 1]] |= 1 << j
+                    pairs[at[(r & -r).bit_length() - 1]] |= bit
                     r &= r - 1
             j += 1
-    return dict(zip(names, out)), batch_masks((n, len(structures[n])) for n in sorted(structures))
+    if j > 64:
+        flush()
+        block = [[int.from_bytes(done, "little") for done in pairs] for pairs in joined]
+    return dict(zip(names, block)), batch_masks((n, len(structures[n])) for n in sorted(structures))
 
 
 @lru_cache(maxsize=None)
@@ -193,6 +223,49 @@ def one_pair_relations(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[i
     largest size, and the batch's masks."""
     batch, masks = pack_structures({n: [(1 << p,) for p in range(n * n)] for n in sizes}, [""])
     return tuple(batch[""]), tuple(masks)
+
+
+class WordMonoid:
+    """The monoid of the core words on the one-pair relations of a set of
+    sizes, as a Cayley table filled as it is read.  Element e is the
+    images ``images[e]``; element 0 is the empty word's, the batch of
+    ``one_pair_relations``.  ``cells[e][letter]`` is the element of the
+    letter applied after e, or None until first asked for."""
+
+    def __init__(self, sizes: tuple[int, ...]):
+        base, self._masks = one_pair_relations(sizes)
+        self.images: list[tuple[int, ...]] = [base]
+        self._ids = {base: 0}
+        self.cells: list[list[Optional[int]]] = [[None] * 4]
+
+    def times(self, e: int, letter: Letter) -> int:
+        """The element of the letter applied after element e: one
+        ``apply_letter`` the first time the cell is read."""
+        out = self.cells[e][letter]
+        if out is None:
+            image = tuple(apply_letter(self.images[e], letter, self._masks))
+            out = self._ids.setdefault(image, len(self.images))
+            if out == len(self.images):
+                self.images.append(image)
+                self.cells.append([None] * 4)
+            self.cells[e][letter] = out
+        return out
+
+    def element(self, w: Word) -> int:
+        """The word's element; its last letter acts first."""
+        e = 0
+        for letter in reversed(w):
+            e = self.times(e, letter)
+        return e
+
+
+@lru_cache(maxsize=None)
+def word_monoid(sizes: tuple[int, ...]) -> WordMonoid:
+    """The one table of each size set, ascending.  The callers ask for
+    at most nine size sets (``search`` one per exhaustive size from 1 to
+    ``MAX_SIZE``, ``decide`` (5,)), and a table holds at most 1,239
+    elements of four cells each."""
+    return WordMonoid(sizes)
 
 
 def singleton_images(w: Word, n: int) -> list[int]:

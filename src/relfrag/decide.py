@@ -18,9 +18,14 @@ Every other pair takes the small-model route (exact) when it applies,
 and the bounded counterexample search otherwise.  The route that
 answers reports its own witness.  Words
 (``decide_word_equiv``) are decided on universes of size at least five
-from their singleton images at size 5 (``bitrel``), as ``verify-rules``
-decides rules; ``replay_justification`` re-derives them by the
-one-occurrence route, on the terms they make from one variable.
+from their singleton images at size 5, read as elements of the word
+monoid's table at size 5 (``bitrel.word_monoid``): one element means
+equivalent, and otherwise the lowest image where the elements differ
+gives the numerically first separating relation, the one
+``verify-rules`` reports for a false rule, which computes the images
+from scratch.  ``replay_justification`` re-derives a word verdict by
+the one-occurrence route, on the terms the words make from one
+variable.
 
 The exact routes pack their structures, sizes ascending, into one
 bit-sliced batch at the stride of the largest size, each entry keeping
@@ -130,8 +135,9 @@ applies.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import count, product
+from operator import or_, xor
 from typing import TYPE_CHECKING, Optional, Union as TUnion
 
 from .constants import ConstClass, decide_0vo
@@ -272,17 +278,22 @@ def _one_occurrence(t1: Term, t2: Term, min_size: int, names: list[str]) -> Verd
 
 def decide_word_equiv(w1: Word, w2: Word, cfg: OracleConfig = OracleConfig()) -> Verdict:
     """Exact verdict on universes of size at least 5 for the words
-    filled with the variable a, from their singleton images at size 5:
-    Equivalent, or Inequivalent with the numerically first separating
-    relation of size 5.  ``cfg`` is accepted for compatibility and ignored."""
-    from .bitrel import rule_counterexamples
+    filled with the variable a, from their elements of the word monoid at
+    size 5: Equivalent when they are one element, and otherwise
+    Inequivalent with the numerically first separating relation of size
+    5, ``1 << j`` for the lowest image j where the elements differ.
+    ``cfg`` is accepted for compatibility and ignored."""
+    from .bitrel import word_monoid
     from .words import apply_word
 
-    bad = rule_counterexamples([(w1, w2)], (5,))[5][0]
-    if bad is None:
+    monoid = word_monoid((5,))
+    e1, e2 = monoid.element(w1), monoid.element(w2)
+    if e1 == e2:
         return Equivalent({"kind": "one-occurrence", "exhausted_sizes": []})
+    bad = reduce(or_, map(xor, monoid.images[e1], monoid.images[e2]))
     a = Var("a")
-    return _inequivalent(apply_word(w1, a), apply_word(w2, a), Structure(5, {"a": Rel(5, bad)}), 5)
+    return _inequivalent(apply_word(w1, a), apply_word(w2, a),
+                         Structure(5, {"a": Rel(5, bad & -bad)}), 5)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,34 @@ rule; the loop stops as soon as the admitted large sides make the
 irreducible language finite, or when the budget or length bound runs
 out.  Each stopping cause is reported.
 
-Two things keep the loop incremental within one search.  A candidate
-v is drawn only when v[1:] survived, and letters preserve unions with
-the first letter acting last, so v's singleton images are the letter
-v[0] applied to those of v[1:]; each survivor keeps its images, and a
-key costs one letter application on the one batch that spans every key
-size.  And cofiniteness is decided on the window graph of the current
-length L, which the loop walks anyway, not on a rebuilt automaton.
+The key is read off a Cayley table of the word monoid
+(``bitrel.word_monoid``): one table per set of key sizes, whose
+elements are the distinct images and whose cells hold the element of a
+letter applied after an element.  A candidate v is drawn only when
+v[1:] survived, and letters preserve unions with the first letter
+acting last, so v's images are the letter v[0] applied to those of
+v[1:]: v's key is the table's cell at the element of v[1:] and the
+letter v[0], and a cell is computed (one letter application on the one
+batch that spans every key size) only the first time any search reads
+it.  The table is bounded: the exhaustive size is in 1..``MAX_SIZE``,
+so there are at most eight key size sets, and the largest table, that
+of sizes 1..5, closes at 1,239 elements of four cells.  A one-shot
+search pays only for the cells it reads; later searches in the same
+process find them filled.
+
+Candidates are drawn through suffix links, without building the words
+that are not drawn.  Each survivor of length L-1 keeps the index of its
+suffix (the word without its first letter) among the survivors of
+length L-2, and each survivor of length L-2 keeps, per letter, the
+index of its extension by that letter if that survived.  For survivor
+p of length L-1 and a letter x, v = p + (x,) is drawn iff the suffix
+of p has a surviving extension by x, and that extension is v[1:], v's
+window.
+
+Two things keep the loop incremental within one search: the keys come
+from the table, and cofiniteness is decided on the window graph of the
+current length L, which the loop walks anyway, not on a rebuilt
+automaton.
 Its nodes are the survivors of length L-1.  A word is irreducible iff
 its prefix and suffix one letter shorter are and it is no large side
 itself; every word whose prefix and suffix survived was drawn unless
@@ -53,8 +74,12 @@ after each admission, as it does once at the start for the seeds.
 
 ``verify_rules`` re-certifies any rule set exactly at the exhaustive
 size and at each sample size, evaluating each word once over all of
-those sizes (``bitrel.rule_counterexamples``, which also decides
-``decide.decide_word_equiv`` at size 5).
+those sizes (``bitrel.rule_counterexamples``).  Neither it nor
+``word_fingerprint`` reads the table: each computes the images from
+scratch with ``bitrel.apply_letter``.  A certificate of what the search
+emits, or a reference search keyed by ``word_fingerprint`` (as in the
+test suite), that read the table the search filled would check
+nothing.
 """
 
 from __future__ import annotations
@@ -68,20 +93,19 @@ from .terms import record
 from .words import LETTERS, Word
 
 
-def _key_base(cfg: OracleConfig):
-    """The one-pair relations of every key size, from the exhaustive
-    size to 5, in one batch, and its masks."""
-    return bitrel.one_pair_relations(tuple(range(cfg.exhaustive_size,
-                                                 max(cfg.exhaustive_size, 5) + 1)))
+def _key_sizes(cfg: OracleConfig) -> tuple[int, ...]:
+    """Every key size, from the exhaustive size to 5."""
+    return tuple(range(cfg.exhaustive_size, max(cfg.exhaustive_size, 5) + 1))
 
 
 def word_fingerprint(w: Word, cfg: OracleConfig) -> tuple[int, ...]:
     """Exact key of the word's map on universes of at least the
     exhaustive size m: its singleton images at every size from m to
     max(m, 5), in one batch.  Two words share a key iff they agree on
-    every relation of every size >= m.  ``run_search`` builds the same
-    key from the images of w[1:] with the one letter w[0]."""
-    base, masks = _key_base(cfg)
+    every relation of every size >= m.  ``run_search`` reads the same
+    images off the word monoid's table; this key computes them from
+    scratch."""
+    base, masks = bitrel.one_pair_relations(_key_sizes(cfg))
     return tuple(bitrel.apply_word_packed(base, w, masks))
 
 
@@ -174,48 +198,56 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
     def report(reason: str, longest: Optional[int] = None) -> SearchReport:
         return SearchReport(RewriteSystem(tuple(rules)),
                             reason == "cofinite", examined, oracle_calls, reason,
-                            longest, survivors=len(images))
+                            longest, survivors=len(by_fp))
 
-    base, masks = _key_base(cfg)
-    # survivor -> its singleton images, which are also its key
-    images: dict[Word, tuple[int, ...]] = {}
-    by_fp: dict[tuple[int, ...], Word] = {}  # key -> the one survivor with that key
-    by_len: dict[int, list[Word]] = {}
+    times = bitrel.word_monoid(_key_sizes(cfg)).times
+    by_fp: dict[int, Word] = {}  # element -> the one survivor with that element
     examined = 0
     oracle_calls = 0
-
-    def keep(v: Word, imgs: tuple[int, ...]) -> None:
-        images[v] = imgs
-        by_fp[imgs] = v
-        by_len.setdefault(len(v), []).append(v)
 
     rep = is_cofinite([r.large for r in rules])
     if rep.cofinite:
         return report("cofinite", rep.max_complement_length)
 
-    # the empty word always survives (nothing is below it)
-    keep((), base)
+    # The survivors of the last length, by index: the word, its element
+    # and its suffix link, the index of the word without its first
+    # letter one length below.  ``child`` holds, per survivor one length
+    # below, per letter, the index of its extension by that letter if
+    # the extension survived.  The empty word always survives (nothing
+    # is below it); its suffix link is to a node below it whose every
+    # extension is the empty word.
+    parents, elements, links = [()], [0], [0]
+    child: list[list[Optional[int]]] = [[0] * len(LETTERS)]
+    by_fp[0] = ()
 
     for length in range(1, max_len + 1):
-        parents = by_len.get(length - 1, [])
         if not parents:
             break
-        window = {p: i for i, p in enumerate(parents)}
         # the candidates in drawing order, each with its prefix and
         # suffix window: the edges of the window graph
-        drawn = [(v, i, window[v[1:]]) for i, p in enumerate(parents)
-                 for v in [p + (letter,) for letter in LETTERS]
-                 if v[1:] in window and v not in seeds]
-        graph = (_Windows(len(parents), [i for _, i, _ in drawn], [j for _, _, j in drawn])
+        drawn = [(i, letter, j) for i, s in enumerate(links)
+                 for letter, j in zip(LETTERS, child[s]) if j is not None]
+        if seeds:
+            drawn = [c for c in drawn if parents[c[0]] + (c[1],) not in seeds]
+        graph = (_Windows(len(parents), [i for i, _, _ in drawn], [j for _, _, j in drawn])
                  if length >= windows_from else None)
-        for e, (v, _, j) in enumerate(drawn):
+        grown: list[Word] = []
+        grown_elements: list[int] = []
+        grown_links: list[int] = []
+        extended: list[list[Optional[int]]] = [[None] * len(LETTERS) for _ in parents]
+        for e, (i, letter, j) in enumerate(drawn):
             if examined >= budget:
                 return report("budget")
-            examined += len(images)
-            imgs = tuple(bitrel.apply_letter(images[parents[j]], v[0], masks))
-            u = by_fp.get(imgs)
+            examined += len(by_fp)
+            v = parents[i] + (letter,)
+            key = times(elements[j], v[0])
+            u = by_fp.get(key)
             if u is None:
-                keep(v, imgs)
+                by_fp[key] = v
+                extended[i][letter] = len(grown)
+                grown.append(v)
+                grown_elements.append(key)
+                grown_links.append(j)
                 continue
             oracle_calls += 1
             rules.append(Rule(u, v, len(rules) + 1))
@@ -226,6 +258,7 @@ def run_search(cfg: OracleConfig, max_len: int, budget: int,
                 rep = is_cofinite([r.large for r in rules])
                 if rep.cofinite:
                     return report("cofinite", rep.max_complement_length)
+        parents, elements, links, child = grown, grown_elements, grown_links, extended
     return report("exhausted")
 
 

@@ -217,7 +217,8 @@ def test_is_cofinite_scales_linearly():
     # doubling the total pattern length should not much more than
     # double the runtime; the trials alternate small and large, so a
     # change of host speed hits both sides, and each side keeps its
-    # best of five
+    # best of five; each trial makes 15 calls, so that it outlasts the
+    # scheduler's noise on a loaded host
     import time
 
     def patterns(k, rng):
@@ -228,7 +229,7 @@ def test_is_cofinite_scales_linearly():
 
     def trial(pats):
         t0 = time.perf_counter()
-        for _ in range(3):
+        for _ in range(15):
             is_cofinite(pats)
         return time.perf_counter() - t0
 

@@ -9,12 +9,15 @@ so it also runs on one size.  Every batch is built by
 ``pack_structures``, which is checked on its own against the layout it
 promises.  A composition with ``D`` or ``I`` runs on the
 letter kernels, so it is checked against the general kernel on the
-same batch as well.
+same batch as well.  The Cayley table of the word monoid
+(``word_monoid``) is checked against the words evaluated from scratch
+at every size set it is asked for, and its closure sizes are pinned.
 """
 
 import random
 from math import isqrt
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,11 +26,12 @@ from brute import entries
 from relfrag import bitrel
 from relfrag.bitrel import (apply_letter, apply_word_packed, batch_masks, eval_term_batch,
                             first_separating, one_pair_relations, pack_structures,
-                            rule_counterexamples, scan_rule_pairs, singleton_images)
-from relfrag.semantics import Rel, Structure, eval_term
+                            rule_counterexamples, scan_rule_pairs, singleton_images,
+                            word_monoid)
+from relfrag.semantics import MAX_SIZE, Rel, Structure, eval_term
 from relfrag.terms import (DI, ID, PROJ_BOTH_1, PROJ_BOTH_2, PROJ_SWAP, Comp, Compl, Proj, Var,
                            fold, parse_term, variables)
-from relfrag.words import DOT_D, apply_word, parse_word
+from relfrag.words import DOT_D, LETTERS, apply_word, parse_word
 
 from strategies import near_pairs, terms, two_variable_terms, words
 
@@ -269,3 +273,36 @@ def test_letter_compositions_match_the_general_kernel(r, comp, above, sizes, see
     assert entries(out, masks) == [eval_term(t, s).bits for s in structures]
     # no kernel writes its inputs, R ; I hands back R's list included
     assert assignment == before
+
+
+# every size set a table is asked for: the search's key sizes for each
+# exhaustive size in 1..MAX_SIZE ((5,) among them, the word route's)
+_TABLE_SIZES = [tuple(range(m, max(m, 5) + 1)) for m in range(1, MAX_SIZE + 1)]
+
+
+@given(st.sampled_from(_TABLE_SIZES), st.lists(st.sampled_from(LETTERS), max_size=14).map(tuple))
+@example((1, 2, 3, 4, 5), ())
+@example((5,), parse_word("cD cv cD iD cD"))
+@settings(max_examples=150, deadline=None)
+def test_word_monoid_element_images_match_the_word_from_scratch(sizes, w):
+    monoid = word_monoid(sizes)
+    base, masks = one_pair_relations(sizes)
+    assert monoid.images[monoid.element(w)] == tuple(apply_word_packed(base, w, masks))
+
+
+# the closure of the table: 124 elements from 5 points on (the paper's
+# finite monoid), more where a size below 5 still tells words apart
+_CLOSURE = {(5,): 124, (6,): 124, (8,): 124, (5, 6, 7): 124, (4, 5): 168,
+            (3, 4, 5): 996, (2, 3, 4, 5): 1238, (1, 2, 3, 4, 5): 1239}
+
+
+@pytest.mark.parametrize("sizes", sorted(_CLOSURE))
+def test_word_monoid_closes_at_the_pinned_size(sizes):
+    monoid = word_monoid(sizes)
+    e = 0
+    while e < len(monoid.images):  # every cell of every element found so far
+        for letter in LETTERS:
+            monoid.times(e, letter)
+        e += 1
+    assert len(monoid.images) == len(set(monoid.images)) == _CLOSURE[sizes]
+    assert all(None not in cells for cells in monoid.cells)

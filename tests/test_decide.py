@@ -84,6 +84,24 @@ def test_word_oracle_agrees_with_the_one_occurrence_route(w1, w2):
         assert _naive_word(w1, [divmod(j, 5)]) == _naive_word(w2, [divmod(j, 5)]), j
 
 
+@given(st.lists(st.sampled_from(LETTERS), max_size=14).map(tuple),
+       st.lists(st.sampled_from(LETTERS), max_size=14).map(tuple))
+@example((), ())
+@example((), parse_word("cv cv"))
+@example(parse_word("iI"), ())
+@settings(max_examples=200, deadline=None)
+def test_word_route_matches_the_images_from_scratch(w1, w2):
+    # the word route reads the word monoid's table; rule certification
+    # evaluates the words from scratch, and both give one witness
+    v = decide_word_equiv(w1, w2, CFG)
+    bad = bitrel.rule_counterexamples([(w1, w2)], (5,))[5][0]
+    if bad is None:
+        assert isinstance(v, Equivalent)
+    else:
+        assert isinstance(v, Inequivalent)
+        assert v.witness == Structure(5, {"a": Rel(5, bad)})
+
+
 def test_decide_terms_constant_route():
     v = decide_terms(parse_term("D ; D"), parse_term("top"), REL, FAST)
     assert isinstance(v, Inequivalent) and v.witness.size == 1

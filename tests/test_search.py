@@ -351,6 +351,26 @@ def test_search_matches_reference_loop_with_seed_rules():
                     _reference_search(cfg, max_len, budget, make_system(seeds)), (len(seeds), m, max_len, budget)
 
 
+@pytest.mark.parametrize("seeded", [False, True])
+def test_search_reports_do_not_depend_on_the_tables(seeded):
+    # the tables fill as they are read: a search gives the same report
+    # with its table cleared, with it warm, and after searches at other
+    # exhaustive sizes, whose tables are other tables
+    rules = figure1_rules().rules
+    seeds = make_system([(r.small, r.large) for r in rules[:7] + rules[19:21]]) if seeded else None
+    sizes = (1, 3, 5)
+    cleared = []
+    for m in sizes:
+        bitrel.word_monoid.cache_clear()
+        cleared.append(run_search(OracleConfig(exhaustive_size=m), 15, 10**6, seeds))
+    warm = [run_search(OracleConfig(exhaustive_size=m), 15, 10**6, seeds) for m in sizes]
+    bitrel.word_monoid.cache_clear()
+    for m in sizes:
+        run_search(OracleConfig(exhaustive_size=m), 15, 10**6, None if seeded else seeds)
+    mixed = [run_search(OracleConfig(exhaustive_size=m), 15, 10**6, seeds) for m in reversed(sizes)]
+    assert cleared == warm == mixed[::-1]
+
+
 @pytest.mark.parametrize("cfg", [CFG, OracleConfig(exhaustive_size=1)])
 def test_search_rebuilds_the_automaton_rarely(monkeypatch, cfg):
     # an unseeded search builds the automaton once, for its empty seed
