@@ -155,6 +155,26 @@ def test_pack_structures_puts_each_pair_at_its_entry(drawn):
                     assert pairs[x * m + y] >> j & 1 == inside, (name, j, x, y)
 
 
+@given(st.lists(st.tuples(st.integers(1, 8), st.integers(0, 200)), min_size=1, max_size=3,
+                unique_by=lambda t: t[0]), seeds)
+@example([(5, 64)], 0)
+@example([(5, 65)], 0)
+@example([(2, 63), (7, 66)], 1)
+@settings(max_examples=40, deadline=None)
+def test_pack_structures_across_blocks_of_64(layout, seed):
+    # the packer fills 64 entries at a time and joins the blocks: each
+    # entry reads back as its relation, across every block boundary
+    rng = random.Random(seed)
+    structures = {n: [(rng.getrandbits(n * n), rng.getrandbits(n * n)) for _ in range(count)]
+                  for n, count in layout if count}
+    if not structures:
+        return
+    assignment, masks = pack_structures(structures, ["a", "b"])
+    for slot, name in enumerate(["a", "b"]):
+        assert entries(assignment[name], masks) == [rels[slot] for n in sorted(structures)
+                                                    for rels in structures[n]]
+
+
 @given(words, size_sets | layouts)
 @example((DOT_D,), [2, 5])
 @example(parse_word("cD cv cD"), [1, 4, 7])
